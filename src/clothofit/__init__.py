@@ -24,32 +24,15 @@ from .errors import (
 )
 from .fresnel import FresnelMomenta, fresnel, fresnel_momenta
 from .fitter import (
-    DEFAULT_GUESS_COEFFICIENTS,
     FitConfig,
     FitResult,
-    GuessCoefficients,
     HermiteData,
     ReducedProblem,
-    a_max_bound,
     build_clothoid,
-    g_eval,
-    g_prime,
-    h_eval,
-    initial_guess,
-    normalize_angle,
     reduce_problem,
     solve_A,
 )
-from .gfresnel import (
-    DEFAULT_EVAL_CONFIG,
-    EvalConfig,
-    LargeParamDecomposition,
-    eval_xy,
-    eval_xy_a_large,
-    eval_xy_a_small,
-    eval_xy_a_zero,
-    r_lommel,
-)
+from .gfresnel import eval_xy
 
 __version__ = "0.1.0"
 
@@ -57,34 +40,19 @@ __all__ = [
     "ClothoidCurve",
     "ConvergenceError",
     "DegenerateInputError",
-    "DEFAULT_EVAL_CONFIG",
-    "DEFAULT_GUESS_COEFFICIENTS",
-    "EvalConfig",
     "ExcludedAngleError",
     "FitConfig",
     "FitError",
     "FitResult",
     "FresnelMomenta",
-    "GuessCoefficients",
     "HermiteData",
     "InternalConsistencyError",
-    "LargeParamDecomposition",
     "ReducedProblem",
     "SingularDerivativeError",
-    "a_max_bound",
     "build_clothoid",
     "eval_xy",
-    "eval_xy_a_large",
-    "eval_xy_a_small",
-    "eval_xy_a_zero",
     "fresnel",
     "fresnel_momenta",
-    "g_eval",
-    "g_prime",
-    "h_eval",
-    "initial_guess",
-    "normalize_angle",
-    "r_lommel",
     "reduce_problem",
     "solve_A",
 ]

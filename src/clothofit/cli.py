@@ -1,7 +1,8 @@
 """Command line interface: fit, sample, svg, bench, grid-stats.
 
 Exit codes: 0 success, 2 bad arguments, 3 degenerate input (coincident
-endpoints), 4 excluded angle configuration, 5 non-convergence.
+endpoints), 4 excluded angle configuration, 5 non-convergence, 6 any
+other fit failure (an internal consistency check on the solution).
 """
 
 import argparse
@@ -10,7 +11,7 @@ import math
 import sys
 import time
 
-from .errors import ConvergenceError, DegenerateInputError, ExcludedAngleError
+from .errors import ConvergenceError, DegenerateInputError, ExcludedAngleError, FitError
 from .fitter import (
     FitConfig,
     HermiteData,
@@ -309,6 +310,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except FitError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

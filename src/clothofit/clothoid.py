@@ -13,7 +13,7 @@ segment; both evaluate through the same code path.
 import math
 from dataclasses import dataclass
 
-from .gfresnel import DEFAULT_EVAL_CONFIG, eval_xy
+from .gfresnel import eval_xy
 
 __all__ = ["ClothoidCurve"]
 
@@ -34,7 +34,7 @@ class ClothoidCurve:
         if not self.L > 0.0:
             raise ValueError("ClothoidCurve: L must be positive, got %r" % (self.L,))
 
-    def point_at(self, s: float, cfg=DEFAULT_EVAL_CONFIG):
+    def point_at(self, s: float):
         """Position at arc length s.
 
         Evaluates x0 + s X_0(kappa_prime s^2, kappa s, theta0) and the
@@ -44,7 +44,7 @@ class ClothoidCurve:
         """
         if not math.isfinite(s):
             raise ValueError("point_at: s must be finite, got %r" % (s,))
-        X, Y = eval_xy(self.kappa_prime * s * s, self.kappa * s, self.theta0, 1, cfg)
+        X, Y = eval_xy(self.kappa_prime * s * s, self.kappa * s, self.theta0, 1)
         return self.x0 + s * X[0], self.y0 + s * Y[0]
 
     def angle_at(self, s: float) -> float:
@@ -55,7 +55,7 @@ class ClothoidCurve:
         """Curvature kappa + kappa_prime s."""
         return self.kappa + self.kappa_prime * s
 
-    def sample(self, n: int, cfg=DEFAULT_EVAL_CONFIG):
+    def sample(self, n: int):
         """n poses (x, y, theta, kappa) at uniform arc length over [0, L].
 
         The first row is the exact start pose.
@@ -66,11 +66,11 @@ class ClothoidCurve:
         step = self.L / (n - 1)
         for i in range(1, n):
             s = i * step
-            x, y = self.point_at(s, cfg)
+            x, y = self.point_at(s)
             rows.append((x, y, self.angle_at(s), self.curvature_at(s)))
         return rows
 
-    def endpoint_residual(self, data, cfg=DEFAULT_EVAL_CONFIG) -> float:
+    def endpoint_residual(self, data) -> float:
         """Distance from the curve end point_at(L) to the target (x1, y1)."""
-        x, y = self.point_at(self.L, cfg)
+        x, y = self.point_at(self.L)
         return math.hypot(x - data.x1, y - data.y1)

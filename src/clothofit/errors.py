@@ -2,7 +2,8 @@
 
 The CLI maps these onto distinct exit codes, so keep the hierarchy flat
 and stable: DegenerateInputError (3), ExcludedAngleError (4),
-ConvergenceError and its SingularDerivativeError subclass (5).
+ConvergenceError and its SingularDerivativeError subclass (5), and any
+other FitError, such as InternalConsistencyError (6).
 """
 
 __all__ = [
@@ -45,7 +46,7 @@ class ConvergenceError(FitError):
 
 
 class SingularDerivativeError(ConvergenceError):
-    """Newton hit a vanishing derivative and bisection found no sign change."""
+    """Newton hit a vanishing derivative g'(A) before converging."""
 
 
 class InternalConsistencyError(FitError):

@@ -10,12 +10,14 @@ A = kappa_prime L^2 / 2 solves
 after which L = r / X_0(2A, delta - A, phi0), kappa = (delta - A)/L and
 kappa_prime = 2A/L^2.  Newton with a fitted polynomial initial guess
 converges in a handful of iterations for every angle pair; the relevant
-root is unique inside [-A_max, A_max] given by `a_max_bound`, which backs
-a bisection fallback that never triggers in normal use.
+root lies inside [-A_max, A_max] given by `a_max_bound`.  A Newton step
+that leaves twice that bracket, or a vanishing derivative, ends the
+solve with a `ConvergenceError`; neither has occurred on any angle pair
+tried.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .clothoid import ClothoidCurve
 from .errors import (
@@ -25,15 +27,15 @@ from .errors import (
     InternalConsistencyError,
     SingularDerivativeError,
 )
-from .gfresnel import DEFAULT_EVAL_CONFIG, EvalConfig, eval_xy
+from .gfresnel import eval_xy
 
 __all__ = [
     "HermiteData",
     "ReducedProblem",
-    "GuessCoefficients",
     "FitConfig",
     "FitResult",
-    "DEFAULT_GUESS_COEFFICIENTS",
+    "CUBIC_GUESS_COEFFICIENTS",
+    "QUINTIC_GUESS_COEFFICIENTS",
     "GUESS_VARIANTS",
     "normalize_angle",
     "reduce_problem",
@@ -99,15 +101,9 @@ class ReducedProblem:
             raise ValueError("ReducedProblem: delta must equal phi1 - phi0")
 
 
-@dataclass(frozen=True)
-class GuessCoefficients:
-    """Least-squares coefficients of the cubic and quintic guess surfaces."""
-
-    c: tuple = (3.070645, 0.947923, -0.673029)
-    d: tuple = (2.989696, 0.71622, -0.458969, -0.502821, 0.26106, -0.045854)
-
-
-DEFAULT_GUESS_COEFFICIENTS = GuessCoefficients()
+# Least-squares coefficients of the cubic and quintic guess surfaces.
+CUBIC_GUESS_COEFFICIENTS = (3.070645, 0.947923, -0.673029)
+QUINTIC_GUESS_COEFFICIENTS = (2.989696, 0.71622, -0.458969, -0.502821, 0.26106, -0.045854)
 
 GUESS_VARIANTS = ("linear", "cubic", "quintic")
 
@@ -119,7 +115,6 @@ class FitConfig:
     tol: float = 1e-12
     max_iter: int = 100
     guess_variant: str = "quintic"
-    eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -180,32 +175,31 @@ def reduce_problem(data: HermiteData) -> ReducedProblem:
     return ReducedProblem(r=r, varphi=varphi, phi0=phi0, phi1=phi1, delta=phi1 - phi0)
 
 
-def g_eval(A: float, rp: ReducedProblem, cfg: EvalConfig = DEFAULT_EVAL_CONFIG) -> float:
+def g_eval(A: float, rp: ReducedProblem) -> float:
     """Transverse closure defect g(A) = Y_0(2A, delta - A, phi0)."""
-    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1, cfg)[1][0]
+    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1)[1][0]
 
 
-def g_prime(A: float, rp: ReducedProblem, cfg: EvalConfig = DEFAULT_EVAL_CONFIG) -> float:
+def g_prime(A: float, rp: ReducedProblem) -> float:
     """dg/dA = X_2 - X_1 at (2A, delta - A, phi0).
 
     Differentiating the phase A tau^2 + (delta - A) tau + phi0 in A
     brings down tau^2 - tau, hence the second minus first momentum.
     """
-    X, _ = eval_xy(2.0 * A, rp.delta - A, rp.phi0, 3, cfg)
+    X, _ = eval_xy(2.0 * A, rp.delta - A, rp.phi0, 3)
     return X[2] - X[1]
 
 
-def h_eval(A: float, rp: ReducedProblem, cfg: EvalConfig = DEFAULT_EVAL_CONFIG) -> float:
+def h_eval(A: float, rp: ReducedProblem) -> float:
     """Chord-aligned projection h(A) = X_0(2A, delta - A, phi0).
 
     At the relevant root of g, h is strictly positive, so L = r / h is a
     valid positive length.
     """
-    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1, cfg)[0][0]
+    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1)[0][0]
 
 
-def initial_guess(phi0: float, phi1: float, variant: str = "quintic",
-                  coeffs: GuessCoefficients = DEFAULT_GUESS_COEFFICIENTS) -> float:
+def initial_guess(phi0: float, phi1: float, variant: str = "quintic") -> float:
     """Starting value for the Newton solve.
 
     'linear' is 3 (phi0 + phi1), from linearizing g.  'cubic' and
@@ -218,10 +212,10 @@ def initial_guess(phi0: float, phi1: float, variant: str = "quintic",
     f0 = phi0 / math.pi
     f1 = phi1 / math.pi
     if variant == "cubic":
-        c1, c2, c3 = coeffs.c
+        c1, c2, c3 = CUBIC_GUESS_COEFFICIENTS
         return (phi0 + phi1) * (c1 + c2 * f0 * f1 + c3 * (f0 * f0 + f1 * f1))
     if variant == "quintic":
-        d1, d2, d3, d4, d5, d6 = coeffs.d
+        d1, d2, d3, d4, d5, d6 = QUINTIC_GUESS_COEFFICIENTS
         prod = f0 * f1
         sq = f0 * f0 + f1 * f1
         return (phi0 + phi1) * (
@@ -262,54 +256,19 @@ def a_max_bound(phi0: float, phi1: float) -> float:
     return delta + 2.0 * theta_max * (1.0 + math.sqrt(1.0 + delta / theta_max))
 
 
-def _bisect_root(rp, cfg, a_lo, a_hi, seed):
-    """Bisection on the sign-changing subinterval of [a_lo, a_hi] nearest seed."""
-    n_scan = 256
-    step = (a_hi - a_lo) / n_scan
-    best = None
-    prev_a = a_lo
-    prev_g = g_eval(prev_a, rp, cfg.eval)
-    for i in range(1, n_scan + 1):
-        cur_a = a_lo + i * step
-        cur_g = g_eval(cur_a, rp, cfg.eval)
-        if prev_g == 0.0:
-            return prev_a, 0
-        if prev_g * cur_g < 0.0:
-            mid = 0.5 * (prev_a + cur_a)
-            if best is None or abs(mid - seed) < abs(0.5 * (best[0] + best[1]) - seed):
-                best = (prev_a, cur_a, prev_g)
-        prev_a, prev_g = cur_a, cur_g
-    if best is None:
-        raise SingularDerivativeError(
-            "derivative vanished and no sign change found in the root bracket",
-            A=seed,
-        )
-    lo, hi, g_lo = best
-    steps = 0
-    while hi - lo > 1e-15 * max(1.0, abs(lo) + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        g_mid = g_eval(mid, rp, cfg.eval)
-        if abs(g_mid) <= cfg.tol:
-            return mid, steps
-        if g_lo * g_mid < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-        steps += 1
-    return 0.5 * (lo + hi), steps
-
-
 def _solve(rp, cfg):
-    """Newton iteration on g; returns (A, iterations, |g(A)| at exit)."""
+    """Newton iteration on g; returns (A, iterations, |g(A)|, h(A)).
+
+    h(A) = X_0 comes from the evaluation that accepted A, so the length
+    needs no further evaluation.
+    """
     A = initial_guess(rp.phi0, rp.phi1, cfg.guess_variant)
-    a_max = a_max_bound(rp.phi0, rp.phi1)
-    escape = 2.0 * max(a_max, 1.0)
-    ecfg = cfg.eval
+    escape = 2.0 * max(a_max_bound(rp.phi0, rp.phi1), 1.0)
     delta = rp.delta
     phi0 = rp.phi0
     iterations = 0
     while True:
-        X, Y = eval_xy(2.0 * A, delta - A, phi0, 3, ecfg)
+        X, Y = eval_xy(2.0 * A, delta - A, phi0, 3)
         g = Y[0]
         gp = X[2] - X[1]
         if abs(g) <= cfg.tol:
@@ -320,36 +279,37 @@ def _solve(rp, cfg):
                 A=A, iterations=iterations, residual=abs(g),
             )
         if abs(gp) < _DERIVATIVE_FLOOR:
-            A, extra = _bisect_root(rp, cfg, -a_max, a_max, A)
-            iterations += extra
-            g = g_eval(A, rp, ecfg)
-            gp = g_prime(A, rp, ecfg)
-            if abs(g) <= cfg.tol:
-                break
-            continue
+            raise SingularDerivativeError(
+                "g'(A) vanished at A=%.17g before |g| <= %g" % (A, cfg.tol),
+                A=A, iterations=iterations, residual=abs(g),
+            )
         A_next = A - g / gp
         if abs(A_next) > escape:
-            A, extra = _bisect_root(rp, cfg, -a_max, a_max, A)
-            iterations += extra + 1
-            continue
+            raise ConvergenceError(
+                "Newton step from A=%.17g left the root bracket |A| <= %.17g"
+                % (A, escape),
+                A=A, iterations=iterations, residual=abs(g),
+            )
         A = A_next
         iterations += 1
+    h = X[0]
     # One polishing step: |g| <= tol bounds the transverse defect only
     # relative to L, so quadratic convergence is pushed to the noise
     # floor to keep absolute endpoint errors at machine level.
     if abs(g) > _RESIDUAL_FLOOR and gp != 0.0:
         A_ref = A - g / gp
-        g_ref = g_eval(A_ref, rp, ecfg)
-        if abs(g_ref) < abs(g):
+        X, Y = eval_xy(2.0 * A_ref, delta - A_ref, phi0, 1)
+        if abs(Y[0]) < abs(g):
             A = A_ref
-            g = g_ref
+            g = Y[0]
+            h = X[0]
             iterations += 1
-    return A, iterations, abs(g)
+    return A, iterations, abs(g), h
 
 
 def solve_A(rp: ReducedProblem, cfg: FitConfig = DEFAULT_FIT_CONFIG):
     """Root of g(A) = 0 for a reduced problem; returns (A, iterations)."""
-    A, iterations, _ = _solve(rp, cfg)
+    A, iterations, _, _ = _solve(rp, cfg)
     return A, iterations
 
 
@@ -362,7 +322,7 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
         Start and end poses.  Endpoints must not coincide, and the
         chord-relative angles must not sit on an excluded corner.
     cfg : FitConfig
-        Newton tolerance, iteration cap, guess variant, evaluator config.
+        Newton tolerance, iteration cap, guess variant.
 
     Returns
     -------
@@ -377,8 +337,7 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
             "tangent angles opposite and parallel to the chord: "
             "no finite-length interpolant exists"
         )
-    A, iterations, residual = _solve(rp, cfg)
-    h = h_eval(A, rp, cfg.eval)
+    A, iterations, residual, h = _solve(rp, cfg)
     if h <= 0.0:
         raise InternalConsistencyError(
             "X_0 <= 0 at the computed root (A=%.17g): spurious solution" % A
@@ -396,5 +355,5 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
         B=rp.delta - A,
         iterations=iterations,
         residual_g=residual,
-        endpoint_error=curve.endpoint_residual(data, cfg.eval),
+        endpoint_error=curve.endpoint_residual(data),
     )

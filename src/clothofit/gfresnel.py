@@ -9,24 +9,24 @@ for k = 0, 1, 2.  The phase offset c is pulled out by a plane rotation,
 so only X_k(a, b) := X_k(a, b, 0) and Y_k(a, b) need real work.  Three
 regimes keep full double accuracy everywhere:
 
-* |a| >= epsilon_a: complete the square and reduce to Fresnel momenta
+* |a| >= EPSILON_A: complete the square and reduce to Fresnel momenta
   differences (`eval_xy_a_large`).  Exact for any a != 0, but the scale
   factor 1/z^(k+1) with z ~ sqrt(|a|) amplifies rounding as a -> 0.
-* 0 < |a| < epsilon_a: an alternating series in powers of (a/2)^2 over
+* 0 < |a| < EPSILON_A: an alternating series in powers of (a/2)^2 over
   the a = 0 integrals (`eval_xy_a_small`), truncation below 1e-16.
 * a = 0: closed form via reduced Lommel series (`eval_xy_a_zero`), which
   is stable where the naive upward recurrence in k is not.
 """
 
 import math
-from dataclasses import dataclass
 
 from .fresnel import _momenta
 
 __all__ = [
-    "EvalConfig",
-    "LargeParamDecomposition",
-    "DEFAULT_EVAL_CONFIG",
+    "EPSILON_A",
+    "SERIES_ORDER_P",
+    "EPSILON_B",
+    "LOMMEL_REL_TOL",
     "eval_xy",
     "eval_xy_a_large",
     "eval_xy_a_small",
@@ -34,90 +34,26 @@ __all__ = [
     "r_lommel",
 ]
 
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Regime thresholds and series orders for the evaluator.
-
-    epsilon_a splits the momenta path from the series path.  It must be
-    large enough that the momenta path is well conditioned at the
-    boundary (its error grows like (b/a)^3 * eps_machine for the k = 2
-    entries) and small enough that the series truncation bound
-    (epsilon_a/2)^(2p) cosh(epsilon_a) stays below 1e-16.
-    """
-
-    epsilon_a: float = 0.15
-    series_order_p: int = 8
-    epsilon_b: float = 1e-3
-    lommel_rel_tol: float = 1e-50
-
-    def __post_init__(self):
-        if not (self.epsilon_a > 0.0):
-            raise ValueError("EvalConfig: epsilon_a must be positive")
-        if not (isinstance(self.series_order_p, int) and self.series_order_p >= 2):
-            raise ValueError("EvalConfig: series_order_p must be an int >= 2")
-        bound = (0.5 * self.epsilon_a) ** (2 * self.series_order_p) * math.cosh(self.epsilon_a)
-        if not bound < 1e-16:
-            raise ValueError(
-                "EvalConfig: truncation bound %.3e >= 1e-16; raise series_order_p "
-                "or lower epsilon_a" % bound
-            )
-        if not (self.epsilon_b > 0.0):
-            raise ValueError("EvalConfig: epsilon_b must be positive")
-        if not (0.0 < self.lommel_rel_tol < 1.0):
-            raise ValueError("EvalConfig: lommel_rel_tol must be in (0, 1)")
+# epsilon_a splits the momenta path from the series path.  It must be
+# large enough that the momenta path is well conditioned at the boundary
+# (its error grows like (b/a)^3 * eps_machine for the k = 2 entries) and
+# small enough that the series truncation bound
+# (EPSILON_A/2)^(2 SERIES_ORDER_P) cosh(EPSILON_A) stays below 1e-16.
+EPSILON_A = 0.15
+SERIES_ORDER_P = 8
+# |b| below this takes the Taylor form of X_0(0, b), Y_0(0, b).
+EPSILON_B = 1e-3
+# Lommel series terms are summed until they fall below this fraction of
+# the partial sum.
+LOMMEL_REL_TOL = 1e-50
 
 
-DEFAULT_EVAL_CONFIG = EvalConfig()
-
-
-@dataclass(frozen=True)
-class LargeParamDecomposition:
-    """Square-completion data for the momenta path.
-
-    Satisfies (pi/2) sigma (tau z + omega_minus)^2 + eta == (a/2) tau^2 + b tau
-    for every tau.
-    """
-
-    sigma: float
-    z: float
-    omega_minus: float
-    omega_plus: float
-    eta: float
-
-    @classmethod
-    def from_quadratic(cls, a, b):
-        if a == 0.0:
-            raise ValueError("square completion undefined for a = 0")
-        sigma = 1.0 if a > 0.0 else -1.0
-        z = sigma * math.sqrt(abs(a) / math.pi)
-        omega_minus = b / math.sqrt(math.pi * abs(a))
-        return cls(
-            sigma=sigma,
-            z=z,
-            omega_minus=omega_minus,
-            omega_plus=omega_minus + z,
-            eta=-b * b / (2.0 * a),
-        )
-
-
-def _check_finite(**values):
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError("%s must be finite, got %r" % (name, v))
-
-
-def _check_order(k):
-    if not isinstance(k, int) or not 1 <= k <= 3:
-        raise ValueError("k must be an int in 1..3 (number of orders), got %r" % (k,))
-
-
-def r_lommel(mu: float, nu: float, b: float, rel_tol: float = 1e-50) -> float:
+def r_lommel(mu: float, nu: float, b: float) -> float:
     """Reduced Lommel series w_{mu,nu}(b) = sum_n (-b^2)^n / alpha_{n+1}.
 
     alpha_n(mu, nu) = prod_{m=1..n} ((mu + 2m - 1)^2 - nu^2).  Terms are
-    accumulated until they fall below rel_tol of the partial sum, i.e.
-    until they stop changing the double result for the default rel_tol.
+    accumulated until they fall below LOMMEL_REL_TOL of the partial sum,
+    i.e. until they stop changing the double result.
 
     Requires (mu + 2m - 1)^2 != nu^2 for all m >= 1; the half-integer
     order pairs used by `eval_xy_a_zero` always satisfy this.
@@ -128,6 +64,7 @@ def r_lommel(mu: float, nu: float, b: float, rel_tol: float = 1e-50) -> float:
     term = 1.0 / den
     total = term
     b2 = b * b
+    rel_tol = LOMMEL_REL_TOL
     n = 1
     while abs(term) > rel_tol * abs(total):
         term *= -b2 / ((2.0 * n + mu - nu + 1.0) * (2.0 * n + mu + nu + 1.0))
@@ -140,7 +77,7 @@ def r_lommel(mu: float, nu: float, b: float, rel_tol: float = 1e-50) -> float:
     return total
 
 
-def eval_xy_a_zero(b: float, k: int, cfg: EvalConfig = DEFAULT_EVAL_CONFIG):
+def eval_xy_a_zero(b: float, k: int):
     """X_j(0, b) and Y_j(0, b) for j = 0..k.
 
     Order zero is elementary (sin b / b and (1 - cos b)/b, Taylor fallback
@@ -151,13 +88,11 @@ def eval_xy_a_zero(b: float, k: int, cfg: EvalConfig = DEFAULT_EVAL_CONFIG):
 
     with A = b sin b, D = sin b - b cos b, B = b D, C = -b^2 sin b.
     k may be large here (the small-a series needs orders up to k + 4p + 2).
+    b must be finite and k a non-negative int; `eval_xy` checks its inputs.
     """
-    _check_finite(b=b)
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("eval_xy_a_zero: k must be a non-negative int, got %r" % (k,))
     sb = math.sin(b)
     cb = math.cos(b)
-    if abs(b) < cfg.epsilon_b:
+    if abs(b) < EPSILON_B:
         b2 = b * b
         X0 = 1.0 - (b2 / 6.0) * (1.0 - b2 / 20.0)
         Y0 = (b / 2.0) * (1.0 - (b2 / 12.0) * (1.0 - b2 / 30.0))
@@ -172,12 +107,11 @@ def eval_xy_a_zero(b: float, k: int, cfg: EvalConfig = DEFAULT_EVAL_CONFIG):
     D = sb - b * cb
     B = b * D
     C = -b * b * sb
-    tol = cfg.lommel_rel_tol
     for j in range(1, k + 1):
-        Xj = (j * A * r_lommel(j + 0.5, 1.5, b, tol)
-              + B * r_lommel(j + 1.5, 0.5, b, tol) + cb) / (1.0 + j)
-        Yj = (C * r_lommel(j + 1.5, 1.5, b, tol) + sb) / (2.0 + j) \
-            + D * r_lommel(j + 0.5, 0.5, b, tol)
+        Xj = (j * A * r_lommel(j + 0.5, 1.5, b)
+              + B * r_lommel(j + 1.5, 0.5, b) + cb) / (1.0 + j)
+        Yj = (C * r_lommel(j + 1.5, 1.5, b) + sb) / (2.0 + j) \
+            + D * r_lommel(j + 0.5, 0.5, b)
         X.append(Xj)
         Y.append(Yj)
     return X, Y
@@ -186,22 +120,22 @@ def eval_xy_a_zero(b: float, k: int, cfg: EvalConfig = DEFAULT_EVAL_CONFIG):
 def eval_xy_a_large(a: float, b: float, k: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b), Y_j(a, b) via Fresnel momenta.
 
-    Completing the square maps the integrals onto momenta differences
-    between omega_plus and omega_minus.  The formula is exact for any
-    a != 0 but should only be used away from a = 0, where the 1/z^(j+1)
-    factors amplify rounding (z ~ sqrt(|a|)); `eval_xy` handles the switch.
+    Completing the square, (pi/2) sigma (tau z + omega_minus)^2 + eta
+    == (a/2) tau^2 + b tau for every tau, maps the integrals onto momenta
+    differences between omega_plus = omega_minus + z and omega_minus.
+    The formula is exact for any a != 0 but should only be used away from
+    a = 0, where the 1/z^(j+1) factors amplify rounding (z ~ sqrt(|a|));
+    `eval_xy` handles the switch and checks the inputs.
     """
-    _check_finite(a=a, b=b)
-    _check_order(k)
     if a == 0.0:
         raise ValueError("eval_xy_a_large: a = 0 belongs to the series path")
-    dec = LargeParamDecomposition.from_quadratic(a, b)
-    sigma = dec.sigma
-    z = dec.z
-    wm = dec.omega_minus
-    ce = math.cos(dec.eta)
-    se = math.sin(dec.eta)
-    Cp, Sp = _momenta(dec.omega_plus, k - 1)
+    sigma = 1.0 if a > 0.0 else -1.0
+    z = sigma * math.sqrt(abs(a) / math.pi)
+    wm = b / math.sqrt(math.pi * abs(a))
+    eta = -b * b / (2.0 * a)
+    ce = math.cos(eta)
+    se = math.sin(eta)
+    Cp, Sp = _momenta(wm + z, k - 1)
     Cm, Sm = _momenta(wm, k - 1)
     dC0 = Cp[0] - Cm[0]
     dS0 = Sp[0] - Sm[0]
@@ -224,8 +158,7 @@ def eval_xy_a_large(a: float, b: float, k: int):
     return X, Y
 
 
-def eval_xy_a_small(a: float, b: float, k: int, p: int,
-                    cfg: EvalConfig = DEFAULT_EVAL_CONFIG):
+def eval_xy_a_small(a: float, b: float, k: int, p: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b), Y_j(a, b) by series around a = 0.
 
     Sums p + 1 groups of the alternating expansion
@@ -235,13 +168,9 @@ def eval_xy_a_small(a: float, b: float, k: int, p: int,
 
     (and the mirror image for Y) over the a = 0 values.  The truncation
     error is below (|a|/2)^(2p) cosh(a); in practice the (2n)! decay makes
-    it far smaller.
+    it far smaller.  p must be a positive int; `eval_xy` checks the rest.
     """
-    _check_finite(a=a, b=b)
-    _check_order(k)
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("eval_xy_a_small: p must be a positive int, got %r" % (p,))
-    X0, Y0 = eval_xy_a_zero(b, k + 4 * p + 2, cfg)
+    X0, Y0 = eval_xy_a_zero(b, k + 4 * p + 2)
     half_a = 0.5 * a
     X = [X0[j] - half_a * Y0[j + 2] for j in range(k)]
     Y = [Y0[j] + half_a * X0[j + 2] for j in range(k)]
@@ -258,12 +187,11 @@ def eval_xy_a_small(a: float, b: float, k: int, p: int,
     return X, Y
 
 
-def eval_xy(a: float, b: float, c: float, k: int,
-            cfg: EvalConfig = DEFAULT_EVAL_CONFIG):
+def eval_xy(a: float, b: float, c: float, k: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of the phase-offset integrals X_j(a,b,c), Y_j(a,b,c).
 
-    Dispatches on |a| against cfg.epsilon_a, then rotates the c = 0
-    result by c:
+    Dispatches on |a| against EPSILON_A, then rotates the c = 0 result
+    by c:
 
         X_j(a,b,c) = X_j(a,b) cos c - Y_j(a,b) sin c
         Y_j(a,b,c) = X_j(a,b) sin c + Y_j(a,b) cos c
@@ -275,10 +203,12 @@ def eval_xy(a: float, b: float, c: float, k: int,
     k : int
         Number of orders wanted (1..3): entries j = 0..k-1.
     """
-    _check_finite(a=a, b=b, c=c)
-    _check_order(k)
-    if abs(a) < cfg.epsilon_a:
-        Xh, Yh = eval_xy_a_small(a, b, k, cfg.series_order_p, cfg)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError("eval_xy: a, b, c must be finite, got %r, %r, %r" % (a, b, c))
+    if not isinstance(k, int) or not 1 <= k <= 3:
+        raise ValueError("k must be an int in 1..3 (number of orders), got %r" % (k,))
+    if abs(a) < EPSILON_A:
+        Xh, Yh = eval_xy_a_small(a, b, k, SERIES_ORDER_P)
     else:
         Xh, Yh = eval_xy_a_large(a, b, k)
     cc = math.cos(c)

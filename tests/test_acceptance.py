@@ -13,16 +13,10 @@ import numpy as np
 import pytest
 
 from clothofit import (
-    DEFAULT_EVAL_CONFIG,
     HermiteData,
     ReducedProblem,
     build_clothoid,
     eval_xy,
-    eval_xy_a_large,
-    eval_xy_a_small,
-    g_eval,
-    g_prime,
-    h_eval,
 )
 from clothofit.cli import (
     BENCH_TESTS,
@@ -30,6 +24,8 @@ from clothofit.cli import (
     bench_near_line_case,
     _grid_histogram,
 )
+from clothofit.fitter import g_eval, g_prime, h_eval
+from clothofit.gfresnel import EPSILON_A, eval_xy_a_large, eval_xy_a_small
 
 from oracles import xy_reference
 
@@ -100,7 +96,7 @@ def test_criterion_3_guess_quality_distribution():
 
 def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(101)
-    eps = DEFAULT_EVAL_CONFIG.epsilon_a
+    eps = EPSILON_A
     cases = []
     for _ in range(900):
         cases.append((float(rng.uniform(-100.0, 100.0)),
@@ -193,7 +189,7 @@ def test_criterion_7_special_cases():
 
 
 def test_criterion_8_regime_boundary_agreement():
-    eps = DEFAULT_EVAL_CONFIG.epsilon_a
+    eps = EPSILON_A
     bound = (0.5 * eps) ** 10 * math.cosh(eps)   # series remainder at p = 5
     rng = np.random.default_rng(113)
     worst = 0.0

@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from clothofit import ClothoidCurve, HermiteData, build_clothoid
+import clothofit.cli
+from clothofit import ClothoidCurve, HermiteData, InternalConsistencyError, build_clothoid
 from clothofit.cli import main
 
 
@@ -63,6 +64,18 @@ def test_fit_excluded_exit_code(capsys):
 def test_fit_non_convergence_exit_code(capsys):
     code = main(["fit"] + TEST1 + ["--max-iter", "1"])
     assert code == 5
+
+
+def test_fit_other_fit_error_exit_code(capsys, monkeypatch):
+    def spurious_root(data, cfg):
+        raise InternalConsistencyError("X_0 <= 0 at the computed root")
+
+    monkeypatch.setattr(clothofit.cli, "build_clothoid", spurious_root)
+    code = main(["fit"] + TEST1)
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err == "error: X_0 <= 0 at the computed root\n"
+    assert "Traceback" not in err
 
 
 def test_parse_errors_exit_code(capsys):

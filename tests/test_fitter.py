@@ -10,15 +10,20 @@ from clothofit import (
     FitConfig,
     HermiteData,
     ReducedProblem,
-    a_max_bound,
+    SingularDerivativeError,
     build_clothoid,
+    cli,
+    fitter,
+    reduce_problem,
+    solve_A,
+)
+from clothofit.fitter import (
+    a_max_bound,
     g_eval,
     g_prime,
     h_eval,
     initial_guess,
     normalize_angle,
-    reduce_problem,
-    solve_A,
 )
 
 from oracles import bisection_root, xy_reference
@@ -206,25 +211,65 @@ def test_solve_reports_non_convergence():
     assert math.isfinite(info.value.A)
 
 
-def test_bisection_fallback_finds_the_newton_root():
-    from clothofit.fitter import _bisect_root
+def _bend_derivative(monkeypatch, slope):
+    """Make every k = 3 evaluation in the solver report g'(A) = slope."""
+    real = fitter.eval_xy
 
+    def bent(a, b, c, k):
+        X, Y = real(a, b, c, k)
+        if k == 3:
+            X[2] = X[1] + slope
+        return X, Y
+
+    monkeypatch.setattr(fitter, "eval_xy", bent)
+
+
+def test_vanishing_derivative_raises(monkeypatch):
+    _bend_derivative(monkeypatch, 0.0)
     rp = make_rp(0.4, 1.2)
-    cfg = FitConfig()
-    a_max = a_max_bound(0.4, 1.2)
-    seed = initial_guess(0.4, 1.2)
-    A_bis, _ = _bisect_root(rp, cfg, -a_max, a_max, seed)
-    A_newton, _ = solve_A(rp, cfg)
-    assert A_bis == pytest.approx(A_newton, abs=1e-8)
+    with pytest.raises(SingularDerivativeError) as info:
+        solve_A(rp)
+    assert info.value.A == initial_guess(0.4, 1.2)
+    assert info.value.iterations == 0
+    assert info.value.residual == abs(g_eval(info.value.A, rp))
+    assert info.value.residual > FitConfig().tol
 
 
-def test_bisection_without_sign_change_raises():
-    from clothofit import SingularDerivativeError
-    from clothofit.fitter import _bisect_root
-
+def test_newton_escape_raises_convergence_error(monkeypatch):
+    # a tiny but nonzero slope throws the Newton step far outside the bracket
+    _bend_derivative(monkeypatch, 1e-9)
     rp = make_rp(0.4, 1.2)
-    with pytest.raises(SingularDerivativeError):
-        _bisect_root(rp, FitConfig(), 5.0, 5.0, 5.0)
+    with pytest.raises(ConvergenceError) as info:
+        solve_A(rp)
+    assert not isinstance(info.value, SingularDerivativeError)
+    assert info.value.A == initial_guess(0.4, 1.2)
+    assert info.value.iterations == 0
+    assert info.value.residual > FitConfig().tol
+
+
+def test_each_fit_evaluates_each_point_once(monkeypatch):
+    # h = X_0 comes from the evaluation that accepted A, so no fit asks
+    # for the same (a, b, c) twice and h_eval is never needed
+    real = fitter.eval_xy
+    seen = []
+
+    def recording(a, b, c, k):
+        seen.append((a, b, c))
+        return real(a, b, c, k)
+
+    def forbidden(*args):
+        raise AssertionError("h_eval called during a fit")
+
+    monkeypatch.setattr(fitter, "eval_xy", recording)
+    monkeypatch.setattr(fitter, "h_eval", forbidden)
+    cases = [data for _, data in cli.BENCH_TESTS]
+    cases += [cli.bench_near_line_case(k) for k in range(1, 11)]
+    cases += [cli.bench_near_circle_case(k) for k in range(1, 11)]
+    for data in cases:
+        seen.clear()
+        build_clothoid(HermiteData(*data))
+        assert seen, data
+        assert len(set(seen)) == len(seen), data
 
 
 # ------------------------------------------------------------ build

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from clothofit import (
-    DEFAULT_EVAL_CONFIG,
-    EvalConfig,
-    LargeParamDecomposition,
-    eval_xy,
+from clothofit import eval_xy, fresnel
+from clothofit.gfresnel import (
+    EPSILON_A,
+    SERIES_ORDER_P,
     eval_xy_a_large,
     eval_xy_a_small,
     eval_xy_a_zero,
-    fresnel,
     r_lommel,
 )
 
@@ -21,44 +19,9 @@ from oracles import lommel_partial_sum, xy_reference, xy_zero_recurrence
 # ---------------------------------------------------------------- config
 
 def test_default_config_valid():
-    cfg = EvalConfig()
-    assert cfg.epsilon_a > 0
-    bound = (0.5 * cfg.epsilon_a) ** (2 * cfg.series_order_p) * math.cosh(cfg.epsilon_a)
+    assert EPSILON_A > 0
+    bound = (0.5 * EPSILON_A) ** (2 * SERIES_ORDER_P) * math.cosh(EPSILON_A)
     assert bound < 1e-16
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(epsilon_a=0.0),
-    dict(epsilon_a=-1.0),
-    dict(series_order_p=1),
-    dict(series_order_p=2, epsilon_a=0.5),   # truncation bound too large
-    dict(epsilon_b=0.0),
-    dict(lommel_rel_tol=0.0),
-])
-def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        EvalConfig(**kwargs)
-
-
-def test_square_completion_identity():
-    # (pi/2) sigma (tau z + omega_minus)^2 + eta == (a/2) tau^2 + b tau
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a = float(rng.uniform(-100.0, 100.0))
-        if abs(a) < 1e-6:
-            continue
-        b = float(rng.uniform(-10.0, 10.0))
-        dec = LargeParamDecomposition.from_quadratic(a, b)
-        assert dec.omega_plus == pytest.approx(dec.omega_minus + dec.z, rel=1e-15, abs=1e-300)
-        for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
-            lhs = 0.5 * math.pi * dec.sigma * (tau * dec.z + dec.omega_minus) ** 2 + dec.eta
-            rhs = 0.5 * a * tau * tau + b * tau
-            assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-def test_square_completion_rejects_zero():
-    with pytest.raises(ValueError):
-        LargeParamDecomposition.from_quadratic(0.0, 1.0)
 
 
 # ---------------------------------------------------------------- Lommel
@@ -181,7 +144,7 @@ def test_small_path_agrees_with_momenta_path():
     # just inside the regime switch both paths must coincide; the momenta
     # path loses (b/a)^3 * eps absolute accuracy as a shrinks, which is
     # exactly why the switch sits at epsilon_a
-    a = 0.99 * DEFAULT_EVAL_CONFIG.epsilon_a
+    a = 0.99 * EPSILON_A
     Xs, Ys = eval_xy_a_small(a, -2.0, 3, 5)
     Xl, Yl = eval_xy_a_large(a, -2.0, 3)
     for j in range(3):
@@ -257,8 +220,8 @@ def test_random_sample_against_quadrature_and_bound():
 
 
 def test_regime_continuity_at_threshold():
-    eps = DEFAULT_EVAL_CONFIG.epsilon_a
-    p = DEFAULT_EVAL_CONFIG.series_order_p
+    eps = EPSILON_A
+    p = SERIES_ORDER_P
     rng = np.random.default_rng(23)
     for factor in (1.0 - 1e-3, 1.0 + 1e-3):
         for _ in range(100):
