@@ -123,6 +123,14 @@ def test_large_path_rejects_zero():
         eval_xy_a_large(0.0, 1.0, 2)
 
 
+def test_square_completion_rejects_zero():
+    # The square completion divides by a and takes sigma from its sign;
+    # neither zero may slip through as a sign.
+    for a in (0.0, -0.0):
+        with pytest.raises(ValueError):
+            eval_xy_a_large(a, 1.0, 1)
+
+
 # ---------------------------------------------------------------- |a| small
 
 def test_small_path_collapses_to_zero_path_at_a_zero():
