@@ -1,6 +1,7 @@
 """Command line interface: fit, sample, svg, bench, grid-stats.
 
-Exit codes: 0 success, 2 bad arguments, 3 degenerate input (coincident
+Exit codes: 0 success, 1 `bench` found a case outside its bounds
+(`all_within_bounds NO`), 2 bad arguments, 3 degenerate input (coincident
 endpoints), 4 excluded angle configuration, 5 non-convergence, 6 any
 other fit failure (an internal consistency check on the solution).
 """
@@ -281,7 +282,7 @@ def cmd_bench(args):
         elapsed = time.perf_counter() - t0
         text += _format_histogram(hist, 1024, 1e-10, "quintic", elapsed)
     _emit(text, args.out)
-    return 0
+    return 0 if all_ok else 1
 
 
 _COMMANDS = {

@@ -12,10 +12,14 @@ regimes keep full double accuracy everywhere:
 * |a| >= EPSILON_A: complete the square and reduce to Fresnel momenta
   differences (`eval_xy_a_large`).  Exact for any a != 0, but the scale
   factor 1/z^(k+1) with z ~ sqrt(|a|) amplifies rounding as a -> 0.
-* 0 < |a| < EPSILON_A: an alternating series in powers of (a/2)^2 over
-  the a = 0 integrals (`eval_xy_a_small`), truncation below 1e-16.
+* |a| < EPSILON_A: an alternating series in powers of (a/2)^2 over the
+  a = 0 integrals (`eval_xy_a_small`).  Its order p comes from |a|: the
+  lowest whose first omitted factor is below LOMMEL_REL_TOL (1e-17),
+  p = 1 for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0
+  exactly skips the series and takes the closed form directly.
 * a = 0: closed form via reduced Lommel series (`eval_xy_a_zero`), which
-  is stable where the naive upward recurrence in k is not.
+  is stable where the naive upward recurrence in k is not.  Each Lommel
+  sum stops once its terms fall below LOMMEL_REL_TOL of the partial sum.
 """
 
 import math
@@ -40,12 +44,15 @@ __all__ = [
 # small enough that the series truncation bound
 # (EPSILON_A/2)^(2 SERIES_ORDER_P) cosh(EPSILON_A) stays below 1e-16.
 EPSILON_A = 0.15
+# Upper bound on the series order `eval_xy` picks from |a|.
 SERIES_ORDER_P = 8
 # |b| below this takes the Taylor form of X_0(0, b), Y_0(0, b).
 EPSILON_B = 1e-3
-# Lommel series terms are summed until they fall below this fraction of
-# the partial sum.
-LOMMEL_REL_TOL = 1e-50
+# What "negligible" means for a double result of magnitude <= 1: Lommel
+# series terms are summed until they fall below this fraction of the
+# partial sum, and the small-|a| series stops once its next group's
+# factor falls below it.
+LOMMEL_REL_TOL = 1e-17
 
 
 def r_lommel(mu: float, nu: float, b: float) -> float:
@@ -166,10 +173,15 @@ def eval_xy_a_small(a: float, b: float, k: int, p: int):
         X_j(a, b) = sum_n (-1)^n/(2n)! (a/2)^(2n)
                     [ X_{4n+j}(0,b) - a Y_{4n+j+2}(0,b) / (2(2n+1)) ]
 
-    (and the mirror image for Y) over the a = 0 values.  The truncation
-    error is below (|a|/2)^(2p) cosh(a); in practice the (2n)! decay makes
-    it far smaller.  p must be a positive int; `eval_xy` checks the rest.
+    (and the mirror image for Y) over the a = 0 values.  Since
+    |X_j(0,b)|, |Y_j(0,b)| <= 1, the truncation error is about the first
+    omitted factor (|a|/2)^(2p+2)/(2p+2)!; `eval_xy` picks the smallest p
+    that brings it below LOMMEL_REL_TOL.  a == 0 returns the closed form
+    `eval_xy_a_zero(b, k - 1)` without building the higher orders.
+    p must be a positive int; `eval_xy` checks the rest.
     """
+    if a == 0.0:
+        return eval_xy_a_zero(b, k - 1)
     X0, Y0 = eval_xy_a_zero(b, k + 4 * p + 2)
     half_a = 0.5 * a
     X = [X0[j] - half_a * Y0[j + 2] for j in range(k)]
@@ -187,11 +199,23 @@ def eval_xy_a_small(a: float, b: float, k: int, p: int):
     return X, Y
 
 
+def _series_order(a: float) -> int:
+    """Lowest series order p (1..SERIES_ORDER_P) whose first omitted
+    factor (|a|/2)^(2p+2)/(2p+2)! is at most LOMMEL_REL_TOL."""
+    x = 0.25 * a * a
+    term = x * x / 24.0
+    p = 1
+    while term > LOMMEL_REL_TOL and p < SERIES_ORDER_P:
+        p += 1
+        term *= x / ((2 * p + 1) * (2 * p + 2))
+    return p
+
+
 def eval_xy(a: float, b: float, c: float, k: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of the phase-offset integrals X_j(a,b,c), Y_j(a,b,c).
 
-    Dispatches on |a| against EPSILON_A, then rotates the c = 0 result
-    by c:
+    Dispatches on |a| against EPSILON_A (the series path with the order
+    `_series_order(a)`), then rotates the c = 0 result by c:
 
         X_j(a,b,c) = X_j(a,b) cos c - Y_j(a,b) sin c
         Y_j(a,b,c) = X_j(a,b) sin c + Y_j(a,b) cos c
@@ -208,7 +232,7 @@ def eval_xy(a: float, b: float, c: float, k: int):
     if not isinstance(k, int) or not 1 <= k <= 3:
         raise ValueError("k must be an int in 1..3 (number of orders), got %r" % (k,))
     if abs(a) < EPSILON_A:
-        Xh, Yh = eval_xy_a_small(a, b, k, SERIES_ORDER_P)
+        Xh, Yh = eval_xy_a_small(a, b, k, _series_order(a))
     else:
         Xh, Yh = eval_xy_a_large(a, b, k)
     cc = math.cos(c)

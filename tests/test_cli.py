@@ -214,6 +214,13 @@ def test_bench(capsys):
     assert all(" yes" in line for line in lines[1:-1])
 
 
+def test_bench_out_of_bounds_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(clothofit.cli, "BENCH_MAX_ERROR", 0.0)
+    code, out = run(capsys, ["bench"])
+    assert code == 1
+    assert out.strip().split("\n")[-1] == "all_within_bounds NO"
+
+
 # ---------------------------------------------------------------- grid
 
 def test_grid_stats_minimal(capsys):

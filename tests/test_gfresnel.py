@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import clothofit.gfresnel
 from clothofit import eval_xy, fresnel
 from clothofit.gfresnel import (
     EPSILON_A,
     SERIES_ORDER_P,
+    _series_order,
     eval_xy_a_large,
     eval_xy_a_small,
     eval_xy_a_zero,
@@ -166,6 +168,57 @@ def test_small_path_deep_in_regime_against_quadrature():
         xq, yq = xy_reference(9.9e-3, -2.0, 0.0, j)
         assert X[j] == pytest.approx(xq, abs=1e-13)
         assert Y[j] == pytest.approx(yq, abs=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
+    # four Lommel sums per a = 0 order above the elementary order 0: a == 0
+    # needs orders 1..k-1, and |a| = 1e-5 one series group (orders up to
+    # k + 6); a fixed SERIES_ORDER_P = 8 would build k + 34 orders for both
+    calls = []
+
+    def counting_r_lommel(mu, nu, b):
+        calls.append((mu, nu))
+        return r_lommel(mu, nu, b)
+
+    monkeypatch.setattr(clothofit.gfresnel, "r_lommel", counting_r_lommel)
+    eval_xy(0.0, 2.3, 0.4, k)
+    assert len(calls) == 4 * (k - 1)
+    del calls[:]
+    eval_xy(1e-5, 2.3, 0.4, k)
+    assert len(calls) <= 4 * (k + 6)
+
+
+def _largest_abs_a_of_order(p):
+    # first omitted factor (a/2)^(2p+2)/(2p+2)! == 1e-17, then to the last
+    # double that still gets order p
+    n = 2 * p + 2
+    a = 2.0 * (1e-17 * math.factorial(n)) ** (1.0 / n)
+    while _series_order(a) > p:
+        a = math.nextafter(a, 0.0)
+    while _series_order(math.nextafter(a, math.inf)) == p:
+        a = math.nextafter(a, math.inf)
+    return a
+
+
+def test_series_orders_against_mpmath():
+    # every series order at its largest |a|, where its truncation is
+    # worst, plus a = 0 and the regime switch
+    mpmath = pytest.importorskip("mpmath")
+    edges = [_largest_abs_a_of_order(p) for p in (1, 2, 3)]
+    edge = 0.9999 * EPSILON_A
+    assert _series_order(edge) == 4
+    a_values = [0.0] + [s * a for a in edges + [edge] for s in (1.0, -1.0)]
+    with mpmath.workdps(30):
+        for a in a_values:
+            for b in (-2.0 * math.pi, -2.5, 0.7, 3.1, 2.0 * math.pi):
+                X, Y = eval_xy(a, b, 0.0, 3)
+                for j in range(3):
+                    ref = mpmath.quad(
+                        lambda t: t ** j * mpmath.expj(a / 2 * t * t + b * t),
+                        [0, 1])
+                    assert X[j] == pytest.approx(float(ref.real), abs=1e-14), (a, b, j)
+                    assert Y[j] == pytest.approx(float(ref.imag), abs=1e-14), (a, b, j)
 
 
 # ---------------------------------------------------------------- dispatch
