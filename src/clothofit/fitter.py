@@ -117,8 +117,8 @@ class FitConfig:
     guess_variant: str = "quintic"
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("FitConfig: tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("FitConfig: tol must be positive and finite")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError("FitConfig: max_iter must be an int >= 1")
         if self.guess_variant not in GUESS_VARIANTS:
@@ -225,12 +225,6 @@ def initial_guess(phi0: float, phi1: float, variant: str = "quintic") -> float:
     raise ValueError("initial_guess: unknown variant %r" % (variant,))
 
 
-def _is_excluded_corner(phi0, phi1, tol=_EXCLUDED_CORNER_TOL):
-    near_pos = abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
-    near_neg = abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol
-    return near_pos or near_neg
-
-
 def a_max_bound(phi0: float, phi1: float) -> float:
     """Half-width of the interval that brackets the relevant root of g.
 
@@ -243,9 +237,13 @@ def a_max_bound(phi0: float, phi1: float) -> float:
     exchange the roles of phi0 and phi1).  theta_max = 0 degenerates to
     A_max = |delta|.  The corners phi0 = -phi1 = +/-pi are rejected.
     """
-    if _is_excluded_corner(phi0, phi1):
+    tol = _EXCLUDED_CORNER_TOL
+    near_pos = abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
+    near_neg = abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol
+    if near_pos or near_neg:
         raise ExcludedAngleError(
-            "angle pair (%.17g, %.17g) is at an excluded corner" % (phi0, phi1)
+            "tangent angles opposite and parallel to the chord: no finite-length "
+            "interpolant exists (phi0=%.17g, phi1=%.17g)" % (phi0, phi1)
         )
     delta = abs(phi1 - phi0)
     sg0 = math.copysign(1.0, phi0) if phi0 != 0.0 else 0.0
@@ -332,11 +330,6 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
         kappa_prime = 0; no case split is involved.
     """
     rp = reduce_problem(data)
-    if _is_excluded_corner(rp.phi0, rp.phi1):
-        raise ExcludedAngleError(
-            "tangent angles opposite and parallel to the chord: "
-            "no finite-length interpolant exists"
-        )
     A, iterations, residual, h = _solve(rp, cfg)
     if h <= 0.0:
         raise InternalConsistencyError(

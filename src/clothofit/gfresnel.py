@@ -17,9 +17,13 @@ regimes keep full double accuracy everywhere:
   lowest whose first omitted factor is below LOMMEL_REL_TOL (1e-17),
   p = 1 for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0
   exactly skips the series and takes the closed form directly.
-* a = 0: closed form via reduced Lommel series (`eval_xy_a_zero`), which
-  is stable where the naive upward recurrence in k is not.  Each Lommel
-  sum stops once its terms fall below LOMMEL_REL_TOL of the partial sum.
+* a = 0: closed form (`eval_xy_a_zero`).  Order 0 is sin b / b and the
+  half-angle form 2 sin^2(b/2) / b of (1 - cos b) / b, which does not
+  cancel for any b; higher orders use reduced Lommel series, stable
+  where the naive upward recurrence in k is not.  Each Lommel sum stops
+  once its terms fall below LOMMEL_REL_TOL of the partial sum.
+
+No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 """
 
 import math
@@ -28,8 +32,6 @@ from .fresnel import _momenta
 
 __all__ = [
     "EPSILON_A",
-    "SERIES_ORDER_P",
-    "EPSILON_B",
     "LOMMEL_REL_TOL",
     "eval_xy",
     "eval_xy_a_large",
@@ -41,13 +43,10 @@ __all__ = [
 # epsilon_a splits the momenta path from the series path.  It must be
 # large enough that the momenta path is well conditioned at the boundary
 # (its error grows like (b/a)^3 * eps_machine for the k = 2 entries) and
-# small enough that the series truncation bound
-# (EPSILON_A/2)^(2 SERIES_ORDER_P) cosh(EPSILON_A) stays below 1e-16.
+# small enough that the series order `_series_order` picks below it
+# stays low: p = 4 brings the first omitted factor
+# (EPSILON_A/2)^(2p+2)/(2p+2)! under LOMMEL_REL_TOL.
 EPSILON_A = 0.15
-# Upper bound on the series order `eval_xy` picks from |a|.
-SERIES_ORDER_P = 8
-# |b| below this takes the Taylor form of X_0(0, b), Y_0(0, b).
-EPSILON_B = 1e-3
 # What "negligible" means for a double result of magnitude <= 1: Lommel
 # series terms are summed until they fall below this fraction of the
 # partial sum, and the small-|a| series stops once its next group's
@@ -87,27 +86,26 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
 def eval_xy_a_zero(b: float, k: int):
     """X_j(0, b) and Y_j(0, b) for j = 0..k.
 
-    Order zero is elementary (sin b / b and (1 - cos b)/b, Taylor fallback
-    for tiny b); higher orders use the Lommel closed form
+    Order zero is elementary: sin b / b and 2 sin^2(b/2) / b, the
+    half-angle form of (1 - cos b) / b, free of its cancellation at small
+    |b|.  Higher orders use the Lommel closed form
 
         X_j = [j A w_{j+1/2,3/2} + B w_{j+3/2,1/2} + cos b] / (1+j)
         Y_j = [C w_{j+3/2,3/2} + sin b] / (2+j) + D w_{j+1/2,1/2}
 
     with A = b sin b, D = sin b - b cos b, B = b D, C = -b^2 sin b.
-    k may be large here (the small-a series needs orders up to k + 4p + 2).
+    k may be large here (the small-a series needs orders up to k + 4p + 1).
     b must be finite and k a non-negative int; `eval_xy` checks its inputs.
     """
     sb = math.sin(b)
     cb = math.cos(b)
-    if abs(b) < EPSILON_B:
-        b2 = b * b
-        X0 = 1.0 - (b2 / 6.0) * (1.0 - b2 / 20.0)
-        Y0 = (b / 2.0) * (1.0 - (b2 / 12.0) * (1.0 - b2 / 30.0))
+    if b == 0.0:
+        X = [1.0]
+        Y = [0.0]
     else:
-        X0 = sb / b
-        Y0 = (1.0 - cb) / b
-    X = [X0]
-    Y = [Y0]
+        sh = math.sin(0.5 * b)
+        X = [sb / b]
+        Y = [2.0 * sh * sh / b]
     if k == 0:
         return X, Y
     A = b * sb
@@ -182,7 +180,7 @@ def eval_xy_a_small(a: float, b: float, k: int, p: int):
     """
     if a == 0.0:
         return eval_xy_a_zero(b, k - 1)
-    X0, Y0 = eval_xy_a_zero(b, k + 4 * p + 2)
+    X0, Y0 = eval_xy_a_zero(b, k + 4 * p + 1)
     half_a = 0.5 * a
     X = [X0[j] - half_a * Y0[j + 2] for j in range(k)]
     Y = [Y0[j] + half_a * X0[j + 2] for j in range(k)]
@@ -200,12 +198,13 @@ def eval_xy_a_small(a: float, b: float, k: int, p: int):
 
 
 def _series_order(a: float) -> int:
-    """Lowest series order p (1..SERIES_ORDER_P) whose first omitted
-    factor (|a|/2)^(2p+2)/(2p+2)! is at most LOMMEL_REL_TOL."""
+    """Lowest series order p >= 1 whose first omitted factor
+    (|a|/2)^(2p+2)/(2p+2)! is at most LOMMEL_REL_TOL (p <= 4 for
+    |a| < EPSILON_A)."""
     x = 0.25 * a * a
     term = x * x / 24.0
     p = 1
-    while term > LOMMEL_REL_TOL and p < SERIES_ORDER_P:
+    while term > LOMMEL_REL_TOL:
         p += 1
         term *= x / ((2 * p + 1) * (2 * p + 2))
     return p

@@ -89,6 +89,8 @@ def test_parse_errors_exit_code(capsys):
     assert code == 2
     code = main(["sample"] + LINE + ["--n", "1"])
     assert code == 2
+    assert main(["fit"] + LINE + ["--tol", "inf"]) == 2
+    assert main(["grid-stats", "--grid-n", "2", "--tol", "nan"]) == 2
 
 
 def test_fit_out_file(tmp_path, capsys):
@@ -189,6 +191,12 @@ def test_svg_well_formed(capsys):
     for x, y in vertices:
         assert -1e-6 <= x <= w + 1e-6
         assert -1e-6 <= y <= h + 1e-6
+
+
+def test_svg_rejects_non_finite_size(capsys):
+    assert main(["svg"] + LINE + ["--width", "nan"]) == 2
+    assert main(["svg"] + LINE + ["--height", "inf"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_svg_preserves_aspect_ratio(capsys):

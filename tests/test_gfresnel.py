@@ -7,7 +7,6 @@ import clothofit.gfresnel
 from clothofit import eval_xy, fresnel
 from clothofit.gfresnel import (
     EPSILON_A,
-    SERIES_ORDER_P,
     _series_order,
     eval_xy_a_large,
     eval_xy_a_small,
@@ -21,9 +20,10 @@ from oracles import lommel_partial_sum, xy_reference, xy_zero_recurrence
 # ---------------------------------------------------------------- config
 
 def test_default_config_valid():
+    # the order picked at the switch truncates the series below 1e-17
     assert EPSILON_A > 0
-    bound = (0.5 * EPSILON_A) ** (2 * SERIES_ORDER_P) * math.cosh(EPSILON_A)
-    assert bound < 1e-16
+    n = 2 * _series_order(EPSILON_A) + 2
+    assert (0.5 * EPSILON_A) ** n / math.factorial(n) <= 1e-17
 
 
 # ---------------------------------------------------------------- Lommel
@@ -93,7 +93,8 @@ def test_zero_path_matches_recurrence_for_low_orders():
 
 
 def test_zero_path_taylor_branch():
-    # |b| below epsilon_b exercises the series for X_0, Y_0
+    # tiny |b|, where (1 - cos b)/b would cancel: the half-angle form
+    # of Y_0 keeps full accuracy, and b = 0 is exact
     for b in (1e-4, -3e-4, 0.0):
         X, Y = eval_xy_a_zero(b, 1)
         xq, yq = xy_reference(0.0, b, 0.0, 0)
@@ -173,8 +174,8 @@ def test_small_path_deep_in_regime_against_quadrature():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
     # four Lommel sums per a = 0 order above the elementary order 0: a == 0
-    # needs orders 1..k-1, and |a| = 1e-5 one series group (orders up to
-    # k + 6); a fixed SERIES_ORDER_P = 8 would build k + 34 orders for both
+    # needs orders 1..k-1, and |a| = 1e-5 one series group, which reads
+    # orders up to k + 5
     calls = []
 
     def counting_r_lommel(mu, nu, b):
@@ -186,7 +187,7 @@ def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
     assert len(calls) == 4 * (k - 1)
     del calls[:]
     eval_xy(1e-5, 2.3, 0.4, k)
-    assert len(calls) <= 4 * (k + 6)
+    assert len(calls) == 4 * (k + 5)
 
 
 def _largest_abs_a_of_order(p):
@@ -203,7 +204,8 @@ def _largest_abs_a_of_order(p):
 
 def test_series_orders_against_mpmath():
     # every series order at its largest |a|, where its truncation is
-    # worst, plus a = 0 and the regime switch
+    # worst, plus a = 0 and the regime switch; the two tiny b are where
+    # (1 - cos b)/b loses digits to cancellation
     mpmath = pytest.importorskip("mpmath")
     edges = [_largest_abs_a_of_order(p) for p in (1, 2, 3)]
     edge = 0.9999 * EPSILON_A
@@ -211,7 +213,7 @@ def test_series_orders_against_mpmath():
     a_values = [0.0] + [s * a for a in edges + [edge] for s in (1.0, -1.0)]
     with mpmath.workdps(30):
         for a in a_values:
-            for b in (-2.0 * math.pi, -2.5, 0.7, 3.1, 2.0 * math.pi):
+            for b in (-2.0 * math.pi, -2.5, -2e-3, 1.25e-3, 0.7, 3.1, 2.0 * math.pi):
                 X, Y = eval_xy(a, b, 0.0, 3)
                 for j in range(3):
                     ref = mpmath.quad(
@@ -282,13 +284,12 @@ def test_random_sample_against_quadrature_and_bound():
 
 def test_regime_continuity_at_threshold():
     eps = EPSILON_A
-    p = SERIES_ORDER_P
     rng = np.random.default_rng(23)
     for factor in (1.0 - 1e-3, 1.0 + 1e-3):
         for _ in range(100):
             a = math.copysign(eps * factor, rng.uniform(-1.0, 1.0))
             b = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-            Xs, Ys = eval_xy_a_small(a, b, 3, p)
+            Xs, Ys = eval_xy_a_small(a, b, 3, _series_order(a))
             Xl, Yl = eval_xy_a_large(a, b, 3)
             for j in range(3):
                 assert Xs[j] == pytest.approx(Xl[j], abs=1e-10)
