@@ -28,7 +28,7 @@ No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 
 import math
 
-from .fresnel import _momenta
+from .fresnel import _PHASE_LIMIT, _momenta
 
 __all__ = [
     "EPSILON_A",
@@ -134,6 +134,9 @@ def eval_xy_a_large(a: float, b: float, k: int):
     """
     if a == 0.0:
         raise ValueError("eval_xy_a_large: a = 0 belongs to the series path")
+    if abs(b) > _PHASE_LIMIT:
+        raise ValueError("eval_xy_a_large: the phase b^2/(2a) needs |b| <= %g, got %r"
+                         % (_PHASE_LIMIT, b))
     sigma = 1.0 if a > 0.0 else -1.0
     z = sigma * math.sqrt(abs(a) / math.pi)
     wm = b / math.sqrt(math.pi * abs(a))
@@ -222,13 +225,15 @@ def eval_xy(a: float, b: float, c: float, k: int):
     Parameters
     ----------
     a, b, c : float
-        Quadratic, linear and constant phase coefficients (radians).
+        Quadratic, linear and constant phase coefficients (radians).  For
+        |a| >= EPSILON_A the completed square needs |b| <= 1e150, and
+        k >= 2 also |b| and |b + a| <= 1e150 sqrt(pi |a|).
     k : int
         Number of orders wanted (1..3): entries j = 0..k-1.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError("eval_xy: a, b, c must be finite, got %r, %r, %r" % (a, b, c))
-    if not isinstance(k, int) or not 1 <= k <= 3:
+    if type(k) is not int or not 1 <= k <= 3:
         raise ValueError("k must be an int in 1..3 (number of orders), got %r" % (k,))
     if abs(a) < EPSILON_A:
         Xh, Yh = eval_xy_a_small(a, b, k, _series_order(a))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ def test_odd_symmetry_exact():
 
 def test_limits_at_infinity():
     assert fresnel(1e15) == (0.5, 0.5)
+    # order 0 needs no phase, so arguments whose square overflows still work
+    for t in (1e200, sys.float_info.max):
+        assert fresnel(t) == (0.5, 0.5)
+        assert fresnel(-t) == (-0.5, -0.5)
+        assert fresnel_momenta(-t, 0).C == (-0.5,)
     c, s = fresnel(500.0)
     assert c == pytest.approx(0.5, abs=1e-3)
     assert s == pytest.approx(0.5, abs=1e-3)
@@ -54,6 +60,35 @@ def test_accuracy_against_scipy():
         sr, cr = scipy.special.fresnel(t)
         assert c == pytest.approx(cr, rel=1e-14, abs=1e-16)
         assert s == pytest.approx(sr, rel=1e-14, abs=1e-16)
+
+
+def test_accuracy_against_mpmath():
+    # 30-digit oracle at kernel precision, weighted to both sides of the
+    # series/asymptotic switch at 1.6.  The momenta references use the
+    # exact integration-by-parts forms in mpmath arithmetic.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(1305)
+    ts = np.concatenate([10.0 ** rng.uniform(-3.0, 1.0, 200),
+                         rng.uniform(1.4, 1.6, 100), rng.uniform(1.6, 1.8, 100)])
+    momenta_abs = (1e-15, 1e-15, 2e-15, 1e-14)
+    for t in ts:
+        t = float(t)
+        tm = mpmath.mpf(t)
+        cr, sr = mpmath.fresnelc(tm), mpmath.fresnels(tm)
+        c, s = fresnel(t)
+        assert abs(c - cr) <= 2e-15 * abs(cr)
+        assert abs(s - sr) <= 2e-15 * abs(sr)
+        u = mpmath.pi / 2 * tm * tm
+        sin_u, cos_u = mpmath.sin(u), mpmath.cos(u)
+        c1, s1 = sin_u / mpmath.pi, (1 - cos_u) / mpmath.pi
+        ref = [(cr, sr), (c1, s1),
+               ((tm * sin_u - sr) / mpmath.pi, (cr - tm * cos_u) / mpmath.pi),
+               ((tm * tm * sin_u - 2 * s1) / mpmath.pi, (2 * c1 - tm * tm * cos_u) / mpmath.pi)]
+        m = fresnel_momenta(t, 3)
+        for k in range(4):
+            assert abs(m.C[k] - ref[k][0]) <= momenta_abs[k], (t, k)
+            assert abs(m.S[k] - ref[k][1]) <= momenta_abs[k], (t, k)
 
 
 def test_accuracy_large_arguments():
@@ -95,9 +130,18 @@ def test_momenta_against_quadrature_at_0p7():
 
 
 def test_momenta_order_validation():
-    for bad in (-1, 4, 1.5):
+    for bad in (-1, 4, 1.5, True, False):
         with pytest.raises(ValueError):
             fresnel_momenta(1.0, bad)
+
+
+def test_momenta_phase_limit():
+    # orders >= 1 need (pi/2) t^2 in two doubles, which overflows past 1e150
+    m = fresnel_momenta(-1e150, 3)
+    assert all(math.isfinite(v) for v in m.C + m.S)
+    for t in (1.2e150, 1e152, -1.35e154, 1e200):
+        with pytest.raises(ValueError, match="1e150"):
+            fresnel_momenta(t, 1)
 
 
 def test_momenta_random_sample_against_quadrature():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clothofit.gfresnel
-from clothofit import eval_xy, fresnel
+from clothofit import ClothoidCurve, eval_xy, fresnel
 from clothofit.gfresnel import (
     EPSILON_A,
     _series_order,
@@ -247,9 +247,22 @@ def test_eval_xy_validation():
         eval_xy(math.nan, 0.0, 0.0, 1)
     with pytest.raises(ValueError):
         eval_xy(0.0, math.inf, 0.0, 1)
-    for bad_k in (0, 4, 2.0):
+    for bad_k in (0, 4, 2.0, True):
         with pytest.raises(ValueError):
             eval_xy(1.0, 1.0, 1.0, bad_k)
+
+
+def test_large_path_phase_limit():
+    # the completed square and the momenta both need a phase that fits in
+    # doubles; past 1e150 a ValueError names the limit (no math domain error
+    # or NaN)
+    for call in (lambda: eval_xy(0.2, 1e160, 0.0, 2),
+                 lambda: eval_xy(0.2, 1e150, 0.0, 2),
+                 lambda: ClothoidCurve(0.0, 0.0, 0.0, 1e160, 1.0, 1.0).point_at(1.0)):
+        with pytest.raises(ValueError, match=r"1e\+?150"):
+            call()
+    X, Y = eval_xy(0.2, 1e149, 0.0, 3)
+    assert all(math.isfinite(v) for v in X + Y)
 
 
 def test_rotation_identity():
