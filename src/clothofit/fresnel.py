@@ -17,7 +17,11 @@ in u^2 (the Maclaurin series) for |t| <= 1.6; beyond, the asymptotic form
 takes f and g as rationals in 1/(pi t^2)^2 (Cephes fresnl coefficients).
 Both are within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  Momenta
 above order zero reduce to sin u, cos u plus C_0, S_0, all from one kernel
-call; orders are capped at 3 because the upward recurrence loses accuracy.
+call; S_1 = (1 - cos u)/pi is taken as sin^2 u / (pi (1 + cos u)) where
+cos u > 0, which does not cancel as t -> 0.  Orders are capped at 3
+because the upward recurrence loses accuracy.  `gfresnel`'s large-|a| path
+reads both ends of its completed square straight from the kernel and turns
+them by the square's phase and the offset c at once.
 """
 
 import math
@@ -128,7 +132,7 @@ class FresnelMomenta:
 
 def _fresnel_core(t):
     """C(t), S(t), sin u, cos u with u = (pi/2) t^2, for unchecked finite t.
-    Past _LIMIT_CUTOFF the phase, which can overflow, is left as None."""
+    Past _PHASE_LIMIT, where the phase overflows, sin u and cos u are None."""
     x = abs(t)
     if x <= _SERIES_CUTOFF:
         u = 0.5 * math.pi * x * x
@@ -138,7 +142,10 @@ def _fresnel_core(t):
         s, c = math.sin(u), math.cos(u)
     elif x > _LIMIT_CUTOFF:
         h = math.copysign(0.5, t)
-        return h, h, None, None
+        if x > _PHASE_LIMIT:
+            return h, h, None, None
+        s, c = _phase_sincos(x)
+        return h, h, s, c
     else:
         pix2 = math.pi * (x * x)
         u = 1.0 / (pix2 * pix2)
@@ -172,28 +179,6 @@ def fresnel(t: float):
     return _fresnel_core(t)[:2]
 
 
-def _momenta(t, kmax):
-    """C_0..C_kmax and S_0..S_kmax as plain lists, kmax in 0..3, t unchecked."""
-    c0, s0, sz, cz = _fresnel_core(t)
-    C = [c0]
-    S = [s0]
-    if kmax >= 1:
-        if sz is None:
-            if abs(t) > _PHASE_LIMIT:
-                raise ValueError("momenta of order >= 1 need |t| <= 1e150, got %r" % (t,))
-            sz, cz = _phase_sincos(t)
-        C.append(sz / math.pi)
-        S.append((1.0 - cz) / math.pi)
-        if kmax >= 2:
-            C.append((t * sz - s0) / math.pi)
-            S.append((c0 - t * cz) / math.pi)
-        if kmax >= 3:
-            # one step of the integration-by-parts recurrence
-            C.append((t * t * sz - 2.0 * S[1]) / math.pi)
-            S.append((2.0 * C[1] - t * t * cz) / math.pi)
-    return C, S
-
-
 def fresnel_momenta(t: float, k: int) -> FresnelMomenta:
     """Evaluate C_0..C_k and S_0..S_k at t.
 
@@ -205,5 +190,20 @@ def fresnel_momenta(t: float, k: int) -> FresnelMomenta:
         raise ValueError("fresnel_momenta: argument must be finite, got %r" % (t,))
     if type(k) is not int or not 0 <= k <= 3:
         raise ValueError("fresnel_momenta: order k must be an int in 0..3, got %r" % (k,))
-    C, S = _momenta(t, k)
+    c0, s0, sz, cz = _fresnel_core(t)
+    C = [c0]
+    S = [s0]
+    if k >= 1:
+        if sz is None:
+            raise ValueError("momenta of order >= 1 need |t| <= 1e150, got %r" % (t,))
+        C.append(sz / math.pi)
+        # 1 - cos u cancels where cos u is near 1; sin^2 u / (1 + cos u) does not
+        S.append((sz * sz / (1.0 + cz) if cz > 0.0 else 1.0 - cz) / math.pi)
+        if k >= 2:
+            C.append((t * sz - s0) / math.pi)
+            S.append((c0 - t * cz) / math.pi)
+        if k >= 3:
+            # one step of the integration-by-parts recurrence
+            C.append((t * t * sz - 2.0 * S[1]) / math.pi)
+            S.append((2.0 * C[1] - t * t * cz) / math.pi)
     return FresnelMomenta(t=t, C=tuple(C), S=tuple(S), k=k)

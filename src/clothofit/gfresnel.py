@@ -5,18 +5,18 @@ The target quantities are
     X_k(a, b, c) = int_0^1 tau^k cos(a/2 tau^2 + b tau + c) dtau,
     Y_k(a, b, c) = int_0^1 tau^k sin(a/2 tau^2 + b tau + c) dtau,
 
-for k = 0, 1, 2.  The phase offset c is pulled out by a plane rotation,
-so only X_k(a, b) := X_k(a, b, 0) and Y_k(a, b) need real work.  Three
-regimes keep full double accuracy everywhere:
+for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
 
 * |a| >= EPSILON_A: complete the square and reduce to Fresnel momenta
-  differences (`eval_xy_a_large`).  Exact for any a != 0, but the scale
-  factor 1/z^(k+1) with z ~ sqrt(|a|) amplifies rounding as a -> 0.
+  differences (`eval_xy_a_large`), turned by e^{i eta} e^{i c} with
+  eta = -b^2/(2a).  Exact for any a != 0, but the scale factor
+  1/z^(k+1) with z ~ sqrt(|a|) amplifies rounding as a -> 0.
 * |a| < EPSILON_A: an alternating series in powers of (a/2)^2 over the
-  a = 0 integrals (`eval_xy_a_small`).  Its order p comes from |a|: the
-  lowest whose first omitted factor is below LOMMEL_REL_TOL (1e-17),
-  p = 1 for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0
-  exactly skips the series and takes the closed form directly.
+  a = 0 integrals (`eval_xy_a_small`) at c = 0, rotated by c in
+  `eval_xy`.  Its order p comes from |a|: the lowest whose first
+  omitted factor is below LOMMEL_REL_TOL (1e-17), p = 1 for
+  |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0 exactly
+  skips the series and takes the closed form directly.
 * a = 0: closed form (`eval_xy_a_zero`).  Order 0 is sin b / b and the
   half-angle form 2 sin^2(b/2) / b of (1 - cos b) / b, which does not
   cancel for any b; higher orders use reduced Lommel series, stable
@@ -28,7 +28,7 @@ No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 
 import math
 
-from .fresnel import _PHASE_LIMIT, _momenta
+from .fresnel import _PHASE_LIMIT, _fresnel_core
 
 __all__ = [
     "EPSILON_A",
@@ -122,12 +122,15 @@ def eval_xy_a_zero(b: float, k: int):
     return X, Y
 
 
-def eval_xy_a_large(a: float, b: float, k: int):
-    """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b), Y_j(a, b) via Fresnel momenta.
+def eval_xy_a_large(a: float, b: float, c: float, k: int):
+    """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b, c), Y_j(a, b, c) via Fresnel integrals.
 
     Completing the square, (pi/2) sigma (tau z + omega_minus)^2 + eta
     == (a/2) tau^2 + b tau for every tau, maps the integrals onto momenta
-    differences between omega_plus = omega_minus + z and omega_minus.
+    differences between omega_plus = omega_minus + z and omega_minus,
+    turned by e^{i eta} e^{i c}.  One Fresnel kernel call per end gives
+    C, S, sin and cos there, from which orders 1 and 2 follow:
+    dC_1 = (sin u_+ - sin u_-)/pi, dS_1 = (cos u_- - cos u_+)/pi.
     The formula is exact for any a != 0 but should only be used away from
     a = 0, where the 1/z^(j+1) factors amplify rounding (z ~ sqrt(|a|));
     `eval_xy` handles the switch and checks the inputs.
@@ -140,29 +143,38 @@ def eval_xy_a_large(a: float, b: float, k: int):
     sigma = 1.0 if a > 0.0 else -1.0
     z = sigma * math.sqrt(abs(a) / math.pi)
     wm = b / math.sqrt(math.pi * abs(a))
+    wp = wm + z
+    cm, sm, sin_m, cos_m = _fresnel_core(wm)
+    cp, sp, sin_p, cos_p = _fresnel_core(wp)
+    # eta and c turn separately: eta + c would round c's phase to ulp(c)
     eta = -b * b / (2.0 * a)
-    ce = math.cos(eta)
-    se = math.sin(eta)
-    Cp, Sp = _momenta(wm + z, k - 1)
-    Cm, Sm = _momenta(wm, k - 1)
-    dC0 = Cp[0] - Cm[0]
-    dS0 = Sp[0] - Sm[0]
-    X = [(ce * dC0 - sigma * se * dS0) / z]
-    Y = [(se * dC0 + sigma * ce * dS0) / z]
+    ce0, se0 = math.cos(eta), math.sin(eta)
+    cc, sc = math.cos(c), math.sin(c)
+    ce = ce0 * cc - se0 * sc
+    se = se0 * cc + ce0 * sc
+    sce = sigma * ce
+    sse = sigma * se
+    dC0 = cp - cm
+    dS0 = sp - sm
+    X = [(ce * dC0 - sse * dS0) / z]
+    Y = [(se * dC0 + sce * dS0) / z]
     if k > 1:
-        dC1 = Cp[1] - Cm[1]
-        dS1 = Sp[1] - Sm[1]
+        if sin_m is None or sin_p is None:
+            raise ValueError("eval_xy_a_large: orders >= 1 need |b|, |b + a| <= %g "
+                             "sqrt(pi |a|), got %r, %r" % (_PHASE_LIMIT, a, b))
+        dC1 = (sin_p - sin_m) / math.pi
+        dS1 = (cos_m - cos_p) / math.pi
         dc = dC1 - wm * dC0
         ds = dS1 - wm * dS0
         z2 = z * z
-        X.append((ce * dc - sigma * se * ds) / z2)
-        Y.append((se * dc + sigma * ce * ds) / z2)
-    if k > 2:
-        dc = (Cp[2] - Cm[2]) + wm * (wm * dC0 - 2.0 * dC1)
-        ds = (Sp[2] - Sm[2]) + wm * (wm * dS0 - 2.0 * dS1)
-        z3 = z2 * z
-        X.append((ce * dc - sigma * se * ds) / z3)
-        Y.append((se * dc + sigma * ce * ds) / z3)
+        X.append((ce * dc - sse * ds) / z2)
+        Y.append((se * dc + sce * ds) / z2)
+        if k > 2:
+            dc = (wp * sin_p - wm * sin_m - dS0) / math.pi + wm * (wm * dC0 - 2.0 * dC1)
+            ds = (dC0 - wp * cos_p + wm * cos_m) / math.pi + wm * (wm * dS0 - 2.0 * dS1)
+            z3 = z2 * z
+            X.append((ce * dc - sse * ds) / z3)
+            Y.append((se * dc + sce * ds) / z3)
     return X, Y
 
 
@@ -216,8 +228,9 @@ def _series_order(a: float) -> int:
 def eval_xy(a: float, b: float, c: float, k: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of the phase-offset integrals X_j(a,b,c), Y_j(a,b,c).
 
-    Dispatches on |a| against EPSILON_A (the series path with the order
-    `_series_order(a)`), then rotates the c = 0 result by c:
+    Dispatches on |a| against EPSILON_A.  The large-|a| path takes c into
+    its completed square.  Below EPSILON_A the series (order
+    `_series_order(a)`) gives the c = 0 values, rotated here by c:
 
         X_j(a,b,c) = X_j(a,b) cos c - Y_j(a,b) sin c
         Y_j(a,b,c) = X_j(a,b) sin c + Y_j(a,b) cos c
@@ -235,10 +248,9 @@ def eval_xy(a: float, b: float, c: float, k: int):
         raise ValueError("eval_xy: a, b, c must be finite, got %r, %r, %r" % (a, b, c))
     if type(k) is not int or not 1 <= k <= 3:
         raise ValueError("k must be an int in 1..3 (number of orders), got %r" % (k,))
-    if abs(a) < EPSILON_A:
-        Xh, Yh = eval_xy_a_small(a, b, k, _series_order(a))
-    else:
-        Xh, Yh = eval_xy_a_large(a, b, k)
+    if abs(a) >= EPSILON_A:
+        return eval_xy_a_large(a, b, c, k)
+    Xh, Yh = eval_xy_a_small(a, b, k, _series_order(a))
     cc = math.cos(c)
     sc = math.sin(c)
     X = [x * cc - y * sc for x, y in zip(Xh, Yh)]

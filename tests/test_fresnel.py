@@ -91,6 +91,18 @@ def test_accuracy_against_mpmath():
             assert abs(m.S[k] - ref[k][1]) <= momenta_abs[k], (t, k)
 
 
+def test_first_sine_momentum_without_cancellation():
+    # S_1 = (1 - cos u)/pi cancels as t -> 0; the kernel must hold it to
+    # full relative accuracy there and across both branches
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for t in (1e-6, 1e-4, 1e-2, 0.7, 3.0, 12.3):
+            u = mpmath.pi / 2 * mpmath.mpf(t) ** 2
+            ref = 2 * mpmath.sin(u / 2) ** 2 / mpmath.pi
+            s1 = fresnel_momenta(t, 1).S[1]
+            assert abs(s1 - ref) <= 1e-15 * ref, (t, s1, float(ref))
+
+
 def test_accuracy_large_arguments():
     # beyond |t| = 10 the contract is absolute: check against mpmath,
     # which evaluates with exact phase reduction

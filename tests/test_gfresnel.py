@@ -106,7 +106,7 @@ def test_zero_path_taylor_branch():
 
 def test_large_path_pure_fresnel_case():
     # a = pi, b = 0 reduces the phase to the plain Fresnel integrand
-    X, Y = eval_xy_a_large(math.pi, 0.0, 1)
+    X, Y = eval_xy_a_large(math.pi, 0.0, 0.0, 1)
     c1, s1 = fresnel(1.0)
     assert X[0] == c1
     assert Y[0] == s1
@@ -114,7 +114,7 @@ def test_large_path_pure_fresnel_case():
 
 @pytest.mark.parametrize("a,b", [(50.0, 3.0), (-50.0, 3.0)])
 def test_large_path_against_quadrature(a, b):
-    X, Y = eval_xy_a_large(a, b, 3)
+    X, Y = eval_xy_a_large(a, b, 0.0, 3)
     for j in range(3):
         xq, yq = xy_reference(a, b, 0.0, j)
         assert X[j] == pytest.approx(xq, abs=1e-11)
@@ -123,7 +123,7 @@ def test_large_path_against_quadrature(a, b):
 
 def test_large_path_rejects_zero():
     with pytest.raises(ValueError):
-        eval_xy_a_large(0.0, 1.0, 2)
+        eval_xy_a_large(0.0, 1.0, 0.0, 2)
 
 
 def test_square_completion_rejects_zero():
@@ -131,7 +131,7 @@ def test_square_completion_rejects_zero():
     # neither zero may slip through as a sign.
     for a in (0.0, -0.0):
         with pytest.raises(ValueError):
-            eval_xy_a_large(a, 1.0, 1)
+            eval_xy_a_large(a, 1.0, 0.0, 1)
 
 
 # ---------------------------------------------------------------- |a| small
@@ -157,7 +157,7 @@ def test_small_path_agrees_with_momenta_path():
     # exactly why the switch sits at epsilon_a
     a = 0.99 * EPSILON_A
     Xs, Ys = eval_xy_a_small(a, -2.0, 3, 5)
-    Xl, Yl = eval_xy_a_large(a, -2.0, 3)
+    Xl, Yl = eval_xy_a_large(a, -2.0, 0.0, 3)
     for j in range(3):
         assert Xs[j] == pytest.approx(Xl[j], abs=1e-11)
         assert Ys[j] == pytest.approx(Yl[j], abs=1e-11)
@@ -266,17 +266,41 @@ def test_large_path_phase_limit():
 
 
 def test_rotation_identity():
+    # c up to 1e16 as well: math.cos/sin reduce any finite c exactly, so
+    # eval_xy must never round c together with another angle
     rng = np.random.default_rng(11)
-    for _ in range(100):
+    for i in range(140):
         a = float(rng.uniform(-60.0, 60.0))
         b = float(rng.uniform(-6.0, 6.0))
-        c = float(rng.uniform(-math.pi, math.pi))
+        if i < 100:
+            c = float(rng.uniform(-math.pi, math.pi))
+        else:
+            c = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(6.0, 16.0))
         X0, Y0 = eval_xy(a, b, 0.0, 3)
         X, Y = eval_xy(a, b, c, 3)
         cc, sc = math.cos(c), math.sin(c)
         for j in range(3):
             assert X[j] == pytest.approx(X0[j] * cc - Y0[j] * sc, abs=1e-15)
             assert Y[j] == pytest.approx(X0[j] * sc + Y0[j] * cc, abs=1e-15)
+
+
+def test_folded_phase_against_mpmath():
+    # the large-|a| path turns by e^{i eta} e^{i c} instead of rotating the
+    # c = 0 result; hold every entry to 30-digit quadrature
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    with mpmath.workdps(30):
+        for _ in range(12):
+            a = float(rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 100.0))
+            b = float(rng.uniform(-20.0, 20.0))
+            c = float(rng.uniform(-math.pi, math.pi))
+            X, Y = eval_xy(a, b, c, 3)
+            for j in range(3):
+                ref = mpmath.quad(
+                    lambda t: t ** j * mpmath.expj(a / 2 * t * t + b * t + c),
+                    mpmath.linspace(0, 1, 5), method="gauss-legendre")
+                assert abs(X[j] - ref.real) <= 1e-13, (a, b, c, j)
+                assert abs(Y[j] - ref.imag) <= 1e-13, (a, b, c, j)
 
 
 def test_random_sample_against_quadrature_and_bound():
@@ -303,7 +327,7 @@ def test_regime_continuity_at_threshold():
             a = math.copysign(eps * factor, rng.uniform(-1.0, 1.0))
             b = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
             Xs, Ys = eval_xy_a_small(a, b, 3, _series_order(a))
-            Xl, Yl = eval_xy_a_large(a, b, 3)
+            Xl, Yl = eval_xy_a_large(a, b, 0.0, 3)
             for j in range(3):
                 assert Xs[j] == pytest.approx(Xl[j], abs=1e-10)
                 assert Ys[j] == pytest.approx(Yl[j], abs=1e-10)
