@@ -18,10 +18,12 @@ takes f and g as rationals in 1/(pi t^2)^2 (Cephes fresnl coefficients).
 Both are within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  Momenta
 above order zero reduce to sin u, cos u plus C_0, S_0, all from one kernel
 call; S_1 = (1 - cos u)/pi is taken as sin^2 u / (pi (1 + cos u)) where
-cos u > 0, which does not cancel as t -> 0.  Orders are capped at 3
-because the upward recurrence loses accuracy.  `gfresnel`'s large-|a| path
-reads both ends of its completed square straight from the kernel and turns
-them by the square's phase and the offset c at once.
+cos u > 0, which does not cancel as t -> 0, and S_3 = (2/pi^2)(sin u -
+u cos u) is summed as a series in u below u = 1 for the same reason.
+Orders are capped at 3 because the upward recurrence loses accuracy.
+`gfresnel`'s large-|a| path reads both ends of its completed square
+straight from the kernel and turns them by the square's phase and the
+offset c at once.
 """
 
 import math
@@ -205,5 +207,17 @@ def fresnel_momenta(t: float, k: int) -> FresnelMomenta:
         if k >= 3:
             # one step of the integration-by-parts recurrence
             C.append((t * t * sz - 2.0 * S[1]) / math.pi)
-            S.append((2.0 * C[1] - t * t * cz) / math.pi)
+            # S_3 = (2/pi^2)(sin u - u cos u), which cancels as u -> 0; below
+            # u = 1 sum sin u - u cos u = sum_{n>=1} (-1)^(n+1) 2n u^(2n+1)/(2n+1)!
+            u = 0.5 * math.pi * t * t
+            if u < 1.0:
+                term = total = u * u * u / 3.0
+                n = 1
+                while abs(term) > 1e-17 * total:
+                    term *= -u * u / (2 * n * (2 * n + 3))
+                    total += term
+                    n += 1
+                S.append(2.0 * total / (math.pi * math.pi))
+            else:
+                S.append((2.0 * C[1] - t * t * cz) / math.pi)
     return FresnelMomenta(t=t, C=tuple(C), S=tuple(S), k=k)

@@ -19,9 +19,11 @@ for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
   skips the series and takes the closed form directly.
 * a = 0: closed form (`eval_xy_a_zero`).  Order 0 is sin b / b and the
   half-angle form 2 sin^2(b/2) / b of (1 - cos b) / b, which does not
-  cancel for any b; higher orders use reduced Lommel series, stable
-  where the naive upward recurrence in k is not.  Each Lommel sum stops
-  once its terms fall below LOMMEL_REL_TOL of the partial sum.
+  cancel for any b.  Orders 1..floor(|b|) follow by the upward
+  recurrence in k, stable there because each step scales the error by
+  k/|b| <= 1.  Orders above |b| use reduced Lommel series, whose terms
+  shrink from the first one there; each sum stops once its terms fall
+  below LOMMEL_REL_TOL of the partial sum.
 
 No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 """
@@ -59,7 +61,10 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
 
     alpha_n(mu, nu) = prod_{m=1..n} ((mu + 2m - 1)^2 - nu^2).  Terms are
     accumulated until they fall below LOMMEL_REL_TOL of the partial sum,
-    i.e. until they stop changing the double result.
+    i.e. until they stop changing the double result.  `eval_xy_a_zero`
+    calls it only for orders j > |b|, where mu ~ j makes every term
+    smaller than the one before; at larger |b| the alternating terms grow
+    first and the sum cancels.
 
     Requires (mu + 2m - 1)^2 != nu^2 for all m >= 1; the half-integer
     order pairs used by `eval_xy_a_zero` always satisfy this.
@@ -88,7 +93,12 @@ def eval_xy_a_zero(b: float, k: int):
 
     Order zero is elementary: sin b / b and 2 sin^2(b/2) / b, the
     half-angle form of (1 - cos b) / b, free of its cancellation at small
-    |b|.  Higher orders use the Lommel closed form
+    |b|.  Orders j = 1..min(k, floor(|b|)) follow from the upward
+    recurrence I_j = (e^{ib} - j I_{j-1}) / (ib), I_j = X_j + i Y_j, i.e.
+
+        X_j = (sin b - j Y_{j-1}) / b,   Y_j = (j X_{j-1} - cos b) / b,
+
+    stable while j <= |b|.  Orders above |b| use the Lommel closed form
 
         X_j = [j A w_{j+1/2,3/2} + B w_{j+3/2,1/2} + cos b] / (1+j)
         Y_j = [C w_{j+3/2,3/2} + sin b] / (2+j) + D w_{j+1/2,1/2}
@@ -106,13 +116,18 @@ def eval_xy_a_zero(b: float, k: int):
         sh = math.sin(0.5 * b)
         X = [sb / b]
         Y = [2.0 * sh * sh / b]
-    if k == 0:
+    # each recurrence step scales the error by j/|b| <= 1
+    m = min(k, int(abs(b)))
+    for j in range(1, m + 1):
+        X.append((sb - j * Y[j - 1]) / b)
+        Y.append((j * X[j - 1] - cb) / b)
+    if m == k:
         return X, Y
     A = b * sb
     D = sb - b * cb
     B = b * D
     C = -b * b * sb
-    for j in range(1, k + 1):
+    for j in range(m + 1, k + 1):
         Xj = (j * A * r_lommel(j + 0.5, 1.5, b)
               + B * r_lommel(j + 1.5, 0.5, b) + cb) / (1.0 + j)
         Yj = (C * r_lommel(j + 1.5, 1.5, b) + sb) / (2.0 + j) \

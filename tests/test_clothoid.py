@@ -128,3 +128,12 @@ def test_position_against_quadrature():
         x, y = curve.point_at(s)
         assert x == pytest.approx(xq, abs=1e-11 * max(1.0, s))
         assert y == pytest.approx(yq, abs=1e-11 * max(1.0, s))
+
+
+def test_point_at_large_turning_against_quadrature():
+    # kappa L = 60 turns the curve about ten times; eval_xy sees b = 60
+    curve = ClothoidCurve(0.0, 0.0, 0.0, 1.0, 1e-8, 60.0)
+    xq, yq = clothoid_position_reference(0.0, 0.0, 0.0, 1.0, 1e-8, 60.0)
+    x, y = curve.point_at(60.0)
+    assert abs(x - xq) <= 1e-12 * curve.L
+    assert abs(y - yq) <= 1e-12 * curve.L

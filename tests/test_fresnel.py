@@ -103,6 +103,17 @@ def test_first_sine_momentum_without_cancellation():
             assert abs(s1 - ref) <= 1e-15 * ref, (t, s1, float(ref))
 
 
+def test_third_sine_momentum_without_cancellation():
+    # S_3 = (2/pi^2)(sin u - u cos u) cancels as t -> 0 as well
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for t in (1e-6, 1e-4, 1e-2, 0.3, 0.7, 3.0):
+            u = mpmath.pi / 2 * mpmath.mpf(t) ** 2
+            ref = 2 * (mpmath.sin(u) - u * mpmath.cos(u)) / mpmath.pi ** 2
+            s3 = fresnel_momenta(t, 3).S[3]
+            assert abs(s3 - ref) <= 1e-15 * ref, (t, s3, float(ref))
+
+
 def test_accuracy_large_arguments():
     # beyond |t| = 10 the contract is absolute: check against mpmath,
     # which evaluates with exact phase reduction

@@ -173,9 +173,9 @@ def test_small_path_deep_in_regime_against_quadrature():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
-    # four Lommel sums per a = 0 order above the elementary order 0: a == 0
-    # needs orders 1..k-1, and |a| = 1e-5 one series group, which reads
-    # orders up to k + 5
+    # orders up to |b| come from the upward recurrence, each order above it
+    # from four Lommel sums: a == 0 needs orders 1..k-1, and |a| = 1e-5 one
+    # series group, which reads orders up to k + 5
     calls = []
 
     def counting_r_lommel(mu, nu, b):
@@ -183,11 +183,13 @@ def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
         return r_lommel(mu, nu, b)
 
     monkeypatch.setattr(clothofit.gfresnel, "r_lommel", counting_r_lommel)
-    eval_xy(0.0, 2.3, 0.4, k)
-    assert len(calls) == 4 * (k - 1)
-    del calls[:]
-    eval_xy(1e-5, 2.3, 0.4, k)
-    assert len(calls) == 4 * (k + 5)
+    for b, at_zero, at_small in ((2.3, 0, 4 * (k + 3)), (0.5, 4 * (k - 1), 4 * (k + 5))):
+        del calls[:]
+        eval_xy(0.0, b, 0.4, k)
+        assert len(calls) == at_zero, b
+        del calls[:]
+        eval_xy(1e-5, b, 0.4, k)
+        assert len(calls) == at_small, b
 
 
 def _largest_abs_a_of_order(p):
@@ -221,6 +223,25 @@ def test_series_orders_against_mpmath():
                         [0, 1])
                     assert X[j] == pytest.approx(float(ref.real), abs=1e-14), (a, b, j)
                     assert Y[j] == pytest.approx(float(ref.imag), abs=1e-14), (a, b, j)
+
+
+def test_large_b_against_mpmath():
+    # |b| up to 100 on the a = 0 and small-|a| paths: orders up to |b| come
+    # from the upward recurrence, those above it from the Lommel sums, so
+    # b = 2 -+ 1e-9 and 7.0 sit where the split moves
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for a in (0.0, 1e-5, -1e-5, 0.1, -0.1):
+            for b in (100.0, -100.0, -57.3, 30.0, -30.0, 15.0, 3.3, 0.7,
+                      2.0 - 1e-9, 2.0 + 1e-9, 7.0):
+                X, Y = eval_xy(a, b, 0.3, 3)
+                ha, mb, mc = mpmath.mpf(a) / 2, mpmath.mpf(b), mpmath.mpf(0.3)
+                for j in range(3):
+                    ref = mpmath.quad(
+                        lambda t: t ** j * mpmath.expj((ha * t + mb) * t + mc),
+                        [0, 1], method="gauss-legendre")
+                    assert abs(X[j] - ref.real) <= 1e-14, (a, b, j)
+                    assert abs(Y[j] - ref.imag) <= 1e-14, (a, b, j)
 
 
 # ---------------------------------------------------------------- dispatch
