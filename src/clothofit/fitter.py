@@ -119,7 +119,7 @@ class FitConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError("FitConfig: tol must be positive and finite")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+        if type(self.max_iter) is not int or self.max_iter < 1:
             raise ValueError("FitConfig: max_iter must be an int >= 1")
         if self.guess_variant not in GUESS_VARIANTS:
             raise ValueError(

@@ -8,14 +8,20 @@ and the momenta weight the integrand by a power of u:
 
     C_k(t) = int_0^t u^k cos(pi/2 u^2) du,   S_k(t) likewise with sin.
 
-With u = (pi/2) t^2, C_0/t and S_0/(t u) are 18-term Horner polynomials
-in u^2 (the Maclaurin series) for |t| <= 1.6; beyond, the asymptotic form
+With u = (pi/2) t^2 and w = u^2, C_0/t and S_0/(t u) are degree-11
+polynomials in w for |t| <= 1.6, summed together in one Horner pass.  Each
+is the Chebyshev interpolant at 12 first-kind nodes on w in [0, ((pi/2)
+1.6^2)^2] of the Maclaurin series, solved in 50-digit mpmath, converted
+to monomials and rounded to doubles; over t = 0.001..1.6 in steps of
+0.001 both stay within 8e-16 relative of mpmath.  Beyond, the asymptotic
+form
 
     C(t) = 1/2 + f(t) sin u - g(t) cos u
     S(t) = 1/2 - f(t) cos u - g(t) sin u
 
-takes f and g as rationals in 1/(pi t^2)^2 (Cephes fresnl coefficients).
-Both are within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  Momenta
+takes f and g as rationals in 1/(pi t^2)^2 (Cephes fresnl coefficients),
+whose four polynomials are also summed in one pass.  Both branches are
+within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  Momenta
 above order zero reduce to sin u, cos u plus C_0, S_0, all from one kernel
 call; S_1 = (1 - cos u)/pi is taken as sin^2 u / (pi (1 + cos u)) where
 cos u > 0, which does not cancel as t -> 0, and S_3 = (2/pi^2)(sin u -
@@ -44,10 +50,21 @@ _SPLIT = 134217729.0
 _PIO2_HI = 1.5707963267948966
 _PIO2_LO = 6.123233995736766e-17
 
-# C(t)/t = sum_n (-1)^n w^n / ((2n)! (4n+1)), S(t)/(t u) likewise over
-# (2n+1)! (4n+3), highest degree first; n = 18 adds < 1e-22 at the cutoff.
-_CS = tuple((-1) ** n / (math.factorial(2 * n) * (4 * n + 1)) for n in range(17, -1, -1))
-_SS = tuple((-1) ** n / (math.factorial(2 * n + 1) * (4 * n + 3)) for n in range(17, -1, -1))
+# (C(t)/t, S(t)/(t u)) coefficient pairs in w, highest degree first.
+_CS_SS = (
+    (-1.681514647447558e-23, -7.088120135058062e-25),
+    (9.902944020469536e-21, 4.504529953380202e-22),
+    (-4.218465418838293e-18, -2.1067151925742584e-19),
+    (1.4482813201355854e-15, 8.032559977164874e-17),
+    (-3.955424928653273e-13, -2.4668252308167058e-14),
+    (8.350702483656753e-11, 5.947793892791596e-12),
+    (-1.3122532949868116e-08, -1.089222103174152e-09),
+    (1.458916900053829e-06, 1.4503852222997018e-07),
+    (-0.0001068376068375406, -1.3227513227510656e-05),
+    (0.004629629629629572, 0.0007575757575757553),
+    (-0.09999999999999998, -0.023809523809523808),
+    (1.0, 0.3333333333333333),
+)
 
 # Cephes rational fits for the auxiliary functions, highest degree first.
 _FN = (
@@ -82,13 +99,9 @@ _GD = (
     1.38796531259578871258e-15, 8.39158816283118707363e-19,
     1.86958710162783236342e-22,
 )
-
-
-def _polevl(x, coef):
-    r = 0.0
-    for c in coef:
-        r = r * x + c
-    return r
+# The four as rows (FN, FD, GN, GD) for one Horner pass; the shorter ones
+# are padded with leading zeros, which change no sum by a single bit.
+_FG = tuple(zip((0.0, 0.0) + _FN, (0.0,) + _FD, (0.0,) + _GN, _GD))
 
 
 def _two_prod(a, b):
@@ -139,8 +152,12 @@ def _fresnel_core(t):
     if x <= _SERIES_CUTOFF:
         u = 0.5 * math.pi * x * x
         w = u * u
-        cc = x * _polevl(w, _CS)
-        sv = x * u * _polevl(w, _SS)
+        cc = sv = 0.0
+        for p, q in _CS_SS:
+            cc = cc * w + p
+            sv = sv * w + q
+        cc *= x
+        sv *= x * u
         s, c = math.sin(u), math.cos(u)
     elif x > _LIMIT_CUTOFF:
         h = math.copysign(0.5, t)
@@ -151,8 +168,14 @@ def _fresnel_core(t):
     else:
         pix2 = math.pi * (x * x)
         u = 1.0 / (pix2 * pix2)
-        f = 1.0 - u * _polevl(u, _FN) / _polevl(u, _FD)
-        g = _polevl(u, _GN) / (_polevl(u, _GD) * pix2)
+        fn = fd = gn = gd = 0.0
+        for p, q, r, v in _FG:
+            fn = fn * u + p
+            fd = fd * u + q
+            gn = gn * u + r
+            gd = gd * u + v
+        f = 1.0 - u * fn / fd
+        g = gn / (gd * pix2)
         s, c = _phase_sincos(x)
         pix = math.pi * x
         cc = 0.5 + (f * s - g * c) / pix

@@ -200,6 +200,14 @@ def test_solve_matches_bisection_oracle():
         assert A == pytest.approx(A_ref, abs=1e-8)
 
 
+def test_fit_config_rejects_bad_iteration_caps():
+    # bool is an int subclass; True would run a one-iteration solve
+    for bad in (True, False, 0, -3, 2.0, "5", None):
+        with pytest.raises(ValueError, match="max_iter"):
+            FitConfig(max_iter=bad)
+    assert FitConfig(max_iter=1).max_iter == 1
+
+
 def test_solve_reports_non_convergence():
     cfg = FitConfig(tol=1e-12, max_iter=1)
     rp = reduce_problem(

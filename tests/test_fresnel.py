@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 
@@ -89,6 +90,73 @@ def test_accuracy_against_mpmath():
         for k in range(4):
             assert abs(m.C[k] - ref[k][0]) <= momenta_abs[k], (t, k)
             assert abs(m.S[k] - ref[k][1]) <= momenta_abs[k], (t, k)
+
+
+def test_series_tables_regenerate_from_mpmath():
+    # the stored pairs are the Chebyshev interpolants at 12 first-kind
+    # nodes on w = u^2 in [0, ((pi/2) 1.6^2)^2] of the Maclaurin series of
+    # C/t and S/(t u), solved in 50 digits and rounded to doubles
+    mpmath = pytest.importorskip("mpmath")
+    table = importlib.import_module("clothofit.fresnel")._CS_SS
+    n = len(table)
+    with mpmath.workdps(50):
+        w_max = (mpmath.pi / 2 * mpmath.mpf("1.6") ** 2) ** 2
+        ws = [w_max / 2 * (1 + mpmath.cos(mpmath.pi * (j + 0.5) / n)) for j in range(n)]
+        vandermonde = mpmath.matrix([[w ** i for i in range(n)] for w in ws])
+        for col, odd in ((0, 0), (1, 1)):
+            # C/t: (-1)^m w^m / ((2m)! (4m+1)); S/(t u): / ((2m+1)! (4m+3))
+            ys = [mpmath.fsum((-1) ** m * w ** m
+                              / (mpmath.factorial(2 * m + odd) * (4 * m + 1 + 2 * odd))
+                              for m in range(60)) for w in ws]
+            coef = mpmath.lu_solve(vandermonde, mpmath.matrix(ys))
+            for i in range(n):
+                ref = float(coef[i])
+                stored = table[n - 1 - i][col]
+                assert abs(stored - ref) <= 2 * math.ulp(ref), (col, i, stored, ref)
+
+
+def test_series_branch_dense_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for i in range(1, 1601):
+            t = i / 1000.0
+            c, s = fresnel(t)
+            cr, sr = mpmath.fresnelc(t), mpmath.fresnels(t)
+            assert abs(c - cr) <= 1e-15 * cr, (t, c, float(cr))
+            assert abs(s - sr) <= 1e-15 * sr, (t, s, float(sr))
+
+
+def test_continuity_across_the_series_switch():
+    below = fresnel(1.6)
+    above = fresnel(math.nextafter(1.6, 2.0))
+    for lo, hi in zip(below, above):
+        assert abs(hi - lo) <= 4 * math.ulp(lo), (below, above)
+
+
+def test_asymptotic_branch_matches_separate_horner_sums():
+    # the one-pass sum over the padded rows must equal four plain Horner
+    # sums over the Cephes tables bit for bit
+    kernel = importlib.import_module("clothofit.fresnel")
+
+    def polevl(x, coef):
+        r = 0.0
+        for c in coef:
+            r = r * x + c
+        return r
+
+    rng = np.random.default_rng(916)
+    for t in 1.6 * 10.0 ** rng.uniform(0.0, 13.0, 2000):  # below the 1e14 limit
+        x = float(t)
+        if x == 1.6:
+            continue
+        pix2 = math.pi * (x * x)
+        u = 1.0 / (pix2 * pix2)
+        f = 1.0 - u * polevl(u, kernel._FN) / polevl(u, kernel._FD)
+        g = polevl(u, kernel._GN) / (polevl(u, kernel._GD) * pix2)
+        s, c = kernel._phase_sincos(x)
+        ref = (0.5 + (f * s - g * c) / (math.pi * x), 0.5 - (f * c + g * s) / (math.pi * x))
+        assert fresnel(x) == ref, x
+        assert fresnel(-x) == (-ref[0], -ref[1]), x
 
 
 def test_first_sine_momentum_without_cancellation():
