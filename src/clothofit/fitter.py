@@ -117,8 +117,8 @@ class FitConfig:
     guess_variant: str = "quintic"
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("FitConfig: tol must be positive and finite")
+        if type(self.tol) is bool or not 0.0 < self.tol < math.inf:
+            raise ValueError("FitConfig: tol must be a positive finite number")
         if type(self.max_iter) is not int or self.max_iter < 1:
             raise ValueError("FitConfig: max_iter must be an int >= 1")
         if self.guess_variant not in GUESS_VARIANTS:

@@ -21,9 +21,11 @@ for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
   half-angle form 2 sin^2(b/2) / b of (1 - cos b) / b, which does not
   cancel for any b.  Orders 1..floor(|b|) follow by the upward
   recurrence in k, stable there because each step scales the error by
-  k/|b| <= 1.  Orders above |b| use reduced Lommel series, whose terms
-  shrink from the first one there; each sum stops once its terms fall
-  below LOMMEL_REL_TOL of the partial sum.
+  k/|b| <= 1.  Above |b| the top order comes from reduced Lommel series,
+  whose terms shrink from the first one there (each sum stops once its
+  terms fall below LOMMEL_REL_TOL of the partial sum), and the orders
+  between follow by the downward recurrence, stable because each step
+  scales the error by |b|/k < 1.
 
 No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 """
@@ -62,9 +64,10 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
     alpha_n(mu, nu) = prod_{m=1..n} ((mu + 2m - 1)^2 - nu^2).  Terms are
     accumulated until they fall below LOMMEL_REL_TOL of the partial sum,
     i.e. until they stop changing the double result.  `eval_xy_a_zero`
-    calls it only for orders j > |b|, where mu ~ j makes every term
-    smaller than the one before; at larger |b| the alternating terms grow
-    first and the sum cancels.
+    calls it only at the top order it builds, and only when that order
+    j exceeds |b|, where mu ~ j makes every term smaller than the one
+    before; at larger |b| the alternating terms grow first and the sum
+    cancels.
 
     Requires (mu + 2m - 1)^2 != nu^2 for all m >= 1; the half-integer
     order pairs used by `eval_xy_a_zero` always satisfy this.
@@ -98,12 +101,19 @@ def eval_xy_a_zero(b: float, k: int):
 
         X_j = (sin b - j Y_{j-1}) / b,   Y_j = (j X_{j-1} - cos b) / b,
 
-    stable while j <= |b|.  Orders above |b| use the Lommel closed form
+    stable while j <= |b|.  If k > |b|, the Lommel closed form gives the
+    top order j = k,
 
         X_j = [j A w_{j+1/2,3/2} + B w_{j+3/2,1/2} + cos b] / (1+j)
         Y_j = [C w_{j+3/2,3/2} + sin b] / (2+j) + D w_{j+1/2,1/2}
 
-    with A = b sin b, D = sin b - b cos b, B = b D, C = -b^2 sin b.
+    with A = b sin b, D = sin b - b cos b, B = b D, C = -b^2 sin b, and
+    the orders down to floor(|b|) + 1 follow from the downward recurrence
+    I_{j-1} = (e^{ib} - ib I_j) / j, i.e.
+
+        X_{j-1} = (cos b + b Y_j) / j,   Y_{j-1} = (sin b - b X_j) / j,
+
+    stable because every step has j > |b|; at b = 0 it gives 1/j exactly.
     k may be large here (the small-a series needs orders up to k + 4p + 1).
     b must be finite and k a non-negative int; `eval_xy` checks its inputs.
     """
@@ -127,13 +137,16 @@ def eval_xy_a_zero(b: float, k: int):
     D = sb - b * cb
     B = b * D
     C = -b * b * sb
-    for j in range(m + 1, k + 1):
-        Xj = (j * A * r_lommel(j + 0.5, 1.5, b)
-              + B * r_lommel(j + 1.5, 0.5, b) + cb) / (1.0 + j)
-        Yj = (C * r_lommel(j + 1.5, 1.5, b) + sb) / (2.0 + j) \
-            + D * r_lommel(j + 0.5, 0.5, b)
-        X.append(Xj)
-        Y.append(Yj)
+    X.extend([0.0] * (k - m))
+    Y.extend([0.0] * (k - m))
+    X[k] = (k * A * r_lommel(k + 0.5, 1.5, b)
+            + B * r_lommel(k + 1.5, 0.5, b) + cb) / (1.0 + k)
+    Y[k] = (C * r_lommel(k + 1.5, 1.5, b) + sb) / (2.0 + k) \
+        + D * r_lommel(k + 0.5, 0.5, b)
+    # each step down scales the error by |b|/j < 1
+    for j in range(k, m + 1, -1):
+        X[j - 1] = (cb + b * Y[j]) / j
+        Y[j - 1] = (sb - b * X[j]) / j
     return X, Y
 
 

@@ -67,7 +67,6 @@ def _timed(fn):
 def test_criterion_2_near_line_and_near_circle():
     worst_iter = 0
     worst_err = 0.0
-    # per-fit time is reported, not gated yet
     worst_time = {"line": 0.0, "circle": 0.0}
     for k in range(1, 11):
         for family, case in (("line", bench_near_line_case(k)),
@@ -80,6 +79,7 @@ def test_criterion_2_near_line_and_near_circle():
             worst_err = max(worst_err, fit.endpoint_error)
             elapsed = min(
                 _timed(lambda: build_clothoid(hd)) for _ in range(5))
+            assert elapsed < 1e-3, "%s took %.3f ms" % (case, elapsed * 1e3)
             worst_time[family] = max(worst_time[family], elapsed)
     report("ACCEPTANCE 2 (near-line/near-circle families, k=1..10): PASS  "
            "max_iterations=%d  max_endpoint_error=%.2e  "

@@ -208,6 +208,15 @@ def test_fit_config_rejects_bad_iteration_caps():
     assert FitConfig(max_iter=1).max_iter == 1
 
 
+def test_fit_config_rejects_a_bool_tolerance():
+    # bool is an int subclass; tol=True would pass as 1.0 and stop the
+    # solve after one iteration at a 3e-8 endpoint error
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="tol"):
+            FitConfig(tol=bad)
+    assert FitConfig(tol=1).tol == 1
+
+
 def test_solve_reports_non_convergence():
     cfg = FitConfig(tol=1e-12, max_iter=1)
     rp = reduce_problem(

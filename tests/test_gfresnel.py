@@ -82,6 +82,26 @@ def test_zero_path_high_orders():
         assert Y[j] == pytest.approx(yq, abs=1e-12)
 
 
+def test_zero_path_downward_chain_against_mpmath():
+    # orders above |b| come from the top order's Lommel seed and the
+    # downward recurrence; hold all 21 orders to 30-digit quadrature, on
+    # both sides of the split at |b| = 2 and 20 and far from it.  One
+    # 96-node Gauss-Legendre rule integrates every order (it agrees with
+    # the 192-node rule to 1e-30 up to |b| = 100)
+    mpmath = pytest.importorskip("mpmath")
+    from mpmath.calculus.quadrature import GaussLegendre
+    with mpmath.workdps(30):
+        rule = GaussLegendre(mpmath.mp).get_nodes(0, 1, 6, mpmath.mp.prec)
+        for b in (0.0, 1e-9, -0.7, 0.999, 2.0 - 1e-9, 2.0 + 1e-9, 7.0, -14.986,
+                  19.99, 20.01, -57.3, 100.0):
+            X, Y = eval_xy_a_zero(b, 20)
+            weighted = [w * mpmath.expj(b * t) for t, w in rule]
+            for j in range(21):
+                ref = mpmath.fsum(f * t ** j for (t, _), f in zip(rule, weighted))
+                assert abs(X[j] - ref.real) <= 1e-15, (b, j)
+                assert abs(Y[j] - ref.imag) <= 1e-15, (b, j)
+
+
 def test_zero_path_matches_recurrence_for_low_orders():
     # the upward recurrence is usable as an oracle only for small j
     for b in (1.5, -2.5, 3.0):
@@ -173,9 +193,9 @@ def test_small_path_deep_in_regime_against_quadrature():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
-    # orders up to |b| come from the upward recurrence, each order above it
-    # from four Lommel sums: a == 0 needs orders 1..k-1, and |a| = 1e-5 one
-    # series group, which reads orders up to k + 5
+    # orders up to |b| come from the upward recurrence, those above it from
+    # the downward recurrence seeded by four Lommel sums at the top order
+    # read: k - 1 at a == 0, and k + 5 at |a| = 1e-5 (one series group)
     calls = []
 
     def counting_r_lommel(mu, nu, b):
@@ -183,13 +203,13 @@ def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
         return r_lommel(mu, nu, b)
 
     monkeypatch.setattr(clothofit.gfresnel, "r_lommel", counting_r_lommel)
-    for b, at_zero, at_small in ((2.3, 0, 4 * (k + 3)), (0.5, 4 * (k - 1), 4 * (k + 5))):
-        del calls[:]
-        eval_xy(0.0, b, 0.4, k)
-        assert len(calls) == at_zero, b
-        del calls[:]
-        eval_xy(1e-5, b, 0.4, k)
-        assert len(calls) == at_small, b
+    for b in (2.3, 0.5):
+        for a, top in ((0.0, k - 1), (1e-5, k + 5)):
+            del calls[:]
+            eval_xy(a, b, 0.4, k)
+            seed = [(top + 0.5, 1.5), (top + 1.5, 0.5), (top + 1.5, 1.5), (top + 0.5, 0.5)]
+            expected = seed if top > int(abs(b)) else []
+            assert sorted(calls) == sorted(expected), (a, b)
 
 
 def _largest_abs_a_of_order(p):
