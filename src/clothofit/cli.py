@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 `bench` found a case outside its bounds
 (`all_within_bounds NO`), 2 bad arguments, 3 degenerate input (coincident
-endpoints), 4 excluded angle configuration, 5 non-convergence, 6 any
-other fit failure (an internal consistency check on the solution).
+endpoints, or a chord length whose square over- or underflows), 4
+excluded angle configuration, 5 non-convergence, 6 any other fit failure
+(an internal consistency check on the solution).
 """
 
 import argparse
@@ -14,6 +15,7 @@ import time
 
 from .errors import ConvergenceError, DegenerateInputError, ExcludedAngleError, FitError
 from .fitter import (
+    GUESS_VARIANTS,
     FitConfig,
     HermiteData,
     ReducedProblem,
@@ -58,11 +60,12 @@ def _add_fit_arguments(p):
 
 
 def _add_solver_arguments(p):
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="Newton stop on |g(A)| (default 1e-12)")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--guess", choices=("linear", "cubic", "quintic"),
-                   default="quintic", help="initial guess variant")
+    defaults = FitConfig()
+    p.add_argument("--tol", type=float, default=defaults.tol,
+                   help="Newton stop on |g(A)| (default %(default)g)")
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p.add_argument("--guess", choices=GUESS_VARIANTS,
+                   default=defaults.guess_variant, help="initial guess variant")
 
 
 def _add_out_argument(p):
@@ -102,7 +105,7 @@ def _build_parser():
                        help="histogram of Newton iteration counts over an angle grid")
     p.add_argument("--grid-n", type=int, default=64, help="grid points per axis (>= 2)")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--guess", choices=("linear", "cubic", "quintic"), default="quintic")
+    p.add_argument("--guess", choices=GUESS_VARIANTS, default=FitConfig().guess_variant)
     _add_out_argument(p)
 
     return parser
@@ -280,9 +283,34 @@ _COMMANDS = {
 }
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv):
+    """Join '--name -1e-3' into '--name=-1e-3'.
+
+    Some Python versions' argparse reads a negative number in exponent
+    notation as an option flag; the '=' form is a value on all of them.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (arg.startswith("-") and _is_number(arg)
+                and prev.startswith("--") and len(prev) > 2 and "=" not in prev):
+            out[-1] = prev + "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except DegenerateInputError as exc:

@@ -21,7 +21,8 @@ class FitError(Exception):
 
 
 class DegenerateInputError(FitError):
-    """Coincident endpoints: the chord has zero length."""
+    """Coincident endpoints, or a chord length whose square over- or
+    underflows, so that kappa_prime = 2A/L^2 cannot be represented."""
 
 
 class ExcludedAngleError(FitError):

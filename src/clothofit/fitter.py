@@ -17,6 +17,7 @@ tried.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .clothoid import ClothoidCurve
@@ -145,13 +146,21 @@ class FitResult:
     endpoint_error: float
 
 
-def normalize_angle(phi: float) -> float:
-    """Shift phi by multiples of 2 pi into [-pi, pi].
+def _reduce_exactly(phi: float) -> float:
+    """phi for |phi| <= 4 pi, else its remainder by the true 2 pi in [-pi, pi].
 
-    The boundary values map to themselves: pi stays pi, -pi stays -pi.
+    math.sin and math.cos reduce any finite argument exactly, so
+    atan2(sin phi, cos phi) is within an ulp of pi of the true remainder,
+    where a remainder by the double 2 pi would be off by about
+    phi / (2 pi) * 2.4e-16.
     """
-    if not math.isfinite(phi):
-        raise ValueError("normalize_angle: angle must be finite, got %r" % (phi,))
+    if abs(phi) > 4.0 * math.pi:
+        return math.atan2(math.sin(phi), math.cos(phi))
+    return phi
+
+
+def _wrap(phi: float) -> float:
+    """Shift phi into [-pi, pi] by multiples of the double 2 pi."""
     if abs(phi) > 4.0 * math.pi:
         # exact remainder first; the loops below then take at most one step
         phi = math.fmod(phi, 2.0 * math.pi)
@@ -162,16 +171,35 @@ def normalize_angle(phi: float) -> float:
     return phi
 
 
+def normalize_angle(phi: float) -> float:
+    """Shift phi by multiples of 2 pi into [-pi, pi].
+
+    The boundary values map to themselves: pi stays pi, -pi stays -pi.
+    Beyond |phi| = 4 pi the reduction is exact: the result is within an
+    ulp of pi of phi's remainder by the true 2 pi, for any finite phi.
+    Up to 4 pi it steps by the double 2 pi, at most twice.
+    """
+    if not math.isfinite(phi):
+        raise ValueError("normalize_angle: angle must be finite, got %r" % (phi,))
+    return _wrap(_reduce_exactly(phi))
+
+
 def reduce_problem(data: HermiteData) -> ReducedProblem:
-    """Rewrite the Hermite data in the chord frame."""
+    """Rewrite the Hermite data in the chord frame.
+
+    A heading beyond 4 pi is reduced exactly before the chord angle is
+    subtracted, so that none of the chord angle's bits are lost to the
+    heading's magnitude.  Any other difference, at most 5 pi, is wrapped
+    by the double 2 pi.
+    """
     dx = data.x1 - data.x0
     dy = data.y1 - data.y0
     r = math.hypot(dx, dy)
     if r == 0.0:
         raise DegenerateInputError("coincident endpoints: chord length is zero")
     varphi = math.atan2(dy, dx)
-    phi0 = normalize_angle(data.theta0 - varphi)
-    phi1 = normalize_angle(data.theta1 - varphi)
+    phi0 = _wrap(_reduce_exactly(data.theta0) - varphi)
+    phi1 = _wrap(_reduce_exactly(data.theta1) - varphi)
     return ReducedProblem(r=r, varphi=varphi, phi0=phi0, phi1=phi1, delta=phi1 - phi0)
 
 
@@ -336,6 +364,11 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
             "X_0 <= 0 at the computed root (A=%.17g): spurious solution" % A
         )
     L = rp.r / h
+    if not sys.float_info.min <= L * L < math.inf:
+        raise DegenerateInputError(
+            "chord length %.17g is out of scale: kappa_prime = 2A/L^2 needs L^2 "
+            "(L = %.17g) to be a finite normal double" % (rp.r, L)
+        )
     kappa = (rp.delta - A) / L
     kappa_prime = 2.0 * A / (L * L)
     curve = ClothoidCurve(

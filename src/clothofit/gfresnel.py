@@ -1,31 +1,33 @@
 """Generalized Fresnel integrals with a quadratic phase.
 
-The target quantities are
+The target quantities are the real and imaginary parts of
 
-    X_k(a, b, c) = int_0^1 tau^k cos(a/2 tau^2 + b tau + c) dtau,
-    Y_k(a, b, c) = int_0^1 tau^k sin(a/2 tau^2 + b tau + c) dtau,
+    I_k(a, b, c) = int_0^1 tau^k e^{i (a/2 tau^2 + b tau + c)} dtau
+                 = X_k(a, b, c) + i Y_k(a, b, c),
 
 for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
 
 * |a| >= EPSILON_A: complete the square and reduce to Fresnel momenta
   differences (`eval_xy_a_large`), turned by e^{i eta} e^{i c} with
-  eta = -b^2/(2a).  Exact for any a != 0, but the scale factor
-  1/z^(k+1) with z ~ sqrt(|a|) amplifies rounding as a -> 0.
+  eta = -b^2/(2a), in real arithmetic.  Exact for any a != 0, but the
+  scale factor 1/z^(k+1) with z ~ sqrt(|a|) amplifies rounding as
+  a -> 0.
 * |a| < EPSILON_A: an alternating series in powers of (a/2)^2 over the
-  a = 0 integrals (`eval_xy_a_small`) at c = 0, rotated by c in
-  `eval_xy`.  Its order p comes from |a|: the lowest whose first
-  omitted factor is below LOMMEL_REL_TOL (1e-17), p = 1 for
+  a = 0 integrals (`eval_xy_a_small`), one complex I_j per order, turned
+  by e^{i c} at the end.  Its order p comes from |a|: the lowest whose
+  first omitted factor is below LOMMEL_REL_TOL (1e-17), p = 1 for
   |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0 exactly
-  skips the series and takes the closed form directly.
-* a = 0: closed form (`eval_xy_a_zero`).  Order 0 is sin b / b and the
-  half-angle form 2 sin^2(b/2) / b of (1 - cos b) / b, which does not
-  cancel for any b.  Orders 1..floor(|b|) follow by the upward
-  recurrence in k, stable there because each step scales the error by
-  k/|b| <= 1.  Above |b| the top order comes from reduced Lommel series,
-  whose terms shrink from the first one there (each sum stops once its
-  terms fall below LOMMEL_REL_TOL of the partial sum), and the orders
-  between follow by the downward recurrence, stable because each step
-  scales the error by |b|/k < 1.
+  skips the series and turns the closed form directly.
+* a = 0: closed form (`eval_xy_a_zero`), one complex I_j per order.
+  Order 0 is sin b / b + i 2 sin^2(b/2) / b, the half-angle form of
+  (1 - cos b) / b, which does not cancel for any b.  Orders
+  1..floor(|b|) follow by the upward recurrence in k, stable there
+  because each step scales the error by k/|b| <= 1.  Above |b| the top
+  order comes from reduced Lommel series, whose terms shrink from the
+  first one there (each sum stops once its terms fall below
+  LOMMEL_REL_TOL of the partial sum), and the orders between follow by
+  the downward recurrence, stable because each step scales the error
+  by |b|/k < 1.
 
 No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 """
@@ -92,14 +94,14 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
 
 
 def eval_xy_a_zero(b: float, k: int):
-    """X_j(0, b) and Y_j(0, b) for j = 0..k.
+    """I_j(0, b) = X_j(0, b) + i Y_j(0, b) for j = 0..k, as complex.
 
-    Order zero is elementary: sin b / b and 2 sin^2(b/2) / b, the
-    half-angle form of (1 - cos b) / b, free of its cancellation at small
-    |b|.  Orders j = 1..min(k, floor(|b|)) follow from the upward
-    recurrence I_j = (e^{ib} - j I_{j-1}) / (ib), I_j = X_j + i Y_j, i.e.
+    Order zero is elementary: sin b / b + i 2 sin^2(b/2) / b, whose
+    imaginary part is the half-angle form of (1 - cos b) / b, free of its
+    cancellation at small |b|.  Orders j = 1..min(k, floor(|b|)) follow
+    from the upward recurrence
 
-        X_j = (sin b - j Y_{j-1}) / b,   Y_j = (j X_{j-1} - cos b) / b,
+        I_j = (e^{ib} - j I_{j-1}) / (ib),
 
     stable while j <= |b|.  If k > |b|, the Lommel closed form gives the
     top order j = k,
@@ -109,9 +111,8 @@ def eval_xy_a_zero(b: float, k: int):
 
     with A = b sin b, D = sin b - b cos b, B = b D, C = -b^2 sin b, and
     the orders down to floor(|b|) + 1 follow from the downward recurrence
-    I_{j-1} = (e^{ib} - ib I_j) / j, i.e.
 
-        X_{j-1} = (cos b + b Y_j) / j,   Y_{j-1} = (sin b - b X_j) / j,
+        I_{j-1} = (e^{ib} - ib I_j) / j,
 
     stable because every step has j > |b|; at b = 0 it gives 1/j exactly.
     k may be large here (the small-a series needs orders up to k + 4p + 1).
@@ -120,34 +121,30 @@ def eval_xy_a_zero(b: float, k: int):
     sb = math.sin(b)
     cb = math.cos(b)
     if b == 0.0:
-        X = [1.0]
-        Y = [0.0]
+        I = [complex(1.0, 0.0)]
     else:
         sh = math.sin(0.5 * b)
-        X = [sb / b]
-        Y = [2.0 * sh * sh / b]
+        I = [complex(sb / b, 2.0 * sh * sh / b)]
+    e = complex(cb, sb)
+    ib = complex(0.0, b)
     # each recurrence step scales the error by j/|b| <= 1
     m = min(k, int(abs(b)))
     for j in range(1, m + 1):
-        X.append((sb - j * Y[j - 1]) / b)
-        Y.append((j * X[j - 1] - cb) / b)
+        I.append((e - j * I[j - 1]) / ib)
     if m == k:
-        return X, Y
+        return I
     A = b * sb
     D = sb - b * cb
     B = b * D
     C = -b * b * sb
-    X.extend([0.0] * (k - m))
-    Y.extend([0.0] * (k - m))
-    X[k] = (k * A * r_lommel(k + 0.5, 1.5, b)
-            + B * r_lommel(k + 1.5, 0.5, b) + cb) / (1.0 + k)
-    Y[k] = (C * r_lommel(k + 1.5, 1.5, b) + sb) / (2.0 + k) \
-        + D * r_lommel(k + 0.5, 0.5, b)
+    I.extend([0j] * (k - m))
+    I[k] = complex(
+        (k * A * r_lommel(k + 0.5, 1.5, b) + B * r_lommel(k + 1.5, 0.5, b) + cb) / (1.0 + k),
+        (C * r_lommel(k + 1.5, 1.5, b) + sb) / (2.0 + k) + D * r_lommel(k + 0.5, 0.5, b))
     # each step down scales the error by |b|/j < 1
     for j in range(k, m + 1, -1):
-        X[j - 1] = (cb + b * Y[j]) / j
-        Y[j - 1] = (sb - b * X[j]) / j
-    return X, Y
+        I[j - 1] = (e - ib * I[j]) / j
+    return I
 
 
 def eval_xy_a_large(a: float, b: float, c: float, k: int):
@@ -206,38 +203,41 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
     return X, Y
 
 
-def eval_xy_a_small(a: float, b: float, k: int, p: int):
-    """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b), Y_j(a, b) by series around a = 0.
+def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
+    """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b, c), Y_j(a, b, c) by series around a = 0.
 
     Sums p + 1 groups of the alternating expansion
 
-        X_j(a, b) = sum_n (-1)^n/(2n)! (a/2)^(2n)
-                    [ X_{4n+j}(0,b) - a Y_{4n+j+2}(0,b) / (2(2n+1)) ]
+        I_j(a, b) = sum_n (-1)^n/(2n)! (a/2)^(2n)
+                    [ I_{4n+j}(0,b) + i a I_{4n+j+2}(0,b) / (2(2n+1)) ]
 
-    (and the mirror image for Y) over the a = 0 values.  Since
-    |X_j(0,b)|, |Y_j(0,b)| <= 1, the truncation error is about the first
+    over the complex a = 0 values, I_j = X_j + i Y_j, and turns the sum
+    by e^{ic}.  Each group pairs the even power (ia/2)^(2n)/(2n)! with
+    the odd one after it, which keeps the rounding of the real form.
+    Since |I_j(0,b)| <= 1, the truncation error is about the first
     omitted factor (|a|/2)^(2p+2)/(2p+2)!; `eval_xy` picks the smallest p
-    that brings it below LOMMEL_REL_TOL.  a == 0 returns the closed form
+    that brings it below LOMMEL_REL_TOL.  a == 0 turns the closed form
     `eval_xy_a_zero(b, k - 1)` without building the higher orders.
     p must be a positive int; `eval_xy` checks the rest.
     """
     if a == 0.0:
-        return eval_xy_a_zero(b, k - 1)
-    X0, Y0 = eval_xy_a_zero(b, k + 4 * p + 1)
-    half_a = 0.5 * a
-    X = [X0[j] - half_a * Y0[j + 2] for j in range(k)]
-    Y = [Y0[j] + half_a * X0[j + 2] for j in range(k)]
-    t = 1.0
-    a2 = a * a
-    for n in range(1, p + 1):
-        # ratio of consecutive (a/2)^(2n)/(2n)! factors
-        t *= -a2 / (8.0 * n * (2 * n - 1))
-        s = a / (4.0 * n + 2.0)
-        base = 4 * n
-        for j in range(k):
-            X[j] += t * (X0[base + j] - s * Y0[base + j + 2])
-            Y[j] += t * (Y0[base + j] + s * X0[base + j + 2])
-    return X, Y
+        I = eval_xy_a_zero(b, k - 1)
+    else:
+        I0 = eval_xy_a_zero(b, k + 4 * p + 1)
+        s = complex(0.0, 0.5 * a)
+        I = [I0[j] + s * I0[j + 2] for j in range(k)]
+        t = 1.0
+        a2 = a * a
+        for n in range(1, p + 1):
+            # ratio of consecutive (a/2)^(2n)/(2n)! factors
+            t *= -a2 / (8.0 * n * (2 * n - 1))
+            s = complex(0.0, a / (4.0 * n + 2.0))
+            base = 4 * n
+            for j in range(k):
+                I[j] += t * (I0[base + j] + s * I0[base + j + 2])
+    turn = complex(math.cos(c), math.sin(c))
+    I = [turn * v for v in I]
+    return [v.real for v in I], [v.imag for v in I]
 
 
 def _series_order(a: float) -> int:
@@ -257,11 +257,8 @@ def eval_xy(a: float, b: float, c: float, k: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of the phase-offset integrals X_j(a,b,c), Y_j(a,b,c).
 
     Dispatches on |a| against EPSILON_A.  The large-|a| path takes c into
-    its completed square.  Below EPSILON_A the series (order
-    `_series_order(a)`) gives the c = 0 values, rotated here by c:
-
-        X_j(a,b,c) = X_j(a,b) cos c - Y_j(a,b) sin c
-        Y_j(a,b,c) = X_j(a,b) sin c + Y_j(a,b) cos c
+    its completed square; the series path (order `_series_order(a)`)
+    turns its c = 0 sum by e^{ic}.
 
     Parameters
     ----------
@@ -278,9 +275,4 @@ def eval_xy(a: float, b: float, c: float, k: int):
         raise ValueError("k must be an int in 1..3 (number of orders), got %r" % (k,))
     if abs(a) >= EPSILON_A:
         return eval_xy_a_large(a, b, c, k)
-    Xh, Yh = eval_xy_a_small(a, b, k, _series_order(a))
-    cc = math.cos(c)
-    sc = math.sin(c)
-    X = [x * cc - y * sc for x, y in zip(Xh, Yh)]
-    Y = [x * sc + y * cc for x, y in zip(Xh, Yh)]
-    return X, Y
+    return eval_xy_a_small(a, b, c, k, _series_order(a))

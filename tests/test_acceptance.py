@@ -207,7 +207,7 @@ def test_criterion_8_regime_boundary_agreement():
         a = sign * eps
         for _ in range(100):
             b = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-            Xs, Ys = eval_xy_a_small(a, b, 3, 5)
+            Xs, Ys = eval_xy_a_small(a, b, 0.0, 3, 5)
             Xl, Yl = eval_xy_a_large(a, b, 0.0, 3)
             for j in range(3):
                 err = max(abs(Xs[j] - Xl[j]), abs(Ys[j] - Yl[j]))

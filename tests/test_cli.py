@@ -55,6 +55,24 @@ def test_fit_degenerate_exit_code(capsys):
     assert code == 3
 
 
+def test_fit_unrepresentable_chord_exit_code(capsys):
+    code = main(["fit", "--x0", "0", "--y0", "0", "--theta0", "0.3",
+                 "--x1", "1e200", "--y1", "0", "--theta1", "-0.2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "chord length" in err
+    assert "Traceback" not in err
+
+
+def test_fit_accepts_negative_exponent_values(capsys):
+    # argparse on some Python versions reads -1e-3 as an option flag
+    code, out = run(capsys, ["fit", "--x0", "-1e-3", "--y0", "0", "--theta0", "0.3",
+                             "--x1", "4", "--y1", "1", "--theta1", "-2.5E-1"])
+    assert code == 0
+    fit = build_clothoid(HermiteData(-1e-3, 0.0, 0.3, 4.0, 1.0, -0.25))
+    assert json.loads(out)["L"] == fit.curve.L
+
+
 def test_fit_excluded_exit_code(capsys):
     code = main(["fit", "--x0", "0", "--y0", "0", "--theta0", repr(math.pi),
                  "--x1", "1", "--y1", "0", "--theta1", repr(-math.pi)])

@@ -48,6 +48,25 @@ def test_normalize_angle_examples():
         normalize_angle(math.inf)
 
 
+def test_normalize_angle_reduces_large_angles_exactly():
+    # a remainder by the double 2 pi is off by 3.9e-13 at 1e4 and returns
+    # an unrelated angle at 1e300; the reference reduces by the true 2 pi
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        two_pi = 2 * mpmath.pi
+        for phi in (1e4, -1e4, 1e8, 1e300, -1e300):
+            x = mpmath.mpf(phi)
+            ref = x - two_pi * mpmath.nint(x / two_pi)
+            assert abs(normalize_angle(phi) - ref) <= 1e-15, phi
+
+
+def test_large_headings_fit_within_the_endpoint_bound():
+    # theta - varphi must not drop varphi's bits below ulp(theta)
+    for theta in (1e4, 1e8, 1e12, 1e300):
+        fit = build_clothoid(HermiteData(0.0, 0.0, theta, 4.0, 1.0, theta - 0.8))
+        assert fit.endpoint_error <= 1e-12, theta
+
+
 # ------------------------------------------------------------ reduction
 
 def test_reduce_straight_chord():
@@ -330,6 +349,16 @@ def test_build_degenerate():
         build_clothoid(HermiteData(2.0, 3.0, 0.1, 2.0, 3.0, 0.2))
 
 
+def test_build_rejects_unrepresentable_chord_scales():
+    # kappa_prime = 2A/L^2 needs L^2 to be a finite normal double: below
+    # it the division failed or overflowed, above it kappa_prime read 0
+    for r in (1e-320, 1e-300, 1e155, 1e200):
+        with pytest.raises(DegenerateInputError, match="chord length"):
+            build_clothoid(HermiteData(0.0, 0.0, 0.3, r, 0.0, -0.2))
+    with pytest.raises(DegenerateInputError, match="chord length inf"):
+        build_clothoid(HermiteData(-1e308, 0.0, 0.3, 1e308, 0.0, -0.2))
+
+
 # ------------------------------------------------------------ symmetry
 
 def test_reversal_and_mirror_symmetries():
@@ -394,7 +423,7 @@ def test_rigid_motion_equivariance():
 def test_scaling_covariance():
     base = HermiteData(1.0, -2.0, 0.7, 4.0, 1.0, -1.1)
     ref = build_clothoid(base)
-    for lam in (0.25, 3.0, 40.0):
+    for lam in (1e-150, 0.25, 3.0, 40.0, 1e150):
         fit = build_clothoid(HermiteData(base.x0 * lam, base.y0 * lam, base.theta0,
                                          base.x1 * lam, base.y1 * lam, base.theta1))
         assert fit.curve.L == pytest.approx(lam * ref.curve.L, rel=1e-10)

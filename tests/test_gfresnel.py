@@ -41,9 +41,9 @@ def test_lommel_against_long_sum():
 
 def test_lommel_end_to_end_through_zero_path():
     # the (7/2, 1/2) order pair feeds X_2(0, 2.5)
-    X, _ = eval_xy_a_zero(2.5, 2)
+    I = eval_xy_a_zero(2.5, 2)
     xq, _ = xy_reference(0.0, 2.5, 0.0, 2)
-    assert X[2] == pytest.approx(xq, abs=1e-12)
+    assert I[2].real == pytest.approx(xq, abs=1e-12)
 
 
 def test_lommel_singular_pair_rejected():
@@ -54,32 +54,32 @@ def test_lommel_singular_pair_rejected():
 # ---------------------------------------------------------------- a == 0
 
 def test_zero_path_b_zero():
-    X, Y = eval_xy_a_zero(0.0, 2)
-    assert X == [1.0, 0.5, 1.0 / 3.0]
-    assert Y == [0.0, 0.0, 0.0]
+    I = eval_xy_a_zero(0.0, 2)
+    assert [v.real for v in I] == [1.0, 0.5, 1.0 / 3.0]
+    assert [v.imag for v in I] == [0.0, 0.0, 0.0]
 
 
 def test_zero_path_b_pi():
-    X, Y = eval_xy_a_zero(math.pi, 1)
-    assert abs(X[0]) < 1e-15
-    assert Y[0] == pytest.approx(2.0 / math.pi, rel=1e-15)
+    I = eval_xy_a_zero(math.pi, 1)
+    assert abs(I[0].real) < 1e-15
+    assert I[0].imag == pytest.approx(2.0 / math.pi, rel=1e-15)
 
 
 def test_zero_path_against_quadrature():
     for b in (2.4, -3.0, 6.2, 1e-4, 10.0):
-        X, Y = eval_xy_a_zero(b, 6)
+        I = eval_xy_a_zero(b, 6)
         for j in range(7):
             xq, yq = xy_reference(0.0, b, 0.0, j)
-            assert X[j] == pytest.approx(xq, abs=1e-12), (b, j)
-            assert Y[j] == pytest.approx(yq, abs=1e-12), (b, j)
+            assert I[j].real == pytest.approx(xq, abs=1e-12), (b, j)
+            assert I[j].imag == pytest.approx(yq, abs=1e-12), (b, j)
 
 
 def test_zero_path_high_orders():
-    X, Y = eval_xy_a_zero(-4.1, 30)
+    I = eval_xy_a_zero(-4.1, 30)
     for j in (10, 20, 30):
         xq, yq = xy_reference(0.0, -4.1, 0.0, j)
-        assert X[j] == pytest.approx(xq, abs=1e-12)
-        assert Y[j] == pytest.approx(yq, abs=1e-12)
+        assert I[j].real == pytest.approx(xq, abs=1e-12)
+        assert I[j].imag == pytest.approx(yq, abs=1e-12)
 
 
 def test_zero_path_downward_chain_against_mpmath():
@@ -94,32 +94,32 @@ def test_zero_path_downward_chain_against_mpmath():
         rule = GaussLegendre(mpmath.mp).get_nodes(0, 1, 6, mpmath.mp.prec)
         for b in (0.0, 1e-9, -0.7, 0.999, 2.0 - 1e-9, 2.0 + 1e-9, 7.0, -14.986,
                   19.99, 20.01, -57.3, 100.0):
-            X, Y = eval_xy_a_zero(b, 20)
+            I = eval_xy_a_zero(b, 20)
             weighted = [w * mpmath.expj(b * t) for t, w in rule]
             for j in range(21):
                 ref = mpmath.fsum(f * t ** j for (t, _), f in zip(rule, weighted))
-                assert abs(X[j] - ref.real) <= 1e-15, (b, j)
-                assert abs(Y[j] - ref.imag) <= 1e-15, (b, j)
+                assert abs(I[j].real - ref.real) <= 1e-15, (b, j)
+                assert abs(I[j].imag - ref.imag) <= 1e-15, (b, j)
 
 
 def test_zero_path_matches_recurrence_for_low_orders():
     # the upward recurrence is usable as an oracle only for small j
     for b in (1.5, -2.5, 3.0):
-        X, Y = eval_xy_a_zero(b, 3)
+        I = eval_xy_a_zero(b, 3)
         Xr, Yr = xy_zero_recurrence(b, 3)
         for j in range(4):
-            assert X[j] == pytest.approx(Xr[j], abs=1e-10)
-            assert Y[j] == pytest.approx(Yr[j], abs=1e-10)
+            assert I[j].real == pytest.approx(Xr[j], abs=1e-10)
+            assert I[j].imag == pytest.approx(Yr[j], abs=1e-10)
 
 
 def test_zero_path_taylor_branch():
     # tiny |b|, where (1 - cos b)/b would cancel: the half-angle form
     # of Y_0 keeps full accuracy, and b = 0 is exact
     for b in (1e-4, -3e-4, 0.0):
-        X, Y = eval_xy_a_zero(b, 1)
+        I = eval_xy_a_zero(b, 1)
         xq, yq = xy_reference(0.0, b, 0.0, 0)
-        assert X[0] == pytest.approx(xq, abs=1e-15)
-        assert Y[0] == pytest.approx(yq, abs=1e-15)
+        assert I[0].real == pytest.approx(xq, abs=1e-15)
+        assert I[0].imag == pytest.approx(yq, abs=1e-15)
 
 
 # ---------------------------------------------------------------- |a| large
@@ -157,14 +157,14 @@ def test_square_completion_rejects_zero():
 # ---------------------------------------------------------------- |a| small
 
 def test_small_path_collapses_to_zero_path_at_a_zero():
-    Xz, Yz = eval_xy_a_zero(1.0, 0)
-    X, Y = eval_xy_a_small(0.0, 1.0, 1, 5)
-    assert X[0] == Xz[0]
-    assert Y[0] == Yz[0]
+    Iz = eval_xy_a_zero(1.0, 0)
+    X, Y = eval_xy_a_small(0.0, 1.0, 0.0, 1, 5)
+    assert X[0] == Iz[0].real
+    assert Y[0] == Iz[0].imag
 
 
 def test_small_path_against_quadrature():
-    X, Y = eval_xy_a_small(1e-3, 0.8, 3, 5)
+    X, Y = eval_xy_a_small(1e-3, 0.8, 0.0, 3, 5)
     for j in range(3):
         xq, yq = xy_reference(1e-3, 0.8, 0.0, j)
         assert X[j] == pytest.approx(xq, abs=1e-13)
@@ -176,7 +176,7 @@ def test_small_path_agrees_with_momenta_path():
     # path loses (b/a)^3 * eps absolute accuracy as a shrinks, which is
     # exactly why the switch sits at epsilon_a
     a = 0.99 * EPSILON_A
-    Xs, Ys = eval_xy_a_small(a, -2.0, 3, 5)
+    Xs, Ys = eval_xy_a_small(a, -2.0, 0.0, 3, 5)
     Xl, Yl = eval_xy_a_large(a, -2.0, 0.0, 3)
     for j in range(3):
         assert Xs[j] == pytest.approx(Xl[j], abs=1e-11)
@@ -184,7 +184,7 @@ def test_small_path_agrees_with_momenta_path():
 
 
 def test_small_path_deep_in_regime_against_quadrature():
-    X, Y = eval_xy_a_small(9.9e-3, -2.0, 3, 5)
+    X, Y = eval_xy_a_small(9.9e-3, -2.0, 0.0, 3, 5)
     for j in range(3):
         xq, yq = xy_reference(9.9e-3, -2.0, 0.0, j)
         assert X[j] == pytest.approx(xq, abs=1e-13)
@@ -367,7 +367,7 @@ def test_regime_continuity_at_threshold():
         for _ in range(100):
             a = math.copysign(eps * factor, rng.uniform(-1.0, 1.0))
             b = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-            Xs, Ys = eval_xy_a_small(a, b, 3, _series_order(a))
+            Xs, Ys = eval_xy_a_small(a, b, 0.0, 3, _series_order(a))
             Xl, Yl = eval_xy_a_large(a, b, 0.0, 3)
             for j in range(3):
                 assert Xs[j] == pytest.approx(Xl[j], abs=1e-10)
