@@ -1,10 +1,11 @@
 """Command line interface: fit, sample, svg, bench, grid-stats.
 
 Exit codes: 0 success, 1 `bench` found a case outside its bounds
-(`all_within_bounds NO`), 2 bad arguments, 3 degenerate input (coincident
-endpoints, or a chord length whose square over- or underflows), 4
-excluded angle configuration, 5 non-convergence, 6 any other fit failure
-(an internal consistency check on the solution).
+(`all_within_bounds NO`), 2 bad arguments or an `--out` path that cannot
+be written, 3 degenerate input (coincident endpoints, or a chord length
+whose square over- or underflows), 4 excluded angle configuration, 5
+non-convergence, 6 any other fit failure (an internal consistency check
+on the solution).
 """
 
 import argparse
@@ -322,7 +323,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 5
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except FitError as exc:

@@ -23,11 +23,12 @@ for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
   (1 - cos b) / b, which does not cancel for any b.  Orders
   1..floor(|b|) follow by the upward recurrence in k, stable there
   because each step scales the error by k/|b| <= 1.  Above |b| the top
-  order comes from reduced Lommel series, whose terms shrink from the
-  first one there (each sum stops once its terms fall below
-  LOMMEL_REL_TOL of the partial sum), and the orders between follow by
-  the downward recurrence, stable because each step scales the error
-  by |b|/k < 1.
+  order n comes from Kummer's series
+  e^{ib}/(n+1) sum_m (-ib)^m/(n+2)_m, summed as two reduced Lommel
+  series (its even and its odd terms) whose terms shrink from the first
+  one there (each sum stops once its terms fall below LOMMEL_REL_TOL of
+  the partial sum), and the orders between follow by the downward
+  recurrence, stable because each step scales the error by |b|/k < 1.
 
 No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 """
@@ -66,13 +67,14 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
     alpha_n(mu, nu) = prod_{m=1..n} ((mu + 2m - 1)^2 - nu^2).  Terms are
     accumulated until they fall below LOMMEL_REL_TOL of the partial sum,
     i.e. until they stop changing the double result.  `eval_xy_a_zero`
-    calls it only at the top order it builds, and only when that order
-    j exceeds |b|, where mu ~ j makes every term smaller than the one
-    before; at larger |b| the alternating terms grow first and the sum
-    cancels.
+    calls it twice, with (mu, nu) = (j - 1/2, 1/2) and (j + 1/2, 1/2),
+    for the even and odd halves of Kummer's series at the top order j it
+    builds, and only when j exceeds |b|, where mu ~ j makes every term
+    smaller than the one before; at larger |b| the alternating terms
+    grow first and the sum cancels.
 
-    Requires (mu + 2m - 1)^2 != nu^2 for all m >= 1; the half-integer
-    order pairs used by `eval_xy_a_zero` always satisfy this.
+    Requires (mu + 2m - 1)^2 != nu^2 for all m >= 1; the pairs used by
+    `eval_xy_a_zero` satisfy this because j >= 1 there.
     """
     den = (mu + nu + 1.0) * (mu - nu + 1.0)
     if den == 0.0:
@@ -103,14 +105,16 @@ def eval_xy_a_zero(b: float, k: int):
 
         I_j = (e^{ib} - j I_{j-1}) / (ib),
 
-    stable while j <= |b|.  If k > |b|, the Lommel closed form gives the
-    top order j = k,
+    stable while j <= |b|.  If k > |b|, Kummer's series gives the top
+    order j = k,
 
-        X_j = [j A w_{j+1/2,3/2} + B w_{j+3/2,1/2} + cos b] / (1+j)
-        Y_j = [C w_{j+3/2,3/2} + sin b] / (2+j) + D w_{j+1/2,1/2}
+        I_j = e^{ib}/(j+1) sum_m (-ib)^m/(j+2)_m
+            = e^{ib} [ j w_{j-1/2,1/2}(b) - i b w_{j+1/2,1/2}(b) ],
 
-    with A = b sin b, D = sin b - b cos b, B = b D, C = -b^2 sin b, and
-    the orders down to floor(|b|) + 1 follow from the downward recurrence
+    its even and odd terms being the two reduced Lommel sums, since
+    alpha_{m+1}(j-1/2, 1/2) = j (j+1) (j+2)_{2m} and
+    alpha_{m+1}(j+1/2, 1/2) = (j+1) (j+2) (j+3)_{2m}.  The orders down
+    to floor(|b|) + 1 follow from the downward recurrence
 
         I_{j-1} = (e^{ib} - ib I_j) / j,
 
@@ -119,13 +123,12 @@ def eval_xy_a_zero(b: float, k: int):
     b must be finite and k a non-negative int; `eval_xy` checks its inputs.
     """
     sb = math.sin(b)
-    cb = math.cos(b)
     if b == 0.0:
         I = [complex(1.0, 0.0)]
     else:
         sh = math.sin(0.5 * b)
         I = [complex(sb / b, 2.0 * sh * sh / b)]
-    e = complex(cb, sb)
+    e = complex(math.cos(b), sb)
     ib = complex(0.0, b)
     # each recurrence step scales the error by j/|b| <= 1
     m = min(k, int(abs(b)))
@@ -133,14 +136,8 @@ def eval_xy_a_zero(b: float, k: int):
         I.append((e - j * I[j - 1]) / ib)
     if m == k:
         return I
-    A = b * sb
-    D = sb - b * cb
-    B = b * D
-    C = -b * b * sb
     I.extend([0j] * (k - m))
-    I[k] = complex(
-        (k * A * r_lommel(k + 0.5, 1.5, b) + B * r_lommel(k + 1.5, 0.5, b) + cb) / (1.0 + k),
-        (C * r_lommel(k + 1.5, 1.5, b) + sb) / (2.0 + k) + D * r_lommel(k + 0.5, 0.5, b))
+    I[k] = e * complex(k * r_lommel(k - 0.5, 0.5, b), -b * r_lommel(k + 0.5, 0.5, b))
     # each step down scales the error by |b|/j < 1
     for j in range(k, m + 1, -1):
         I[j - 1] = (e - ib * I[j]) / j

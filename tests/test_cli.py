@@ -119,6 +119,13 @@ def test_fit_out_file(tmp_path, capsys):
     assert record["L"] > 0
 
 
+@pytest.mark.parametrize("command", [["fit"] + TEST3, ["bench"]])
+def test_unwritable_out_exit_code(tmp_path, capsys, command):
+    # a directory cannot be opened as the output file
+    assert main(command + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- sample
 
 def test_sample_line_csv(capsys):

@@ -40,10 +40,12 @@ def test_lommel_against_long_sum():
 
 
 def test_lommel_end_to_end_through_zero_path():
-    # the (7/2, 1/2) order pair feeds X_2(0, 2.5)
-    I = eval_xy_a_zero(2.5, 2)
-    xq, _ = xy_reference(0.0, 2.5, 0.0, 2)
-    assert I[2].real == pytest.approx(xq, abs=1e-12)
+    # at b = 2.5 order 3 is the first above |b|: the (5/2, 1/2) and
+    # (7/2, 1/2) sums seed it
+    I = eval_xy_a_zero(2.5, 3)
+    xq, yq = xy_reference(0.0, 2.5, 0.0, 3)
+    assert I[3].real == pytest.approx(xq, abs=1e-12)
+    assert I[3].imag == pytest.approx(yq, abs=1e-12)
 
 
 def test_lommel_singular_pair_rejected():
@@ -75,11 +77,14 @@ def test_zero_path_against_quadrature():
 
 
 def test_zero_path_high_orders():
-    I = eval_xy_a_zero(-4.1, 30)
-    for j in (10, 20, 30):
-        xq, yq = xy_reference(0.0, -4.1, 0.0, j)
-        assert I[j].real == pytest.approx(xq, abs=1e-12)
-        assert I[j].imag == pytest.approx(yq, abs=1e-12)
+    # the last two seed their top order just above |b|, where its sums
+    # converge most slowly
+    for b, k in ((-4.1, 30), (39.999, 40), (-99.999, 100)):
+        I = eval_xy_a_zero(b, k)
+        for j in (k // 3, 2 * k // 3, k):
+            xq, yq = xy_reference(0.0, b, 0.0, j)
+            assert I[j].real == pytest.approx(xq, abs=1e-12), (b, j)
+            assert I[j].imag == pytest.approx(yq, abs=1e-12), (b, j)
 
 
 def test_zero_path_downward_chain_against_mpmath():
@@ -194,7 +199,7 @@ def test_small_path_deep_in_regime_against_quadrature():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
     # orders up to |b| come from the upward recurrence, those above it from
-    # the downward recurrence seeded by four Lommel sums at the top order
+    # the downward recurrence seeded by two Lommel sums at the top order
     # read: k - 1 at a == 0, and k + 5 at |a| = 1e-5 (one series group)
     calls = []
 
@@ -207,7 +212,7 @@ def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
         for a, top in ((0.0, k - 1), (1e-5, k + 5)):
             del calls[:]
             eval_xy(a, b, 0.4, k)
-            seed = [(top + 0.5, 1.5), (top + 1.5, 0.5), (top + 1.5, 1.5), (top + 0.5, 0.5)]
+            seed = [(top - 0.5, 0.5), (top + 0.5, 0.5)]
             expected = seed if top > int(abs(b)) else []
             assert sorted(calls) == sorted(expected), (a, b)
 
