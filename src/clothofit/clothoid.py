@@ -8,12 +8,39 @@ curvature kappa, the curvature rate kappa_prime and the length L:
 
 kappa_prime = 0 gives a circular arc, kappa = kappa_prime = 0 a straight
 segment; both evaluate through the same code path.
+
+`point_at(s)` takes one of three paths, by a = kappa_prime s^2 and the
+curve's own A = kappa_prime L^2:
+
+* |a| >= EPSILON_A: `eval_xy(a, kappa s, theta0, 1)`, whose completed
+  square is exact away from a = 0 (this is the fit's point_at(L));
+* |a| < EPSILON_A <= |A|: the curve's completed square, built once on
+  first use and kept on the instance (not a dataclass field, so
+  equality, hash, repr and `dataclasses.replace` ignore it), then one
+  Fresnel kernel call per point;
+* |a| < EPSILON_A and |A| < EPSILON_A: `eval_xy`'s small-|a| series,
+  which keeps near-line and near-circle curves fully accurate.
+
+Error contract: with eta = -kappa^2/(2 kappa_prime) and eps = 2^-52,
+each coordinate of point_at(s) is within
+
+    c eps (max(L, |s|) (1 + |eta|) + max(|x0|, |y0|)),    c = 8,
+
+of the exact point; on the series path (third case) within the same
+bound with eta replaced by 0.  Against 30-digit mpmath over seeded
+curves with |kappa L| <= 60, |kappa_prime L^2| <= 1e3 and |s| <= 10 L
+the worst c measured is 2.6 on the completed square, 2.9 on `eval_xy`'s
+and 1.6 on the series.  Rounding eta costs eps |eta| of phase over a
+displacement of length |s| <= L, and differencing C and S at t(s) and
+t(0) costs about eps sqrt(pi/|kappa_prime|) <= 4.6 eps L.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .gfresnel import eval_xy
+from .fresnel import _PHASE_LIMIT, _fresnel_core
+from .gfresnel import EPSILON_A, eval_xy
 
 __all__ = ["ClothoidCurve"]
 
@@ -37,15 +64,72 @@ class ClothoidCurve:
     def point_at(self, s: float):
         """Position at arc length s.
 
-        Evaluates x0 + s X_0(kappa_prime s^2, kappa s, theta0) and the
-        matching sine integral, so near-line and near-circle curves stay
-        fully accurate.  s outside [0, L] extrapolates along the same
-        spiral (the defining integrals are entire); no error is raised.
+        A point with |kappa_prime s^2| >= EPSILON_A is x0 + s X_0(kappa_prime
+        s^2, kappa s, theta0) plus the matching sine integral, from
+        `eval_xy`'s completed square.  Below it the point takes one of two
+        paths:
+
+        * on a curve with |kappa_prime L^2| >= EPSILON_A, the curve's own
+          completed square (`_square`, built on first use and kept on the
+          instance): one Fresnel kernel call at t(s) = (kappa +
+          kappa_prime s)/sqrt(pi |kappa_prime|), differenced against t(0);
+        * on a curve with |kappa_prime L^2| < EPSILON_A, `eval_xy`'s
+          small-|a| series, which stays fully accurate near lines and
+          circles.
+
+        s outside [0, L] extrapolates along the same spiral (the defining
+        integrals are entire); no error is raised.  point_at(0) is (x0, y0)
+        exactly.  Each coordinate is within c eps (max(L, |s|) (1 + |eta|)
+        + max(|x0|, |y0|)) of the exact point, eta = -kappa^2/(2
+        kappa_prime), c = 8; eta counts as 0 on the series path (module
+        docstring).
         """
         if not math.isfinite(s):
             raise ValueError("point_at: s must be finite, got %r" % (s,))
-        X, Y = eval_xy(self.kappa_prime * s * s, self.kappa * s, self.theta0, 1)
+        a = self.kappa_prime * s * s
+        if abs(a) < EPSILON_A and abs(self.kappa_prime * self.L * self.L) >= EPSILON_A:
+            b, a_per_L, r, c0, s0, sigma, ux, uy = self._square
+            c, sv, _, _ = _fresnel_core((b + a_per_L * s) / r)
+            dc = c - c0
+            ds = sigma * (sv - s0)
+            return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
+        X, Y = eval_xy(a, self.kappa * s, self.theta0, 1)
         return self.x0 + s * X[0], self.y0 + s * Y[0]
+
+    @cached_property
+    def _square(self):
+        """The curve's completed square, in units of L.
+
+        With a = kappa_prime L^2, b = kappa L, sigma = sign a and
+        r = sqrt(pi |a|), the phase is theta0 + eta + sigma (pi/2) t^2 with
+        eta = -b^2/(2a) and t(s) = (b + (a/L) s)/r, so
+
+            (x, y)(s) = (x0, y0) + sigma (pi L/r) e^{i theta0} e^{i eta}
+                        [dC + i sigma dS],
+
+        dC = C(t(s)) - C(t(0)) and dS likewise.  Returns b, a/L, r,
+        C(t(0)), S(t(0)), sigma and the turn sigma (pi L/r) e^{i theta0}
+        e^{i eta} as two reals.  Scaling by L keeps every factor finite
+        over the range of curves the fitter builds; eta is the value the
+        large-|a| path rounds at s = L, and it needs the same |b| <= 1e150.
+        """
+        a_per_L = self.kappa_prime * self.L
+        a = a_per_L * self.L
+        b = self.kappa * self.L
+        if abs(b) > _PHASE_LIMIT:
+            raise ValueError("point_at: the phase (kappa L)^2/(2 kappa_prime L^2) needs "
+                             "|kappa L| <= %g, got %r" % (_PHASE_LIMIT, b))
+        sigma = 1.0 if a > 0.0 else -1.0
+        r = math.sqrt(math.pi * abs(a))
+        c0, s0, _, _ = _fresnel_core(b / r)
+        # eta and theta0 turn separately: eta + theta0 would round theta0's
+        # phase to ulp(eta)
+        eta = -b * b / (2.0 * a)
+        ce, se = math.cos(eta), math.sin(eta)
+        ct, st = math.cos(self.theta0), math.sin(self.theta0)
+        scale = sigma * math.pi * self.L / r
+        return (b, a_per_L, r, c0, s0, sigma,
+                scale * (ce * ct - se * st), scale * (se * ct + ce * st))
 
     def angle_at(self, s: float) -> float:
         """Tangent angle theta0 + kappa s + kappa_prime s^2 / 2."""
@@ -58,7 +142,11 @@ class ClothoidCurve:
     def sample(self, n: int):
         """n poses (x, y, theta, kappa) at uniform arc length over [0, L].
 
-        The first row is the exact start pose.
+        The first row is the exact start pose; each other row is one
+        `point_at` call, so a row takes the path and meets the error
+        contract of `point_at` at its s.  On a curve with |kappa_prime L^2|
+        >= EPSILON_A the rows with |kappa_prime s^2| < EPSILON_A share the
+        curve's completed square and the rest go through `eval_xy`.
         """
         if not isinstance(n, int) or n < 2:
             raise ValueError("sample: need at least 2 points, got %r" % (n,))

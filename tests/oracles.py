@@ -1,7 +1,8 @@
 """Independent reference computations used by the test suite.
 
 Everything here deliberately avoids the library's own evaluation paths:
-adaptive quadrature of the defining integrals, long partial sums with
+adaptive (scipy) and 30-digit Gauss-Legendre (mpmath) quadrature of the
+defining integrals, long partial sums with
 explicitly built coefficient products, the (unstable) upward recurrence
 for the zero-quadratic-phase integrals, and plain bisection for roots.
 """
@@ -98,3 +99,22 @@ def bisection_root(g, lo, hi, seed, n_scan=512, width=1e-13):
         else:
             a_lo, g_lo = mid, g_mid
     return 0.5 * (a_lo + a_hi)
+
+
+_GL_RULE = []
+
+
+def clothoid_position_mpmath(x0, y0, theta0, kappa, kappa_prime, s):
+    """Curve point in 30-digit mpmath: Gauss-Legendre quadrature (96 nodes)
+    of the defining arc-length integral, exact to 30 digits while the
+    phase turns by at most about 100 radians over [0, s]."""
+    import mpmath
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    with mpmath.workdps(30):
+        if not _GL_RULE:
+            _GL_RULE.extend(GaussLegendre(mpmath.mp).get_nodes(0, 1, 6, mpmath.mp.prec))
+        s = mpmath.mpf(s)
+        k, kp = mpmath.mpf(kappa) * s, mpmath.mpf(kappa_prime) * s * s / 2
+        I = s * mpmath.fsum(w * mpmath.expj(theta0 + t * (k + kp * t)) for t, w in _GL_RULE)
+        return mpmath.mpf(x0) + I.real, mpmath.mpf(y0) + I.imag

@@ -1,11 +1,19 @@
+import cmath
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from clothofit import ClothoidCurve, HermiteData, build_clothoid
+from clothofit.gfresnel import EPSILON_A
 
-from oracles import clothoid_position_reference
+from oracles import clothoid_position_mpmath, clothoid_position_reference
+
+EPS = 2.0 ** -52
+# c of point_at's error contract (module docstring of clothofit.clothoid)
+CONTRACT_C = 8.0
 
 
 LINE = ClothoidCurve(x0=1.0, y0=2.0, theta0=0.5, kappa=0.0, kappa_prime=0.0, L=3.0)
@@ -16,6 +24,10 @@ CIRCLE = ClothoidCurve(x0=0.0, y0=0.0, theta0=0.0, kappa=1.0, kappa_prime=0.0,
 def test_validation():
     with pytest.raises(ValueError):
         ClothoidCurve(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # the completed square, like eval_xy's at s = L, names its phase limit
+    for s in (0.1, 1.0):
+        with pytest.raises(ValueError, match="1e[+]150"):
+            ClothoidCurve(0.0, 0.0, 0.0, 1e155, 1.0, 1.0).point_at(s)
     with pytest.raises(ValueError):
         ClothoidCurve(0.0, 0.0, math.nan, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -137,3 +149,91 @@ def test_point_at_large_turning_against_quadrature():
     x, y = curve.point_at(60.0)
     assert abs(x - xq) <= 1e-12 * curve.L
     assert abs(y - yq) <= 1e-12 * curve.L
+
+
+def _square_curves():
+    """Seeded curves far from a line, |kappa_prime L^2| >= EPSILON_A."""
+    rng = np.random.default_rng(1301)
+    curves = []
+    for i in range(24):
+        L = float(10.0 ** rng.uniform(-1.0, 1.0))
+        if i < 4:
+            # near circles: |kappa/kappa_prime| = |kappa L|/|kappa_prime L^2| L >= 300 L
+            a = 1.0001 * EPSILON_A
+            b = float(rng.uniform(45.0, 60.0))
+        else:
+            a = float(10.0 ** rng.uniform(math.log10(1.0001 * EPSILON_A), 3.0))
+            b = float(rng.uniform(-3.0, 3.0) if i % 2 else rng.uniform(-60.0, 60.0))
+        a *= float(rng.choice((-1.0, 1.0)))
+        b *= float(rng.choice((-1.0, 1.0)))
+        x0, y0 = (float(v) for v in rng.uniform(-1e3, 1e3, 2) * rng.choice((0.0, 1.0), 2))
+        curves.append(ClothoidCurve(x0, y0, float(rng.uniform(-math.pi, math.pi)),
+                                    b / L, a / (L * L), L))
+    return curves
+
+
+def test_point_at_on_the_completed_square_against_mpmath():
+    # points with |kappa_prime s^2| < EPSILON_A on curves with |kappa_prime
+    # L^2| >= EPSILON_A come from the curve's completed square; they must
+    # meet the docstring's contract, and a square with sigma = sign
+    # kappa_prime flipped, or with eta's sign flipped, must not
+    pytest.importorskip("mpmath")
+    for curve in _square_curves():
+        assert curve.point_at(0.0) == (curve.x0, curve.y0)
+        eta = -curve.kappa ** 2 / (2.0 * curve.kappa_prime)
+        bound = CONTRACT_C * EPS * (curve.L * (1.0 + abs(eta))
+                                    + max(abs(curve.x0), abs(curve.y0)))
+        turn = cmath.exp(1j * (curve.theta0 + eta))
+        flips = {"sigma": 0, "eta": 0}
+        h = math.sqrt(EPSILON_A / abs(curve.kappa_prime))
+        for f in (1e-6, 1e-2, 0.5, 0.999, -1e-6, -1e-2, -0.5, -0.999):
+            s = f * h
+            x, y = curve.point_at(s)
+            xr, yr = clothoid_position_mpmath(curve.x0, curve.y0, curve.theta0,
+                                              curve.kappa, curve.kappa_prime, s)
+            assert abs(x - xr) <= bound and abs(y - yr) <= bound, (curve, s)
+            # d = sigma (pi/r) T [dC + i sigma dS] with T = e^{i(theta0 + eta)}:
+            # flipping sigma gives -T conj(d/T), flipping eta d e^{-2 i eta}
+            d = complex(x - curve.x0, y - curve.y0)
+            for name, wrong in (("sigma", -turn * (d / turn).conjugate()),
+                                ("eta", d * cmath.exp(-2j * eta))):
+                if max(abs(curve.x0 + wrong.real - xr), abs(curve.y0 + wrong.imag - yr)) > bound:
+                    flips[name] += 1
+        assert flips["sigma"] >= 1 and flips["eta"] >= 1, (curve, flips)
+
+
+def test_square_cache_is_invisible():
+    fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=-2.5, L=2.0)
+    first, sampled, twin = (ClothoidCurve(**fields) for _ in range(3))
+    points = (0.0, 1e-3, -0.05, 0.2, 1.5, 2.0)   # square up to |s| < 0.245, eval_xy beyond
+    before = [first.point_at(s) for s in points]
+    rows = sampled.sample(41)
+    assert "_square" in vars(sampled) and "_square" not in vars(twin)
+    assert sampled == twin and hash(sampled) == hash(twin) and repr(sampled) == repr(twin)
+    assert dataclasses.replace(sampled) == twin
+    assert dataclasses.replace(sampled, L=3.0) == ClothoidCurve(**dict(fields, L=3.0))
+    assert pickle.loads(pickle.dumps(sampled)) == twin
+    # no dependence on call order: point first, rows first, or neither
+    assert [sampled.point_at(s) for s in points] == before
+    assert [first.point_at(s) for s in points] == before
+    assert [twin.point_at(s) for s in points] == before
+    assert first.sample(41) == rows == twin.sample(41)
+    assert [pickle.loads(pickle.dumps(sampled)).point_at(s) for s in points] == before
+
+
+def test_fits_never_build_the_square():
+    # the fit's point_at(L) has |kappa_prime L^2| itself, never below the switch
+    for data in (HermiteData(0.0, 0.0, 0.3, 4.0, 1.0, -0.25),
+                 HermiteData(0.0, 0.0, 0.01 * 0.5, 100.0, 0.0, -0.02 * 0.5)):
+        curve = build_clothoid(data).curve
+        assert "_square" not in vars(curve)
+
+
+def test_square_scales_to_the_ends_of_the_double_range():
+    # kappa^2 overflows at L = 1e-153, kappa L = 15; the square is built from
+    # kappa L and kappa_prime L^2, so it scales like the curve itself
+    unit = ClothoidCurve(0.0, 0.0, 0.3, 15.0, 3.0, 1.0).sample(50)
+    for L in (2e-154, 1e-153, 1e150):
+        rows = ClothoidCurve(0.0, 0.0, 0.3, 15.0 / L, 3.0 / (L * L), L).sample(50)
+        for (x, y, _, _), (xu, yu, _, _) in zip(rows, unit):
+            assert abs(x / L - xu) <= 1e-14 and abs(y / L - yu) <= 1e-14
