@@ -153,7 +153,9 @@ def _sample_rows(args):
     result = build_clothoid(_hermite_data(args), _fit_config(args))
     curve = result.curve
     step = curve.L / (args.n - 1)
-    rows = [(i * step,) + pose for i, pose in enumerate(curve.sample(args.n))]
+    # the s column matches curve.sample's rows: uniform steps, then L itself
+    s = [i * step for i in range(args.n - 1)] + [curve.L]
+    rows = [(si,) + pose for si, pose in zip(s, curve.sample(args.n))]
     return curve, rows
 
 

@@ -14,10 +14,12 @@ curve's own A = kappa_prime L^2:
 
 * |a| >= EPSILON_A: `eval_xy(a, kappa s, theta0, 1)`, whose completed
   square is exact away from a = 0 (this is the fit's point_at(L));
-* |a| < EPSILON_A <= |A|: the curve's completed square, built once on
-  first use and kept on the instance (not a dataclass field, so
-  equality, hash, repr and `dataclasses.replace` ignore it), then one
-  Fresnel kernel call per point;
+* |a| < EPSILON_A <= |A|: the curve's completed square, the one
+  `gfresnel._completed_square` that `eval_xy` shares, taken at
+  (A, kappa L, theta0), built once on first use and kept on the
+  instance (not a dataclass field, so equality, hash, repr and
+  `dataclasses.replace` ignore it), then one Fresnel kernel call per
+  point;
 * |a| < EPSILON_A and |A| < EPSILON_A: `eval_xy`'s small-|a| series,
   which keeps near-line and near-circle curves fully accurate.
 
@@ -39,8 +41,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fresnel import _PHASE_LIMIT, _fresnel_core
-from .gfresnel import EPSILON_A, eval_xy
+from .fresnel import _fresnel_core
+from .gfresnel import EPSILON_A, _completed_square, eval_xy
 
 __all__ = ["ClothoidCurve"]
 
@@ -69,10 +71,10 @@ class ClothoidCurve:
         `eval_xy`'s completed square.  Below it the point takes one of two
         paths:
 
-        * on a curve with |kappa_prime L^2| >= EPSILON_A, the curve's own
+        * on a curve with |kappa_prime L^2| >= EPSILON_A, the curve's
           completed square (`_square`, built on first use and kept on the
-          instance): one Fresnel kernel call at t(s) = (kappa +
-          kappa_prime s)/sqrt(pi |kappa_prime|), differenced against t(0);
+          instance): one Fresnel kernel call at t(s) = w + (z/L) s,
+          differenced against t(0) = w;
         * on a curve with |kappa_prime L^2| < EPSILON_A, `eval_xy`'s
           small-|a| series, which stays fully accurate near lines and
           circles.
@@ -88,8 +90,8 @@ class ClothoidCurve:
             raise ValueError("point_at: s must be finite, got %r" % (s,))
         a = self.kappa_prime * s * s
         if abs(a) < EPSILON_A and abs(self.kappa_prime * self.L * self.L) >= EPSILON_A:
-            b, a_per_L, r, c0, s0, sigma, ux, uy = self._square
-            c, sv, _, _ = _fresnel_core((b + a_per_L * s) / r)
+            sigma, z_per_L, w, c0, s0, ux, uy = self._square
+            c, sv, _, _ = _fresnel_core(w + z_per_L * s)
             dc = c - c0
             ds = sigma * (sv - s0)
             return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
@@ -98,38 +100,14 @@ class ClothoidCurve:
 
     @cached_property
     def _square(self):
-        """The curve's completed square, in units of L.
-
-        With a = kappa_prime L^2, b = kappa L, sigma = sign a and
-        r = sqrt(pi |a|), the phase is theta0 + eta + sigma (pi/2) t^2 with
-        eta = -b^2/(2a) and t(s) = (b + (a/L) s)/r, so
-
-            (x, y)(s) = (x0, y0) + sigma (pi L/r) e^{i theta0} e^{i eta}
-                        [dC + i sigma dS],
-
-        dC = C(t(s)) - C(t(0)) and dS likewise.  Returns b, a/L, r,
-        C(t(0)), S(t(0)), sigma and the turn sigma (pi L/r) e^{i theta0}
-        e^{i eta} as two reals.  Scaling by L keeps every factor finite
-        over the range of curves the fitter builds; eta is the value the
-        large-|a| path rounds at s = L, and it needs the same |b| <= 1e150.
-        """
-        a_per_L = self.kappa_prime * self.L
-        a = a_per_L * self.L
-        b = self.kappa * self.L
-        if abs(b) > _PHASE_LIMIT:
-            raise ValueError("point_at: the phase (kappa L)^2/(2 kappa_prime L^2) needs "
-                             "|kappa L| <= %g, got %r" % (_PHASE_LIMIT, b))
-        sigma = 1.0 if a > 0.0 else -1.0
-        r = math.sqrt(math.pi * abs(a))
-        c0, s0, _, _ = _fresnel_core(b / r)
-        # eta and theta0 turn separately: eta + theta0 would round theta0's
-        # phase to ulp(eta)
-        eta = -b * b / (2.0 * a)
-        ce, se = math.cos(eta), math.sin(eta)
-        ct, st = math.cos(self.theta0), math.sin(self.theta0)
-        scale = sigma * math.pi * self.L / r
-        return (b, a_per_L, r, c0, s0, sigma,
-                scale * (ce * ct - se * st), scale * (se * ct + ce * st))
+        """The curve's completed square: `_completed_square` at (kappa_prime
+        L^2, kappa L, theta0), in units of L so that every factor stays
+        finite over the range of curves the fitter builds.  Returns sigma,
+        z/L, w, C(w), S(w) and its turn scaled by L/z, as two reals."""
+        sigma, z, w, ce, se, c0, s0, _, _ = _completed_square(
+            self.kappa_prime * self.L * self.L, self.kappa * self.L, self.theta0)
+        scale = self.L / z
+        return sigma, z / self.L, w, c0, s0, scale * ce, scale * se
 
     def angle_at(self, s: float) -> float:
         """Tangent angle theta0 + kappa s + kappa_prime s^2 / 2."""
@@ -142,18 +120,21 @@ class ClothoidCurve:
     def sample(self, n: int):
         """n poses (x, y, theta, kappa) at uniform arc length over [0, L].
 
-        The first row is the exact start pose; each other row is one
-        `point_at` call, so a row takes the path and meets the error
-        contract of `point_at` at its s.  On a curve with |kappa_prime L^2|
-        >= EPSILON_A the rows with |kappa_prime s^2| < EPSILON_A share the
-        curve's completed square and the rest go through `eval_xy`.
+        The first row is the exact start pose and the last row is at
+        s = L exactly, so it equals point_at(L), angle_at(L) and
+        curvature_at(L).  Each row after the first is one `point_at` call,
+        so a row takes the path and meets the error contract of `point_at`
+        at its s.  On a curve with |kappa_prime L^2| >= EPSILON_A the rows
+        with |kappa_prime s^2| < EPSILON_A share the curve's completed
+        square and the rest go through `eval_xy`.
         """
         if not isinstance(n, int) or n < 2:
             raise ValueError("sample: need at least 2 points, got %r" % (n,))
         rows = [(self.x0, self.y0, self.theta0, self.kappa)]
         step = self.L / (n - 1)
         for i in range(1, n):
-            s = i * step
+            # (n - 1) step need not round to L
+            s = i * step if i < n - 1 else self.L
             x, y = self.point_at(s)
             rows.append((x, y, self.angle_at(s), self.curvature_at(s)))
         return rows

@@ -7,11 +7,12 @@ The target quantities are the real and imaginary parts of
 
 for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
 
-* |a| >= EPSILON_A: complete the square and reduce to Fresnel momenta
-  differences (`eval_xy_a_large`), turned by e^{i eta} e^{i c} with
-  eta = -b^2/(2a), in real arithmetic.  Exact for any a != 0, but the
-  scale factor 1/z^(k+1) with z ~ sqrt(|a|) amplifies rounding as
-  a -> 0.
+* |a| >= EPSILON_A: complete the square (`_completed_square`, which
+  `ClothoidCurve.point_at` shares for a curve's near-line points) and
+  reduce to Fresnel momenta differences (`eval_xy_a_large`), turned by
+  e^{i eta} e^{i c} with eta = -b^2/(2a), in real arithmetic.  Exact
+  for any a != 0, but the scale factor 1/z^(k+1) with z ~ sqrt(|a|)
+  amplifies rounding as a -> 0.
 * |a| < EPSILON_A: an alternating series in powers of (a/2)^2 over the
   a = 0 integrals (`eval_xy_a_small`), one complex I_j per order, turned
   by e^{i c} at the end.  Its order p comes from |a|: the lowest whose
@@ -144,12 +145,42 @@ def eval_xy_a_zero(b: float, k: int):
     return I
 
 
+def _completed_square(a: float, b: float, c: float):
+    """Complete the square of the phase (a/2) tau^2 + b tau + c, a != 0.
+
+    With sigma = sign a, z = sigma sqrt(|a|/pi), w = b/sqrt(pi |a|) and
+    eta = -b^2/(2a), (a/2) tau^2 + b tau == sigma (pi/2) (tau z + w)^2
+    + eta for every tau, so u = tau z + w gives
+
+        int_0^T e^{i((a/2) tau^2 + b tau + c)} dtau
+            = e^{i eta} e^{i c} / z [dC + i sigma dS],
+
+    dC = C(w + z T) - C(w) and dS likewise: `eval_xy_a_large` takes
+    T = 1, a curve's `point_at` T = s/L at (kappa_prime L^2, kappa L,
+    theta0).  Returns sigma, z, w, the turn e^{i eta} e^{i c} as two
+    reals, and `_fresnel_core(w)`: C(w), S(w), sin u, cos u.  Exact for
+    any a != 0; the phase needs |b| <= 1e150.
+    """
+    if a == 0.0:
+        raise ValueError("completed square: a = 0 belongs to the series path")
+    if abs(b) > _PHASE_LIMIT:
+        raise ValueError("completed square: the phase b^2/(2a) needs |b| <= %g, got %r"
+                         % (_PHASE_LIMIT, b))
+    sigma = 1.0 if a > 0.0 else -1.0
+    z = sigma * math.sqrt(abs(a) / math.pi)
+    w = b / math.sqrt(math.pi * abs(a))
+    # eta and c turn separately: eta + c would round c's phase to ulp(c)
+    eta = -b * b / (2.0 * a)
+    ce0, se0 = math.cos(eta), math.sin(eta)
+    cc, sc = math.cos(c), math.sin(c)
+    return (sigma, z, w, ce0 * cc - se0 * sc, se0 * cc + ce0 * sc) + _fresnel_core(w)
+
+
 def eval_xy_a_large(a: float, b: float, c: float, k: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b, c), Y_j(a, b, c) via Fresnel integrals.
 
-    Completing the square, (pi/2) sigma (tau z + omega_minus)^2 + eta
-    == (a/2) tau^2 + b tau for every tau, maps the integrals onto momenta
-    differences between omega_plus = omega_minus + z and omega_minus,
+    The completed square (`_completed_square`) maps the integrals onto
+    momenta differences between omega_minus = w and omega_plus = w + z,
     turned by e^{i eta} e^{i c}.  One Fresnel kernel call per end gives
     C, S, sin and cos there, from which orders 1 and 2 follow:
     dC_1 = (sin u_+ - sin u_-)/pi, dS_1 = (cos u_- - cos u_+)/pi.
@@ -157,23 +188,9 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
     a = 0, where the 1/z^(j+1) factors amplify rounding (z ~ sqrt(|a|));
     `eval_xy` handles the switch and checks the inputs.
     """
-    if a == 0.0:
-        raise ValueError("eval_xy_a_large: a = 0 belongs to the series path")
-    if abs(b) > _PHASE_LIMIT:
-        raise ValueError("eval_xy_a_large: the phase b^2/(2a) needs |b| <= %g, got %r"
-                         % (_PHASE_LIMIT, b))
-    sigma = 1.0 if a > 0.0 else -1.0
-    z = sigma * math.sqrt(abs(a) / math.pi)
-    wm = b / math.sqrt(math.pi * abs(a))
+    sigma, z, wm, ce, se, cm, sm, sin_m, cos_m = _completed_square(a, b, c)
     wp = wm + z
-    cm, sm, sin_m, cos_m = _fresnel_core(wm)
     cp, sp, sin_p, cos_p = _fresnel_core(wp)
-    # eta and c turn separately: eta + c would round c's phase to ulp(c)
-    eta = -b * b / (2.0 * a)
-    ce0, se0 = math.cos(eta), math.sin(eta)
-    cc, sc = math.cos(c), math.sin(c)
-    ce = ce0 * cc - se0 * sc
-    se = se0 * cc + ce0 * sc
     sce = sigma * ce
     sse = sigma * se
     dC0 = cp - cm

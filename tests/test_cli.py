@@ -142,15 +142,21 @@ def test_sample_line_csv(capsys):
 
 
 def test_sample_csv_round_trips_exactly(capsys):
-    code, out = run(capsys, ["sample"] + TEST1 + ["--n", "7"])
-    assert code == 0
-    lines = out.strip().split("\n")[1:]
     curve = build_clothoid(
         HermiteData(5.0, 4.0, math.pi / 3, 5.0, 6.0, 7 * math.pi / 6)).curve
-    rows = curve.sample(7)
-    for line, row in zip(lines, rows):
-        parsed = [float(v) for v in line.split(",")]
-        assert tuple(parsed[1:]) == row
+    # at n = 12, 11 (L/11) rounds away from this curve's L; the s column
+    # still ends at L, as the rows of curve.sample do
+    for n in (7, 12):
+        code, out = run(capsys, ["sample"] + TEST1 + ["--n", str(n)])
+        assert code == 0
+        lines = out.strip().split("\n")[1:]
+        step = curve.L / (n - 1)
+        expected_s = [i * step for i in range(n - 1)] + [curve.L]
+        assert len(lines) == n
+        for line, s, row in zip(lines, expected_s, curve.sample(n)):
+            parsed = [float(v) for v in line.split(",")]
+            assert parsed[0] == s
+            assert tuple(parsed[1:]) == row
 
 
 def test_sample_endpoint_row(capsys):

@@ -84,11 +84,30 @@ def test_sample_line_two_points():
     assert kappa == 0.0
 
 
+def _end_pose(curve, s):
+    return curve.point_at(s) + (curve.angle_at(s), curve.curvature_at(s))
+
+
 def test_sample_endpoints_match_point_at():
+    # the last row is at s = L itself; (n - 1) (L/(n - 1)) rounds away from
+    # L for about one L in eight at n = 50
     curve = build_clothoid(HermiteData(0.0, 0.0, 0.4, 3.0, 1.0, -0.2)).curve
     rows = curve.sample(2)
-    assert rows[0][:2] == curve.point_at(0.0)
-    assert rows[1][:2] == pytest.approx(curve.point_at(curve.L), abs=1e-15)
+    assert rows[0] == _end_pose(curve, 0.0)
+    assert rows[1] == _end_pose(curve, curve.L)
+    rng = np.random.default_rng(1401)
+    rounded_away = 0
+    for _ in range(120):
+        L = float(rng.uniform(0.1, 10.0))
+        n = int(rng.integers(2, 60))
+        # |kappa_prime L^2| up to 5 on both sides of the switch at EPSILON_A
+        curve = ClothoidCurve(0.3, -1.2, 0.7, float(rng.uniform(-2.0, 2.0)) / L,
+                              float(rng.uniform(-5.0, 5.0)) / (L * L), L)
+        rows = curve.sample(n)
+        assert rows[0] == _end_pose(curve, 0.0)
+        assert rows[-1] == _end_pose(curve, L), (L, n)
+        rounded_away += (n - 1) * (L / (n - 1)) != L
+    assert rounded_away > 0
 
 
 def test_sample_circle_radius():

@@ -301,10 +301,17 @@ def test_eval_xy_validation():
 def test_large_path_phase_limit():
     # the completed square and the momenta both need a phase that fits in
     # doubles; past 1e150 a ValueError names the limit (no math domain error
-    # or NaN)
+    # or NaN).  eval_xy and a curve's near-line points share one square, so
+    # the check holds for both signs of a and kappa_prime, and below the
+    # switch (|kappa_prime s^2| < EPSILON_A <= |kappa_prime L^2|) as well
     for call in (lambda: eval_xy(0.2, 1e160, 0.0, 2),
                  lambda: eval_xy(0.2, 1e150, 0.0, 2),
-                 lambda: ClothoidCurve(0.0, 0.0, 0.0, 1e160, 1.0, 1.0).point_at(1.0)):
+                 lambda: eval_xy(-0.2, 1e160, 0.0, 1),
+                 lambda: eval_xy(-0.2, -1e160, 0.0, 2),
+                 lambda: ClothoidCurve(0.0, 0.0, 0.0, 1e160, 1.0, 1.0).point_at(1.0),
+                 lambda: ClothoidCurve(0.0, 0.0, 0.0, 1e160, -1.0, 1.0).point_at(1.0),
+                 lambda: ClothoidCurve(0.0, 0.0, 0.0, 1e160, 1.0, 1.0).point_at(0.1),
+                 lambda: ClothoidCurve(0.0, 0.0, 0.0, -1e160, -1.0, 1.0).point_at(0.1)):
         with pytest.raises(ValueError, match=r"1e\+?150"):
             call()
     X, Y = eval_xy(0.2, 1e149, 0.0, 3)
