@@ -155,12 +155,11 @@ def _sample_rows(args):
     step = curve.L / (args.n - 1)
     # the s column matches curve.sample's rows: uniform steps, then L itself
     s = [i * step for i in range(args.n - 1)] + [curve.L]
-    rows = [(si,) + pose for si, pose in zip(s, curve.sample(args.n))]
-    return curve, rows
+    return [(si,) + pose for si, pose in zip(s, curve.sample(args.n))]
 
 
 def cmd_sample(args):
-    _, rows = _sample_rows(args)
+    rows = _sample_rows(args)
     if args.format == "csv":
         lines = ["s,x,y,theta,kappa"]
         lines += [",".join(repr(v) for v in row) for row in rows]
@@ -175,7 +174,7 @@ def cmd_sample(args):
 def cmd_svg(args):
     if not (0.0 < args.width < math.inf and 0.0 < args.height < math.inf):
         raise ValueError("--width and --height must be positive and finite")
-    _, rows = _sample_rows(args)
+    rows = _sample_rows(args)
     xs = [r[1] for r in rows]
     ys = [r[2] for r in rows]
     xmin, xmax = min(xs), max(xs)

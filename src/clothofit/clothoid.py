@@ -14,14 +14,16 @@ curve's own A = kappa_prime L^2:
 
 * |a| >= EPSILON_A: `eval_xy(a, kappa s, theta0, 1)`, whose completed
   square is exact away from a = 0 (this is the fit's point_at(L));
-* |a| < EPSILON_A <= |A|: the curve's completed square, the one
+* |a| < EPSILON_A <= |A| < inf: the curve's completed square, the one
   `gfresnel._completed_square` that `eval_xy` shares, taken at
   (A, kappa L, theta0), built once on first use and kept on the
   instance (not a dataclass field, so equality, hash, repr and
   `dataclasses.replace` ignore it), then one Fresnel kernel call per
   point;
-* |a| < EPSILON_A and |A| < EPSILON_A: `eval_xy`'s small-|a| series,
-  which keeps near-line and near-circle curves fully accurate.
+* |a| < EPSILON_A otherwise: `eval_xy`'s small-|a| series, which keeps
+  near-line and near-circle curves fully accurate (and curves whose A
+  overflows to inf, where the square would read z = inf, exact at
+  s = 0).
 
 Error contract: with eta = -kappa^2/(2 kappa_prime) and eps = 2^-52,
 each coordinate of point_at(s) is within
@@ -71,13 +73,12 @@ class ClothoidCurve:
         `eval_xy`'s completed square.  Below it the point takes one of two
         paths:
 
-        * on a curve with |kappa_prime L^2| >= EPSILON_A, the curve's
+        * on a curve with EPSILON_A <= |kappa_prime L^2| < inf, the curve's
           completed square (`_square`, built on first use and kept on the
           instance): one Fresnel kernel call at t(s) = w + (z/L) s,
           differenced against t(0) = w;
-        * on a curve with |kappa_prime L^2| < EPSILON_A, `eval_xy`'s
-          small-|a| series, which stays fully accurate near lines and
-          circles.
+        * on any other curve, `eval_xy`'s small-|a| series, which stays
+          fully accurate near lines and circles.
 
         s outside [0, L] extrapolates along the same spiral (the defining
         integrals are entire); no error is raised.  point_at(0) is (x0, y0)
@@ -89,7 +90,7 @@ class ClothoidCurve:
         if not math.isfinite(s):
             raise ValueError("point_at: s must be finite, got %r" % (s,))
         a = self.kappa_prime * s * s
-        if abs(a) < EPSILON_A and abs(self.kappa_prime * self.L * self.L) >= EPSILON_A:
+        if abs(a) < EPSILON_A <= abs(self.kappa_prime * self.L * self.L) < math.inf:
             sigma, z_per_L, w, c0, s0, ux, uy = self._square
             c, sv, _, _ = _fresnel_core(w + z_per_L * s)
             dc = c - c0

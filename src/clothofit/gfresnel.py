@@ -13,12 +13,14 @@ for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
   e^{i eta} e^{i c} with eta = -b^2/(2a), in real arithmetic.  Exact
   for any a != 0, but the scale factor 1/z^(k+1) with z ~ sqrt(|a|)
   amplifies rounding as a -> 0.
-* |a| < EPSILON_A: an alternating series in powers of (a/2)^2 over the
-  a = 0 integrals (`eval_xy_a_small`), one complex I_j per order, turned
-  by e^{i c} at the end.  Its order p comes from |a|: the lowest whose
-  first omitted factor is below LOMMEL_REL_TOL (1e-17), p = 1 for
-  |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0 exactly
-  skips the series and turns the closed form directly.
+* |a| < EPSILON_A: the single sum
+  I_j(a, b) = sum_m (ia/2)^m/m! I_{j+2m}(0, b) over the a = 0
+  integrals (`eval_xy_a_small`), one complex I_j per order and one
+  running factor (ia/2)^m/m!, its first 2p + 2 terms turned by e^{i c}
+  at the end.  Its order p comes from |a|: the lowest whose first
+  omitted factor (|a|/2)^(2p+2)/(2p+2)! is below LOMMEL_REL_TOL
+  (1e-17), p = 1 for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.
+  a == 0 exactly skips the series and turns the closed form directly.
 * a = 0: closed form (`eval_xy_a_zero`), one complex I_j per order.
   Order 0 is sin b / b + i 2 sin^2(b/2) / b, the half-angle form of
   (1 - cos b) / b, which does not cancel for any b.  Orders
@@ -57,7 +59,7 @@ __all__ = [
 EPSILON_A = 0.15
 # What "negligible" means for a double result of magnitude <= 1: Lommel
 # series terms are summed until they fall below this fraction of the
-# partial sum, and the small-|a| series stops once its next group's
+# partial sum, and the small-|a| series stops once its first omitted
 # factor falls below it.
 LOMMEL_REL_TOL = 1e-17
 
@@ -220,14 +222,14 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
 def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
     """X_0..X_{k-1}, Y_0..Y_{k-1} of X_j(a, b, c), Y_j(a, b, c) by series around a = 0.
 
-    Sums p + 1 groups of the alternating expansion
+    Sums the first 2p + 2 terms of the expansion of e^{i a tau^2/2},
 
-        I_j(a, b) = sum_n (-1)^n/(2n)! (a/2)^(2n)
-                    [ I_{4n+j}(0,b) + i a I_{4n+j+2}(0,b) / (2(2n+1)) ]
+        I_j(a, b) = sum_m (ia/2)^m/m! I_{j+2m}(0, b),
 
-    over the complex a = 0 values, I_j = X_j + i Y_j, and turns the sum
-    by e^{ic}.  Each group pairs the even power (ia/2)^(2n)/(2n)! with
-    the odd one after it, which keeps the rounding of the real form.
+    over the complex a = 0 values, I_j = X_j + i Y_j, one running factor
+    (ia/2)^m/m! and one update per term, and turns the sum by e^{ic}.
+    The terms m >= 1 are summed apart and added to I_j(0, b) last, so
+    only that addition rounds at the scale of the result.
     Since |I_j(0,b)| <= 1, the truncation error is about the first
     omitted factor (|a|/2)^(2p+2)/(2p+2)!; `eval_xy` picks the smallest p
     that brings it below LOMMEL_REL_TOL.  a == 0 turns the closed form
@@ -238,17 +240,15 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
         I = eval_xy_a_zero(b, k - 1)
     else:
         I0 = eval_xy_a_zero(b, k + 4 * p + 1)
-        s = complex(0.0, 0.5 * a)
-        I = [I0[j] + s * I0[j + 2] for j in range(k)]
+        dI = [0j] * k
+        ia = complex(0.0, a)
         t = 1.0
-        a2 = a * a
-        for n in range(1, p + 1):
-            # ratio of consecutive (a/2)^(2n)/(2n)! factors
-            t *= -a2 / (8.0 * n * (2 * n - 1))
-            s = complex(0.0, a / (4.0 * n + 2.0))
-            base = 4 * n
+        # n = 2m, so t runs through (ia/2)^m/m!
+        for n in range(2, 4 * p + 4, 2):
+            t *= ia / n
             for j in range(k):
-                I[j] += t * (I0[base + j] + s * I0[base + j + 2])
+                dI[j] += t * I0[j + n]
+        I = [v + d for v, d in zip(I0, dI)]
     turn = complex(math.cos(c), math.sin(c))
     I = [turn * v for v in I]
     return [v.real for v in I], [v.imag for v in I]

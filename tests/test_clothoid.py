@@ -256,3 +256,19 @@ def test_square_scales_to_the_ends_of_the_double_range():
         rows = ClothoidCurve(0.0, 0.0, 0.3, 15.0 / L, 3.0 / (L * L), L).sample(50)
         for (x, y, _, _), (xu, yu, _, _) in zip(rows, unit):
             assert abs(x / L - xu) <= 1e-14 and abs(y / L - yu) <= 1e-14
+
+
+def test_overflowing_curve_stays_off_the_square():
+    # kappa_prime L^2 = inf from finite fields: the square would read z = inf,
+    # so the curve keeps the series, exact at s = 0 and accurate near it
+    curve = ClothoidCurve(0.0, 0.0, 0.0, 1.0, 1e300, 1e10)
+    assert curve.point_at(0.0) == (0.0, 0.0)
+    s = 1e-160
+    x, y = curve.point_at(s)
+    # x = s - O(s^5), y = kappa s^2/2 + kappa_prime s^3/6 + O(s^5), whose
+    # first term (5e-321) is below y's rounding
+    assert math.isclose(x, s, rel_tol=1e-15)
+    assert math.isclose(y, 1e300 * s * s * s / 6.0, rel_tol=1e-14)
+    with pytest.raises(ValueError):
+        curve.point_at(1e5)   # kappa_prime s^2 overflows
+    assert "_square" not in vars(curve)

@@ -217,6 +217,27 @@ def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
             assert sorted(calls) == sorted(expected), (a, b)
 
 
+def test_series_sums_exactly_2p_plus_2_terms():
+    # at |a| = 1 even the first omitted term is far above rounding, so a
+    # loop with one term too few or too many misses the truncated sum
+    # sum_{m=0}^{2p+1} (ia/2)^m/m! I_{j+2m}(0, b), turned by e^{ic}, with
+    # I_n(0, b) = 1F1(n+1; n+2; ib)/(n+1)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for p in (1, 2, 4):
+            for a in (1.0, -1.0):
+                for b in (-2.5, 0.7, 3.1):
+                    X, Y = eval_xy_a_small(a, b, 0.4, 3, p)
+                    for j in range(3):
+                        ref = mpmath.expj(0.4) * mpmath.fsum(
+                            mpmath.mpc(0, a / 2) ** m / mpmath.factorial(m)
+                            * mpmath.hyp1f1(j + 2 * m + 1, j + 2 * m + 2, 1j * b)
+                            / (j + 2 * m + 1)
+                            for m in range(2 * p + 2))
+                        assert X[j] == pytest.approx(float(ref.real), abs=1e-15), (p, a, b, j)
+                        assert Y[j] == pytest.approx(float(ref.imag), abs=1e-15), (p, a, b, j)
+
+
 def _largest_abs_a_of_order(p):
     # first omitted factor (a/2)^(2p+2)/(2p+2)! == 1e-17, then to the last
     # double that still gets order p
