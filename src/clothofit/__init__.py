@@ -2,8 +2,8 @@
 
 Fit a clothoid (Euler spiral) through two poses by reducing the problem
 to one scalar root find, backed by an accurate evaluator for Fresnel
-integrals, their momenta, and the generalized quadratic-phase integrals
-they combine into.
+integrals and the generalized quadratic-phase integrals they combine
+into.
 
 Typical use::
 
@@ -22,7 +22,7 @@ from .errors import (
     InternalConsistencyError,
     SingularDerivativeError,
 )
-from .fresnel import FresnelMomenta, fresnel, fresnel_momenta
+from .fresnel import fresnel
 from .fitter import (
     FitConfig,
     FitResult,
@@ -44,7 +44,6 @@ __all__ = [
     "FitConfig",
     "FitError",
     "FitResult",
-    "FresnelMomenta",
     "HermiteData",
     "InternalConsistencyError",
     "ReducedProblem",
@@ -52,7 +51,6 @@ __all__ = [
     "build_clothoid",
     "eval_xy",
     "fresnel",
-    "fresnel_momenta",
     "reduce_problem",
     "solve_A",
 ]

@@ -81,11 +81,14 @@ class ClothoidCurve:
           fully accurate near lines and circles.
 
         s outside [0, L] extrapolates along the same spiral (the defining
-        integrals are entire); no error is raised.  point_at(0) is (x0, y0)
-        exactly.  Each coordinate is within c eps (max(L, |s|) (1 + |eta|)
-        + max(|x0|, |y0|)) of the exact point, eta = -kappa^2/(2
-        kappa_prime), c = 8; eta counts as 0 on the series path (module
-        docstring).
+        integrals are entire) while kappa_prime s^2 and kappa s stay
+        finite; an s that overflows either raises a ValueError naming s
+        (|s| past ~1.3e154 at kappa_prime = 1).  Off the series path the
+        completed square's phase limit |b| <= 1e150 (`eval_xy`) applies
+        too.  point_at(0) is (x0, y0) exactly.  Each coordinate is within
+        c eps (max(L, |s|) (1 + |eta|) + max(|x0|, |y0|)) of the exact
+        point, eta = -kappa^2/(2 kappa_prime), c = 8; eta counts as 0 on
+        the series path (module docstring).
         """
         if not math.isfinite(s):
             raise ValueError("point_at: s must be finite, got %r" % (s,))
@@ -96,7 +99,10 @@ class ClothoidCurve:
             dc = c - c0
             ds = sigma * (sv - s0)
             return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
-        X, Y = eval_xy(a, self.kappa * s, self.theta0, 1)
+        b = self.kappa * s
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r" % (s,))
+        X, Y = eval_xy(a, b, self.theta0, 1)
         return self.x0 + s * X[0], self.y0 + s * Y[0]
 
     @cached_property

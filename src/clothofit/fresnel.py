@@ -1,14 +1,10 @@
-"""Fresnel integrals and their momenta.
+"""Fresnel integrals.
 
 The pi/2-normalized convention is used throughout:
 
-    C(t) = int_0^t cos(pi/2 u^2) du,      S(t) = int_0^t sin(pi/2 u^2) du,
+    C(t) = int_0^t cos(pi/2 u^2) du,      S(t) = int_0^t sin(pi/2 u^2) du.
 
-and the momenta weight the integrand by a power of u:
-
-    C_k(t) = int_0^t u^k cos(pi/2 u^2) du,   S_k(t) likewise with sin.
-
-With u = (pi/2) t^2 and w = u^2, C_0/t and S_0/(t u) are degree-11
+With u = (pi/2) t^2 and w = u^2, C/t and S/(t u) are degree-11
 polynomials in w for |t| <= 1.6, summed together in one Horner pass.  Each
 is the Chebyshev interpolant at 12 first-kind nodes on w in [0, ((pi/2)
 1.6^2)^2] of the Maclaurin series, solved in 50-digit mpmath, converted
@@ -21,21 +17,17 @@ form
 
 takes f and g as rationals in 1/(pi t^2)^2 (Cephes fresnl coefficients),
 whose four polynomials are also summed in one pass.  Both branches are
-within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  Momenta
-above order zero reduce to sin u, cos u plus C_0, S_0, all from one kernel
-call; S_1 = (1 - cos u)/pi is taken as sin^2 u / (pi (1 + cos u)) where
-cos u > 0, which does not cancel as t -> 0, and S_3 = (2/pi^2)(sin u -
-u cos u) is summed as a series in u below u = 1 for the same reason.
-Orders are capped at 3 because the upward recurrence loses accuracy.
-`gfresnel`'s large-|a| path reads both ends of its completed square
-straight from the kernel and turns them by the square's phase and the
-offset c at once.
+within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  The kernel
+`_fresnel_core` returns sin u and cos u beside C and S, the phase
+carried in two doubles up to |t| = 1e150: `gfresnel`'s large-|a| path
+reads both ends of its completed square straight from it, forms its
+orders 1 and 2 from them and turns the result by the square's phase and
+the offset c at once.
 """
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["FresnelMomenta", "fresnel", "fresnel_momenta"]
+__all__ = ["fresnel"]
 
 _SERIES_CUTOFF = 1.6
 # Above this the oscillation amplitude 1/(pi t) is below 1e-14 and both
@@ -135,16 +127,6 @@ def _phase_sincos(x):
     return sh * ct + ch * st, ch * ct - sh * st
 
 
-@dataclass(frozen=True)
-class FresnelMomenta:
-    """Momenta C_0..C_k, S_0..S_k evaluated at one argument t."""
-
-    t: float
-    C: tuple
-    S: tuple
-    k: int
-
-
 def _fresnel_core(t):
     """C(t), S(t), sin u, cos u with u = (pi/2) t^2, for unchecked finite t.
     Past _PHASE_LIMIT, where the phase overflows, sin u and cos u are None."""
@@ -203,44 +185,3 @@ def fresnel(t: float):
         raise ValueError("fresnel: argument must be finite, got %r" % (t,))
     return _fresnel_core(t)[:2]
 
-
-def fresnel_momenta(t: float, k: int) -> FresnelMomenta:
-    """Evaluate C_0..C_k and S_0..S_k at t.
-
-    Orders are limited to k <= 3: the recurrence that generates higher
-    momenta amplifies rounding errors, and nothing downstream needs them.
-    Orders k >= 1 need the phase (pi/2) t^2, so |t| <= 1e150.
-    """
-    if not math.isfinite(t):
-        raise ValueError("fresnel_momenta: argument must be finite, got %r" % (t,))
-    if type(k) is not int or not 0 <= k <= 3:
-        raise ValueError("fresnel_momenta: order k must be an int in 0..3, got %r" % (k,))
-    c0, s0, sz, cz = _fresnel_core(t)
-    C = [c0]
-    S = [s0]
-    if k >= 1:
-        if sz is None:
-            raise ValueError("momenta of order >= 1 need |t| <= 1e150, got %r" % (t,))
-        C.append(sz / math.pi)
-        # 1 - cos u cancels where cos u is near 1; sin^2 u / (1 + cos u) does not
-        S.append((sz * sz / (1.0 + cz) if cz > 0.0 else 1.0 - cz) / math.pi)
-        if k >= 2:
-            C.append((t * sz - s0) / math.pi)
-            S.append((c0 - t * cz) / math.pi)
-        if k >= 3:
-            # one step of the integration-by-parts recurrence
-            C.append((t * t * sz - 2.0 * S[1]) / math.pi)
-            # S_3 = (2/pi^2)(sin u - u cos u), which cancels as u -> 0; below
-            # u = 1 sum sin u - u cos u = sum_{n>=1} (-1)^(n+1) 2n u^(2n+1)/(2n+1)!
-            u = 0.5 * math.pi * t * t
-            if u < 1.0:
-                term = total = u * u * u / 3.0
-                n = 1
-                while abs(term) > 1e-17 * total:
-                    term *= -u * u / (2 * n * (2 * n + 3))
-                    total += term
-                    n += 1
-                S.append(2.0 * total / (math.pi * math.pi))
-            else:
-                S.append((2.0 * C[1] - t * t * cz) / math.pi)
-    return FresnelMomenta(t=t, C=tuple(C), S=tuple(S), k=k)

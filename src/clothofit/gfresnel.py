@@ -9,8 +9,12 @@ for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
 
 * |a| >= EPSILON_A: complete the square (`_completed_square`, which
   `ClothoidCurve.point_at` shares for a curve's near-line points) and
-  reduce to Fresnel momenta differences (`eval_xy_a_large`), turned by
-  e^{i eta} e^{i c} with eta = -b^2/(2a), in real arithmetic.  Exact
+  reduce to differences of the Fresnel momenta (`eval_xy_a_large`)
+
+      C_k(t) = int_0^t u^k cos(pi/2 u^2) du,   S_k(t) likewise with sin
+
+  (C_0, S_0 are `fresnel`'s C, S) between the square's two ends, turned
+  by e^{i eta} e^{i c} with eta = -b^2/(2a), in real arithmetic.  Exact
   for any a != 0, but the scale factor 1/z^(k+1) with z ~ sqrt(|a|)
   amplifies rounding as a -> 0.
 * |a| < EPSILON_A: the single sum

@@ -27,13 +27,6 @@ def xy_reference(a, b, c, j):
     return x, y
 
 
-def momenta_reference(t, k):
-    """C_k(t), S_k(t) by adaptive quadrature."""
-    c = quad_tight(lambda u: u ** k * math.cos(0.5 * math.pi * u * u), 0.0, t)
-    s = quad_tight(lambda u: u ** k * math.sin(0.5 * math.pi * u * u), 0.0, t)
-    return c, s
-
-
 def lommel_partial_sum(mu, nu, b, n_terms=50):
     """Reduced Lommel series summed term by term from explicit products."""
     total = 0.0

@@ -32,6 +32,13 @@ def test_validation():
         ClothoidCurve(0.0, 0.0, math.nan, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         LINE.point_at(math.nan)
+    # a finite s whose kappa_prime s^2 or kappa s overflows has no point;
+    # the error names s, not the eval_xy arguments it would have become
+    for curve in (ClothoidCurve(0.0, 0.0, 0.0, 0.0, 1.0, 1.0),
+                  ClothoidCurve(0.0, 0.0, 0.0, 1e200, 0.0, 1.0)):
+        for s in (1e200, -1e200):
+            with pytest.raises(ValueError, match=r"point_at: .* s = -?1e\+200$"):
+                curve.point_at(s)
     with pytest.raises(ValueError):
         LINE.sample(1)
 

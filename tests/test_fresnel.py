@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from clothofit import fresnel, fresnel_momenta
-
-from oracles import momenta_reference
+from clothofit import fresnel
 
 
 def test_zero_argument():
@@ -31,11 +29,10 @@ def test_odd_symmetry_exact():
 
 def test_limits_at_infinity():
     assert fresnel(1e15) == (0.5, 0.5)
-    # order 0 needs no phase, so arguments whose square overflows still work
+    # C and S need no phase, so arguments whose square overflows still work
     for t in (1e200, sys.float_info.max):
         assert fresnel(t) == (0.5, 0.5)
         assert fresnel(-t) == (-0.5, -0.5)
-        assert fresnel_momenta(-t, 0).C == (-0.5,)
     c, s = fresnel(500.0)
     assert c == pytest.approx(0.5, abs=1e-3)
     assert s == pytest.approx(0.5, abs=1e-3)
@@ -45,8 +42,6 @@ def test_non_finite_rejected():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             fresnel(bad)
-        with pytest.raises(ValueError):
-            fresnel_momenta(bad, 2)
 
 
 def test_accuracy_against_scipy():
@@ -65,14 +60,12 @@ def test_accuracy_against_scipy():
 
 def test_accuracy_against_mpmath():
     # 30-digit oracle at kernel precision, weighted to both sides of the
-    # series/asymptotic switch at 1.6.  The momenta references use the
-    # exact integration-by-parts forms in mpmath arithmetic.
+    # series/asymptotic switch at 1.6
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     rng = np.random.default_rng(1305)
     ts = np.concatenate([10.0 ** rng.uniform(-3.0, 1.0, 200),
                          rng.uniform(1.4, 1.6, 100), rng.uniform(1.6, 1.8, 100)])
-    momenta_abs = (1e-15, 1e-15, 2e-15, 1e-14)
     for t in ts:
         t = float(t)
         tm = mpmath.mpf(t)
@@ -80,16 +73,29 @@ def test_accuracy_against_mpmath():
         c, s = fresnel(t)
         assert abs(c - cr) <= 2e-15 * abs(cr)
         assert abs(s - sr) <= 2e-15 * abs(sr)
-        u = mpmath.pi / 2 * tm * tm
-        sin_u, cos_u = mpmath.sin(u), mpmath.cos(u)
-        c1, s1 = sin_u / mpmath.pi, (1 - cos_u) / mpmath.pi
-        ref = [(cr, sr), (c1, s1),
-               ((tm * sin_u - sr) / mpmath.pi, (cr - tm * cos_u) / mpmath.pi),
-               ((tm * tm * sin_u - 2 * s1) / mpmath.pi, (2 * c1 - tm * tm * cos_u) / mpmath.pi)]
-        m = fresnel_momenta(t, 3)
-        for k in range(4):
-            assert abs(m.C[k] - ref[k][0]) <= momenta_abs[k], (t, k)
-            assert abs(m.S[k] - ref[k][1]) <= momenta_abs[k], (t, k)
+
+
+def test_kernel_phase_against_mpmath():
+    # the large-|a| path of eval_xy forms its orders 1 and 2 from the sin u
+    # and cos u, u = (pi/2) t^2, that the kernel returns beside C and S.
+    # Past |t| = 1e8 the double-double pi/2 costs ~6e-33 t^2 of phase
+    mpmath = pytest.importorskip("mpmath")
+    core = importlib.import_module("clothofit.fresnel")._fresnel_core
+    rng = np.random.default_rng(1306)
+    ts = np.concatenate([10.0 ** rng.uniform(-3.0, 8.0, 300),
+                         rng.uniform(1.4, 1.8, 100), [1e-3, 1.6, 1e8]])
+    with mpmath.workdps(40):
+        for t in np.concatenate([ts, -ts]):
+            t = float(t)
+            u = mpmath.pi / 2 * mpmath.mpf(t) ** 2
+            _, _, sin_u, cos_u = core(t)
+            assert abs(sin_u - mpmath.sin(u)) <= 1e-15, t
+            assert abs(cos_u - mpmath.cos(u)) <= 1e-15, t
+    # the phase fits in two doubles up to |t| = 1e150 and is None past it
+    for t in (1e150, -1e150):
+        assert all(math.isfinite(v) for v in core(t))
+    for t in (math.nextafter(1e150, math.inf), -math.nextafter(1e150, math.inf), 1e200):
+        assert core(t)[2:] == (None, None), t
 
 
 def test_series_tables_regenerate_from_mpmath():
@@ -159,29 +165,6 @@ def test_asymptotic_branch_matches_separate_horner_sums():
         assert fresnel(-x) == (-ref[0], -ref[1]), x
 
 
-def test_first_sine_momentum_without_cancellation():
-    # S_1 = (1 - cos u)/pi cancels as t -> 0; the kernel must hold it to
-    # full relative accuracy there and across both branches
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        for t in (1e-6, 1e-4, 1e-2, 0.7, 3.0, 12.3):
-            u = mpmath.pi / 2 * mpmath.mpf(t) ** 2
-            ref = 2 * mpmath.sin(u / 2) ** 2 / mpmath.pi
-            s1 = fresnel_momenta(t, 1).S[1]
-            assert abs(s1 - ref) <= 1e-15 * ref, (t, s1, float(ref))
-
-
-def test_third_sine_momentum_without_cancellation():
-    # S_3 = (2/pi^2)(sin u - u cos u) cancels as t -> 0 as well
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        for t in (1e-6, 1e-4, 1e-2, 0.3, 0.7, 3.0):
-            u = mpmath.pi / 2 * mpmath.mpf(t) ** 2
-            ref = 2 * (mpmath.sin(u) - u * mpmath.cos(u)) / mpmath.pi ** 2
-            s3 = fresnel_momenta(t, 3).S[3]
-            assert abs(s3 - ref) <= 1e-15 * ref, (t, s3, float(ref))
-
-
 def test_accuracy_large_arguments():
     # beyond |t| = 10 the contract is absolute: check against mpmath,
     # which evaluates with exact phase reduction
@@ -198,84 +181,3 @@ def test_integrals_stay_positive_for_positive_t():
         c, s = fresnel(float(t))
         assert c > 0.0
         assert s >= 0.0
-
-
-def test_momenta_zero_argument():
-    m = fresnel_momenta(0.0, 2)
-    assert m.C == (0.0, 0.0, 0.0)
-    assert m.S == (0.0, 0.0, 0.0)
-
-
-def test_momenta_unit_argument_closed_form():
-    m = fresnel_momenta(1.0, 1)
-    assert m.C[1] == pytest.approx(1.0 / math.pi, rel=1e-15)
-    assert m.S[1] == pytest.approx(1.0 / math.pi, rel=1e-15)
-
-
-def test_momenta_against_quadrature_at_0p7():
-    m = fresnel_momenta(0.7, 2)
-    for k in range(3):
-        ck, sk = momenta_reference(0.7, k)
-        assert m.C[k] == pytest.approx(ck, abs=1e-12)
-        assert m.S[k] == pytest.approx(sk, abs=1e-12)
-
-
-def test_momenta_order_validation():
-    for bad in (-1, 4, 1.5, True, False):
-        with pytest.raises(ValueError):
-            fresnel_momenta(1.0, bad)
-
-
-def test_momenta_phase_limit():
-    # orders >= 1 need (pi/2) t^2 in two doubles, which overflows past 1e150
-    m = fresnel_momenta(-1e150, 3)
-    assert all(math.isfinite(v) for v in m.C + m.S)
-    for t in (1.2e150, 1e152, -1.35e154, 1e200):
-        with pytest.raises(ValueError, match="1e150"):
-            fresnel_momenta(t, 1)
-
-
-def test_momenta_random_sample_against_quadrature():
-    rng = np.random.default_rng(42)
-    for t in rng.uniform(-5.0, 5.0, 60):
-        m = fresnel_momenta(float(t), 3)
-        for k in range(4):
-            ck, sk = momenta_reference(float(t), k)
-            assert m.C[k] == pytest.approx(ck, abs=1e-11)
-            assert m.S[k] == pytest.approx(sk, abs=1e-11)
-
-
-def test_third_order_recurrence_consistency():
-    # index-3 entries come from the recurrence over (C_1, S_1)
-    for t in (0.4, 1.3, -2.2, 3.7):
-        m = fresnel_momenta(t, 3)
-        c3, s3 = momenta_reference(t, 3)
-        assert m.C[3] == pytest.approx(c3, abs=1e-11)
-        assert m.S[3] == pytest.approx(s3, abs=1e-11)
-
-
-def test_momenta_odd_even_symmetry():
-    # C_k(-t) = (-1)^(k+1) C_k(t), same for S_k
-    for t in (0.3, 1.1, 2.9, 4.2):
-        mp_ = fresnel_momenta(t, 3)
-        mn = fresnel_momenta(-t, 3)
-        for k in range(4):
-            sign = (-1.0) ** (k + 1)
-            assert mn.C[k] == pytest.approx(sign * mp_.C[k], abs=1e-15)
-            assert mn.S[k] == pytest.approx(sign * mp_.S[k], abs=1e-15)
-
-
-def test_momenta_derivative_by_central_differences():
-    # d/dt C_k = t^k cos(pi t^2 / 2), d/dt S_k = t^k sin(pi t^2 / 2)
-    h = 1e-5
-    rng = np.random.default_rng(7)
-    for t in rng.uniform(-3.0, 3.0, 25):
-        t = float(t)
-        mp_ = fresnel_momenta(t + h, 3)
-        mn = fresnel_momenta(t - h, 3)
-        ph = 0.5 * math.pi * t * t
-        for k in range(4):
-            dc = (mp_.C[k] - mn.C[k]) / (2.0 * h)
-            ds = (mp_.S[k] - mn.S[k]) / (2.0 * h)
-            assert dc == pytest.approx(t ** k * math.cos(ph), abs=1e-7)
-            assert ds == pytest.approx(t ** k * math.sin(ph), abs=1e-7)
