@@ -310,26 +310,20 @@ def _attach_negative_values(argv):
     return out
 
 
+# Exit code of each error main reports, first match wins: ConvergenceError
+# covers SingularDerivativeError, and FitError any other fit failure.
+_EXIT_CODES = (((ValueError, OSError), 2), (DegenerateInputError, 3),
+               (ExcludedAngleError, 4), (ConvergenceError, 5), (FitError, 6))
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
-    except DegenerateInputError as exc:
+    except (FitError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except ExcludedAngleError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except ConvergenceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 5
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 6
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -47,7 +47,11 @@ class ConvergenceError(FitError):
 
 
 class SingularDerivativeError(ConvergenceError):
-    """Newton hit a vanishing derivative g'(A) before converging."""
+    """Newton hit a vanishing derivative g'(A).
+
+    Every Newton step divides by g'(A), the last one included, so this
+    can also end a solve whose |g| is already within tol.
+    """
 
 
 class InternalConsistencyError(FitError):
