@@ -9,34 +9,39 @@ curvature kappa, the curvature rate kappa_prime and the length L:
 kappa_prime = 0 gives a circular arc, kappa = kappa_prime = 0 a straight
 segment; both evaluate through the same code path.
 
-`point_at(s)` takes one of three paths, by a = kappa_prime s^2 and the
-curve's own A = kappa_prime L^2:
+`point_at(s)` takes one of two paths, by the curve's own
+A = kappa_prime L^2:
 
-* |a| >= EPSILON_A: `eval_xy(a, kappa s, theta0, 1)`, whose completed
-  square is exact away from a = 0 (this is the fit's point_at(L));
-* |a| < EPSILON_A <= |A| < inf: the curve's completed square, the one
-  `gfresnel._completed_square` that `eval_xy` shares, taken at
-  (A, kappa L, theta0), built once on first use and kept on the
+* EPSILON_A <= |A| < inf: every s != L comes from the curve's completed
+  square, the one `gfresnel._completed_square` that `eval_xy` shares,
+  taken at (A, kappa L, theta0), built once on first use and kept on the
   instance (not a dataclass field, so equality, hash, repr and
   `dataclasses.replace` ignore it), then one Fresnel kernel call per
   point;
-* |a| < EPSILON_A otherwise: `eval_xy`'s small-|a| series, which keeps
-  near-line and near-circle curves fully accurate (and curves whose A
-  overflows to inf, where the square would read z = inf, exact at
-  s = 0).
+* |A| < EPSILON_A, or A overflowing to inf (where the square would read
+  z = inf): `eval_xy(kappa_prime s^2, kappa s, theta0, 1)` for every s,
+  its small-|a| series wherever |kappa_prime s^2| < EPSILON_A, which
+  keeps near-line and near-circle curves fully accurate.
+
+The curve's own end, s = L, takes `eval_xy(A, kappa L, theta0, 1)` on
+either path, on purpose: these are the integrals the fitter's Newton
+solve drove to its target, so `endpoint_residual` checks the fit
+independently of the square, and a fit never builds the square.
 
 Error contract: with eta = -kappa^2/(2 kappa_prime) and eps = 2^-52,
 each coordinate of point_at(s) is within
 
     c eps (max(L, |s|) (1 + |eta|) + max(|x0|, |y0|)),    c = 8,
 
-of the exact point; on the series path (third case) within the same
-bound with eta replaced by 0.  Against 30-digit mpmath over seeded
-curves with |kappa L| <= 60, |kappa_prime L^2| <= 1e3 and |s| <= 10 L
-the worst c measured is 2.6 on the completed square, 2.9 on `eval_xy`'s
-and 1.6 on the series.  Rounding eta costs eps |eta| of phase over a
-displacement of length |s| <= L, and differencing C and S at t(s) and
-t(0) costs about eps sqrt(pi/|kappa_prime|) <= 4.6 eps L.
+of the exact point; where `eval_xy` takes its series (|kappa_prime s^2| <
+EPSILON_A on the second path) within the same bound with eta replaced
+by 0.  Against 40-digit mpmath (`tests/oracles.py`) over 400 seeded
+curves with |kappa L| <= 60, EPSILON_A <= |kappa_prime L^2| <= 1e3 and
+|s| <= 10 L the worst c measured is 1.8 on the completed square and 1.1
+at s = L, and 1.5 on the series over as many near-line twins.  Rounding
+eta costs eps |eta| of phase over a displacement of length |s| <= L, and
+differencing C and S at t(s) and t(0) costs about eps
+sqrt(pi/|kappa_prime|) <= 4.6 eps L.
 """
 
 import math
@@ -68,40 +73,41 @@ class ClothoidCurve:
     def point_at(self, s: float):
         """Position at arc length s.
 
-        A point with |kappa_prime s^2| >= EPSILON_A is x0 + s X_0(kappa_prime
-        s^2, kappa s, theta0) plus the matching sine integral, from
-        `eval_xy`'s completed square.  Below it the point takes one of two
-        paths:
-
-        * on a curve with EPSILON_A <= |kappa_prime L^2| < inf, the curve's
-          completed square (`_square`, built on first use and kept on the
-          instance): one Fresnel kernel call at t(s) = w + (z/L) s,
-          differenced against t(0) = w;
-        * on any other curve, `eval_xy`'s small-|a| series, which stays
-          fully accurate near lines and circles.
+        On a curve with EPSILON_A <= |kappa_prime L^2| < inf every s != L
+        comes from the curve's completed square (`_square`, built on
+        first use and kept on the instance): one Fresnel kernel call at
+        t(s) = w + (z/L) s, differenced against t(0) = w.  Every other
+        point, the curve's end s = L included, is x0 + s X_0(kappa_prime
+        s^2, kappa s, theta0) plus the matching sine integral from
+        `eval_xy`, whose small-|a| series keeps near-line and near-circle
+        curves fully accurate.  point_at(L) is thus the end the fitter
+        solved for, and a fit never builds the square.
 
         s outside [0, L] extrapolates along the same spiral (the defining
         integrals are entire) while kappa_prime s^2 and kappa s stay
         finite; an s that overflows either raises a ValueError naming s
-        (|s| past ~1.3e154 at kappa_prime = 1).  Off the series path the
-        completed square's phase limit |b| <= 1e150 (`eval_xy`) applies
-        too.  point_at(0) is (x0, y0) exactly.  Each coordinate is within
-        c eps (max(L, |s|) (1 + |eta|) + max(|x0|, |y0|)) of the exact
-        point, eta = -kappa^2/(2 kappa_prime), c = 8; eta counts as 0 on
-        the series path (module docstring).
+        (|s| past ~1.3e154 at kappa_prime = 1) on both paths.  The
+        completed square's phase limit (`eval_xy`) applies too: |kappa L|
+        <= 1e150 on the curve's square, and |kappa s| <= 1e150 where
+        `eval_xy` completes its own.  point_at(0) is (x0, y0) exactly.
+        Each coordinate is within c eps (max(L, |s|) (1 + |eta|) +
+        max(|x0|, |y0|)) of the exact point, eta = -kappa^2/(2
+        kappa_prime), c = 8; eta counts as 0 on the series (module
+        docstring).
         """
         if not math.isfinite(s):
             raise ValueError("point_at: s must be finite, got %r" % (s,))
         a = self.kappa_prime * s * s
-        if abs(a) < EPSILON_A <= abs(self.kappa_prime * self.L * self.L) < math.inf:
+        b = self.kappa * s
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r" % (s,))
+        # s != L first: a fit's point_at(L) pays one comparison for the square
+        if s != self.L and EPSILON_A <= abs(self.kappa_prime * self.L * self.L) < math.inf:
             sigma, z_per_L, w, c0, s0, ux, uy = self._square
             c, sv, _, _ = _fresnel_core(w + z_per_L * s)
             dc = c - c0
             ds = sigma * (sv - s0)
             return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
-        b = self.kappa * s
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r" % (s,))
         X, Y = eval_xy(a, b, self.theta0, 1)
         return self.x0 + s * X[0], self.y0 + s * Y[0]
 
@@ -131,9 +137,9 @@ class ClothoidCurve:
         s = L exactly, so it equals point_at(L), angle_at(L) and
         curvature_at(L).  Each row after the first is one `point_at` call,
         so a row takes the path and meets the error contract of `point_at`
-        at its s.  On a curve with |kappa_prime L^2| >= EPSILON_A the rows
-        with |kappa_prime s^2| < EPSILON_A share the curve's completed
-        square and the rest go through `eval_xy`.
+        at its s: on a curve with EPSILON_A <= |kappa_prime L^2| < inf
+        every row but the last shares the curve's completed square, and
+        the last row is `eval_xy`'s, the end the fitter solved for.
         """
         if not isinstance(n, int) or n < 2:
             raise ValueError("sample: need at least 2 points, got %r" % (n,))

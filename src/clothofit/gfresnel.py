@@ -8,8 +8,8 @@ The target quantities are the real and imaginary parts of
 for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
 
 * |a| >= EPSILON_A: complete the square (`_completed_square`, which
-  `ClothoidCurve.point_at` shares for a curve's near-line points) and
-  reduce to differences of the Fresnel momenta (`eval_xy_a_large`)
+  `ClothoidCurve.point_at` shares for a curve's points short of its
+  end) and reduce to differences of the Fresnel momenta (`eval_xy_a_large`)
 
       C_k(t) = int_0^t u^k cos(pi/2 u^2) du,   S_k(t) likewise with sin
 

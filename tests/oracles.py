@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 adaptive (scipy) and 30-digit Gauss-Legendre (mpmath) quadrature of the
-defining integrals, long partial sums with
+defining integrals, 40-digit mpmath Fresnel integrals, long partial sums with
 explicitly built coefficient products, the (unstable) upward recurrence
 for the zero-quadratic-phase integrals, and plain bisection for roots.
 """
@@ -100,14 +100,48 @@ _GL_RULE = []
 def clothoid_position_mpmath(x0, y0, theta0, kappa, kappa_prime, s):
     """Curve point in 30-digit mpmath: Gauss-Legendre quadrature (96 nodes)
     of the defining arc-length integral, exact to 30 digits while the
-    phase turns by at most about 100 radians over [0, s]."""
+    phase turns by at most about 100 radians over [0, s].  Beyond that,
+    |kappa s| + |kappa_prime s^2|/2 > 100, the rule would be silently wrong
+    and a ValueError is raised instead."""
     import mpmath
     from mpmath.calculus.quadrature import GaussLegendre
 
+    turn = abs(kappa * s) + 0.5 * abs(kappa_prime * s * s)
+    if turn > 100.0:
+        raise ValueError("clothoid_position_mpmath: the phase turns by %g > 100 rad "
+                         "over [0, s]" % turn)
     with mpmath.workdps(30):
         if not _GL_RULE:
             _GL_RULE.extend(GaussLegendre(mpmath.mp).get_nodes(0, 1, 6, mpmath.mp.prec))
         s = mpmath.mpf(s)
         k, kp = mpmath.mpf(kappa) * s, mpmath.mpf(kappa_prime) * s * s / 2
         I = s * mpmath.fsum(w * mpmath.expj(theta0 + t * (k + kp * t)) for t, w in _GL_RULE)
+        return mpmath.mpf(x0) + I.real, mpmath.mpf(y0) + I.imag
+
+
+def clothoid_position_fresnel_mpmath(x0, y0, theta0, kappa, kappa_prime, s):
+    """Curve point in 40-digit mpmath from the Fresnel integrals C and S
+    (mpmath's fresnelc, fresnels) on the completed square, kappa_prime != 0.
+
+    With sigma = sign kappa_prime, zeta = sqrt(|kappa_prime|/pi),
+    w = zeta kappa/kappa_prime and eta = -kappa^2/(2 kappa_prime), the phase
+    theta0 + kappa u + kappa_prime u^2/2 is theta0 + eta + sigma (pi/2)
+    (zeta u + w)^2, so the point is (x0, y0) plus e^{i(theta0 + eta)}/zeta
+    [dC + i sigma dS], dC = C(w + zeta s) - C(w) and dS likewise.  Exact
+    for any turn of the phase: no quadrature rule, and 40 digits absorb
+    what dC, dS and the rounding of eta lose to cancellation.
+    """
+    import mpmath
+
+    if kappa_prime == 0.0:
+        raise ValueError("clothoid_position_fresnel_mpmath: kappa_prime = 0 has no square")
+    with mpmath.workdps(40):
+        k, kp, s = mpmath.mpf(kappa), mpmath.mpf(kappa_prime), mpmath.mpf(s)
+        sigma = 1 if kappa_prime > 0.0 else -1
+        zeta = mpmath.sqrt(abs(kp) / mpmath.pi)
+        w = zeta * k / kp
+        t = w + zeta * s
+        dC = mpmath.fresnelc(t) - mpmath.fresnelc(w)
+        dS = mpmath.fresnels(t) - mpmath.fresnels(w)
+        I = mpmath.expj(mpmath.mpf(theta0) - k * k / (2 * kp)) / zeta * mpmath.mpc(dC, sigma * dS)
         return mpmath.mpf(x0) + I.real, mpmath.mpf(y0) + I.imag

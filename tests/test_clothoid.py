@@ -6,10 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
-from clothofit import ClothoidCurve, HermiteData, build_clothoid
+from clothofit import ClothoidCurve, HermiteData, build_clothoid, clothoid
 from clothofit.gfresnel import EPSILON_A
 
-from oracles import clothoid_position_mpmath, clothoid_position_reference
+from oracles import (clothoid_position_fresnel_mpmath, clothoid_position_mpmath,
+                     clothoid_position_reference)
 
 EPS = 2.0 ** -52
 # c of point_at's error contract (module docstring of clothofit.clothoid)
@@ -24,7 +25,8 @@ CIRCLE = ClothoidCurve(x0=0.0, y0=0.0, theta0=0.0, kappa=1.0, kappa_prime=0.0,
 def test_validation():
     with pytest.raises(ValueError):
         ClothoidCurve(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    # the completed square, like eval_xy's at s = L, names its phase limit
+    # the curve's completed square (s < L), like eval_xy's at s = L, names
+    # its phase limit
     for s in (0.1, 1.0):
         with pytest.raises(ValueError, match="1e[+]150"):
             ClothoidCurve(0.0, 0.0, 0.0, 1e155, 1.0, 1.0).point_at(s)
@@ -32,8 +34,9 @@ def test_validation():
         ClothoidCurve(0.0, 0.0, math.nan, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         LINE.point_at(math.nan)
-    # a finite s whose kappa_prime s^2 or kappa s overflows has no point;
-    # the error names s, not the eval_xy arguments it would have become
+    # a finite s whose kappa_prime s^2 or kappa s overflows has no point, on
+    # the curve's square (the first curve) as in eval_xy (the second); the
+    # error names s, not the arguments it would have become
     for curve in (ClothoidCurve(0.0, 0.0, 0.0, 0.0, 1.0, 1.0),
                   ClothoidCurve(0.0, 0.0, 0.0, 1e200, 0.0, 1.0)):
         for s in (1e200, -1e200):
@@ -199,24 +202,27 @@ def _square_curves():
 
 
 def test_point_at_on_the_completed_square_against_mpmath():
-    # points with |kappa_prime s^2| < EPSILON_A on curves with |kappa_prime
-    # L^2| >= EPSILON_A come from the curve's completed square; they must
-    # meet the docstring's contract, and a square with sigma = sign
-    # kappa_prime flipped, or with eta's sign flipped, must not
+    # every s != L on a curve with |kappa_prime L^2| >= EPSILON_A comes from
+    # the curve's completed square: rows on both sides of |kappa_prime s^2|
+    # = EPSILON_A (s = +-h) out to |s| = 10 L must meet the docstring's
+    # contract, and a square with sigma = sign kappa_prime flipped, or with
+    # eta's sign flipped, must not
     pytest.importorskip("mpmath")
     for curve in _square_curves():
         assert curve.point_at(0.0) == (curve.x0, curve.y0)
+        L = curve.L
         eta = -curve.kappa ** 2 / (2.0 * curve.kappa_prime)
-        bound = CONTRACT_C * EPS * (curve.L * (1.0 + abs(eta))
-                                    + max(abs(curve.x0), abs(curve.y0)))
         turn = cmath.exp(1j * (curve.theta0 + eta))
         flips = {"sigma": 0, "eta": 0}
         h = math.sqrt(EPSILON_A / abs(curve.kappa_prime))
-        for f in (1e-6, 1e-2, 0.5, 0.999, -1e-6, -1e-2, -0.5, -0.999):
-            s = f * h
+        rows = ([f * h for f in (1e-6, 1e-2, 0.5, 0.999, 1.001, 1.5)]
+                + [f * L for f in (0.37, 0.9, 0.99, 2.0, 5.0, 10.0)])
+        for s in rows + [-s for s in rows]:
+            bound = CONTRACT_C * EPS * (max(L, abs(s)) * (1.0 + abs(eta))
+                                        + max(abs(curve.x0), abs(curve.y0)))
             x, y = curve.point_at(s)
-            xr, yr = clothoid_position_mpmath(curve.x0, curve.y0, curve.theta0,
-                                              curve.kappa, curve.kappa_prime, s)
+            xr, yr = clothoid_position_fresnel_mpmath(curve.x0, curve.y0, curve.theta0,
+                                                      curve.kappa, curve.kappa_prime, s)
             assert abs(x - xr) <= bound and abs(y - yr) <= bound, (curve, s)
             # d = sigma (pi/r) T [dC + i sigma dS] with T = e^{i(theta0 + eta)}:
             # flipping sigma gives -T conj(d/T), flipping eta d e^{-2 i eta}
@@ -228,10 +234,58 @@ def test_point_at_on_the_completed_square_against_mpmath():
         assert flips["sigma"] >= 1 and flips["eta"] >= 1, (curve, flips)
 
 
+def test_mpmath_references_agree_and_quadrature_stops_at_its_limit():
+    # the exact Fresnel reference against the independent Gauss-Legendre
+    # rule wherever the rule holds (the phase turns by <= 100 rad), and the
+    # rule refuses the turns where it would be silently wrong
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1801)
+    for _ in range(12):
+        L = float(10.0 ** rng.uniform(-1.0, 1.0))
+        a = float(10.0 ** rng.uniform(-3.0, 2.0) * rng.choice((-1.0, 1.0)))
+        fields = (float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0)),
+                  float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-40.0, 40.0)) / L,
+                  a / (L * L))
+        s = float(rng.uniform(-1.0, 1.0)) * L
+        for q, e in zip(clothoid_position_mpmath(*fields, s),
+                        clothoid_position_fresnel_mpmath(*fields, s)):
+            assert abs(q - e) <= 1e-25 * L
+    # kappa_prime L^2 = -24.6, kappa L = -2.78 at s = -10 L turns 1229 rad
+    with pytest.raises(ValueError, match="100 rad"):
+        clothoid_position_mpmath(0.0, 0.0, 0.3, -2.78, -24.6, -10.0)
+
+
+def test_rows_take_the_square_and_the_end_takes_eval_xy(monkeypatch):
+    # on a curve with EPSILON_A <= |kappa_prime L^2| < inf every row but the
+    # end s = L comes from the curve's square; the end is eval_xy's, the
+    # integrals a fit solved for, and a fit's point_at(L) never builds the
+    # square.  A near-line curve keeps eval_xy for every row
+    calls = []
+    real = clothoid.eval_xy
+
+    def counted(a, b, c, k):
+        calls.append((a, b, c, k))
+        return real(a, b, c, k)
+
+    monkeypatch.setattr(clothoid, "eval_xy", counted)
+    fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=-2.5, L=2.0)
+    curve = ClothoidCurve(**fields)
+    rows = curve.sample(50)
+    assert calls == [(-10.0, 1.8, 0.7, 1)]
+    end = ClothoidCurve(**fields)
+    calls.clear()
+    assert end.point_at(2.0) == rows[-1][:2]
+    assert len(calls) == 1 and "_square" not in vars(end)
+    near_line = ClothoidCurve(**dict(fields, kappa_prime=0.03))
+    calls.clear()
+    near_line.sample(50)
+    assert len(calls) == 49 and "_square" not in vars(near_line)
+
+
 def test_square_cache_is_invisible():
     fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=-2.5, L=2.0)
     first, sampled, twin = (ClothoidCurve(**fields) for _ in range(3))
-    points = (0.0, 1e-3, -0.05, 0.2, 1.5, 2.0)   # square up to |s| < 0.245, eval_xy beyond
+    points = (0.0, 1e-3, -0.05, 0.2, 1.5, 2.0)   # square below s = L, eval_xy at L
     before = [first.point_at(s) for s in points]
     rows = sampled.sample(41)
     assert "_square" in vars(sampled) and "_square" not in vars(twin)
@@ -248,7 +302,7 @@ def test_square_cache_is_invisible():
 
 
 def test_fits_never_build_the_square():
-    # the fit's point_at(L) has |kappa_prime L^2| itself, never below the switch
+    # the fit's point_at(L) is the curve's end, which eval_xy takes
     for data in (HermiteData(0.0, 0.0, 0.3, 4.0, 1.0, -0.25),
                  HermiteData(0.0, 0.0, 0.01 * 0.5, 100.0, 0.0, -0.02 * 0.5)):
         curve = build_clothoid(data).curve

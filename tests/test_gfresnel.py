@@ -322,9 +322,9 @@ def test_eval_xy_validation():
 def test_large_path_phase_limit():
     # the completed square and the momenta both need a phase that fits in
     # doubles; past 1e150 a ValueError names the limit (no math domain error
-    # or NaN).  eval_xy and a curve's near-line points share one square, so
-    # the check holds for both signs of a and kappa_prime, and below the
-    # switch (|kappa_prime s^2| < EPSILON_A <= |kappa_prime L^2|) as well
+    # or NaN).  eval_xy and a curve's points short of s = L share one
+    # square, so the check holds for both signs of a and kappa_prime, at
+    # the curve's end (eval_xy) and before it (the curve's square) alike
     for call in (lambda: eval_xy(0.2, 1e160, 0.0, 2),
                  lambda: eval_xy(0.2, 1e150, 0.0, 2),
                  lambda: eval_xy(-0.2, 1e160, 0.0, 1),
