@@ -64,7 +64,6 @@ def _add_solver_arguments(p):
     defaults = FitConfig()
     p.add_argument("--tol", type=float, default=defaults.tol,
                    help="Newton stop on |g(A)| (default %(default)g)")
-    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument("--guess", choices=GUESS_VARIANTS,
                    default=defaults.guess_variant, help="initial guess variant")
 
@@ -113,7 +112,7 @@ def _build_parser():
 
 
 def _fit_config(args):
-    return FitConfig(tol=args.tol, max_iter=args.max_iter, guess_variant=args.guess)
+    return FitConfig(tol=args.tol, guess_variant=args.guess)
 
 
 def _hermite_data(args):
@@ -226,9 +225,7 @@ def _grid_histogram(grid_n, tol, guess_variant):
         phi0 = lo + span * i / (grid_n - 1)
         for j in range(grid_n):
             phi1 = lo + span * j / (grid_n - 1)
-            rp = ReducedProblem(r=1.0, varphi=0.0, phi0=phi0, phi1=phi1,
-                                delta=phi1 - phi0)
-            _, iterations = solve_A(rp, cfg)
+            _, iterations = solve_A(ReducedProblem(1.0, phi0, phi1), cfg)
             hist[iterations] = hist.get(iterations, 0) + 1
     return hist
 

