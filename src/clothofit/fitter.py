@@ -10,10 +10,12 @@ A = kappa_prime L^2 / 2 solves
 after which L = r / X_0(2A, delta - A, phi0), kappa = (delta - A)/L and
 kappa_prime = 2A/L^2.  Newton starts from a fitted polynomial initial
 guess, and each iterate is one evaluation of X_k, Y_k (k = 0..2) at A:
-it gives g, g', h = X_0 and h'.  Once |g| <= tol, the last step is
-taken from those values without evaluating it.  At the default tol a
-256x256 grid of the angle range needs at most three evaluated steps
-before that last one, two on 88% of it.  The relevant root lies inside
+it gives g, g', h = X_0 and h'.  Once |g| <= tol, or once the Newton
+step dA = g/g' is at most 1e-8 max(1, |A|), the last step is taken from
+those values without evaluating it.  With the default surface guess a
+256x256 grid of the angle range needs at most two evaluated steps
+before that last one, and one on 99.5% of it: most fits make two
+evaluations.  The relevant root lies inside
 [-A_max, A_max] given by `a_max_bound`.  A Newton step that leaves
 twice that bracket, or a vanishing derivative, ends the solve with a
 `ConvergenceError`; neither has occurred on any angle pair tried.
@@ -40,6 +42,7 @@ __all__ = [
     "FitResult",
     "CUBIC_GUESS_COEFFICIENTS",
     "QUINTIC_GUESS_COEFFICIENTS",
+    "SURFACE_GUESS_COEFFICIENTS",
     "GUESS_VARIANTS",
     "reduce_problem",
     "g_prime",
@@ -56,6 +59,11 @@ _EXCLUDED_CORNER_TOL = 1e-12
 # Below this g is rounding noise, and so is a Newton step taken from it:
 # the solve skips its last step, so exact lines and arcs keep A = 0.0.
 _RESIDUAL_FLOOR = 1e-15
+
+# The solve also stops once the Newton step |dA| is below this times
+# max(1, |A|): the unevaluated last step then errs by about
+# |g''/2g'| dA^2, which is rounding level.
+_STEP_FLOOR = 1e-8
 
 # |g'| below this is treated as a vanishing derivative.
 _DERIVATIVE_FLOOR = 1e-30
@@ -109,15 +117,33 @@ class ReducedProblem:
 CUBIC_GUESS_COEFFICIENTS = (3.070645, 0.947923, -0.673029)
 QUINTIC_GUESS_COEFFICIENTS = (2.989696, 0.71622, -0.458969, -0.502821, 0.26106, -0.045854)
 
-GUESS_VARIANTS = ("linear", "cubic", "quintic")
+# Least-squares fit of A/(phi0 + phi1) by the 15 monomials u^i v^j,
+# i + j <= 4, in u = f0 f1 and v = f0^2 + f1^2 (f = phi/pi), ordered by i
+# then j.  The roots come from the quintic-guess solve at tol 1e-13 on a
+# 121x121 grid of f in [-0.9999, 0.9999], skipping |phi0 + phi1| < 1e-9;
+# the worst residual of the fit is 2.2e-3.
+SURFACE_GUESS_COEFFICIENTS = (
+    2.9997699357420613, -0.5597989356659947, -0.04655247712489689,
+    0.06928838496092776, -0.017361420822210632,
+    0.8413558637426737, 0.14521918581119722, -0.06948041416468714,
+    0.020402468466841482,
+    -0.19282922111233214, -0.2483296508062434, 0.04459856591382696,
+    0.2555446855031779, 0.030794591009160405,
+    -0.12170944428974421,
+)
+
+GUESS_VARIANTS = ("linear", "cubic", "quintic", "surface")
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver settings: Newton stop |g(A)| <= tol, initial guess variant."""
+    """Solver settings: Newton stop |g(A)| <= tol, initial guess variant.
+
+    The solve also stops on a Newton step at rounding level, whatever tol.
+    """
 
     tol: float = 1e-12
-    guess_variant: str = "quintic"
+    guess_variant: str = "surface"
 
     def __post_init__(self):
         tol = self.tol
@@ -141,13 +167,14 @@ class FitResult:
     Attributes
     ----------
     iterations : int
-        Evaluated Newton steps before |g| <= tol held.  The solve makes
-        iterations + 1 evaluations; its last step is taken without one
-        and is not counted.
+        Evaluated Newton steps before the solve stopped.  The solve
+        makes iterations + 1 evaluations; its last step is taken without
+        one and is not counted.
     residual_g : float
-        |g| at the last evaluated iterate, so at most tol.  A is one
-        Newton step past that iterate, where |g| is of the order of this
-        value squared.
+        |g| at the last evaluated iterate: at most tol, or above it
+        where the step stop (|dA| <= 1e-8 max(1, |A|)) ended the solve.
+        A is one Newton step past that iterate, where |g| is rounding
+        level in either case.
     endpoint_error : float
         Distance from the curve's point_at(L), its own evaluation, to the
         requested end point (x1, y1): an independent check of the fit.
@@ -215,13 +242,17 @@ def g_prime(A: float, rp: ReducedProblem) -> float:
     return X[2] - X[1]
 
 
-def initial_guess(phi0: float, phi1: float, variant: str = "quintic") -> float:
+def initial_guess(
+    phi0: float, phi1: float, variant: str = DEFAULT_FIT_CONFIG.guess_variant
+) -> float:
     """Starting value for the Newton solve.
 
     'linear' is 3 (phi0 + phi1), from linearizing g.  'cubic' and
     'quintic' are least-squares fits of the root surface in the scaled
     angles phi/pi; the quintic lands within Newton's quadratic basin
-    essentially everywhere.
+    essentially everywhere.  'surface', the default, fits A/(phi0 + phi1)
+    by a degree-4 polynomial in f0 f1 and f0^2 + f1^2 (f = phi/pi), close
+    enough that one evaluated step usually meets the step stop.
     """
     if variant == "linear":
         return 3.0 * (phi0 + phi1)
@@ -237,6 +268,17 @@ def initial_guess(phi0: float, phi1: float, variant: str = "quintic") -> float:
         return (phi0 + phi1) * (
             d1 + prod * (d2 + d3 * prod) + sq * (d4 + d5 * prod)
             + d6 * (f0 ** 4 + f1 ** 4)
+        )
+    if variant == "surface":
+        (e00, e01, e02, e03, e04, e10, e11, e12, e13,
+         e20, e21, e22, e30, e31, e40) = SURFACE_GUESS_COEFFICIENTS
+        u = f0 * f1
+        v = f0 * f0 + f1 * f1
+        return (phi0 + phi1) * (
+            e00 + v * (e01 + v * (e02 + v * (e03 + v * e04)))
+            + u * (e10 + v * (e11 + v * (e12 + v * e13))
+                   + u * (e20 + v * (e21 + v * e22)
+                          + u * (e30 + v * e31 + u * e40)))
         )
     raise ValueError("initial_guess: unknown variant %r" % (variant,))
 
@@ -274,12 +316,13 @@ def _solve(rp, cfg):
     """Newton iteration on g; returns (A, iterations, |g|, h(A)).
 
     Each iterate makes one k = 3 evaluation at A, which gives g = Y_0,
-    g' = X_2 - X_1, h = X_0 and h' = -(Y_2 - Y_1).  Once |g| <= tol the
-    last Newton step dA = g/g' is taken without evaluating it: A - dA is
-    returned with h + dA (Y_2 - Y_1), its length to first order, so the
-    fit needs no further evaluation.  `iterations` counts the evaluated
-    steps (the solve makes iterations + 1 evaluations) and |g| is read at
-    the last evaluated iterate.
+    g' = X_2 - X_1, h = X_0 and h' = -(Y_2 - Y_1).  Once |g| <= tol or
+    |dA| <= _STEP_FLOOR max(1, |A|), the last Newton step dA = g/g' is
+    taken without evaluating it: A - dA is returned with h + dA (Y_2 -
+    Y_1), its length to first order, so the fit needs no further
+    evaluation.  `iterations` counts the evaluated steps (the solve makes
+    iterations + 1 evaluations) and |g| is read at the last evaluated
+    iterate.
     """
     A = initial_guess(rp.phi0, rp.phi1, cfg.guess_variant)
     escape = 2.0 * max(a_max_bound(rp.phi0, rp.phi1), 1.0)
@@ -296,7 +339,7 @@ def _solve(rp, cfg):
                 A=A, iterations=iterations, residual=abs(g),
             )
         dA = g / gp
-        if abs(g) <= cfg.tol:
+        if abs(g) <= cfg.tol or abs(dA) <= _STEP_FLOOR * max(1.0, abs(A)):
             break
         if iterations >= _MAX_ITER:
             raise ConvergenceError(
@@ -323,8 +366,10 @@ def _solve(rp, cfg):
 def solve_A(rp: ReducedProblem, cfg: FitConfig = DEFAULT_FIT_CONFIG):
     """Root of g(A) = 0 for a reduced problem; returns (A, iterations).
 
-    `iterations` is the number of evaluated Newton steps before
-    |g| <= cfg.tol held; the last, unevaluated step is already in A.
+    The solve stops once |g| <= cfg.tol, or once the Newton step is at
+    most 1e-8 max(1, |A|), where one more step lands at rounding level.
+    `iterations` is the number of evaluated Newton steps before it
+    stopped; the last, unevaluated step is already in A.
     """
     A, iterations, _, _ = _solve(rp, cfg)
     return A, iterations
@@ -355,10 +400,11 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
             "X_0 <= 0 at the computed root (A=%.17g): spurious solution" % A
         )
     L = rp.r / h
-    if not sys.float_info.min <= L * L < math.inf:
+    if not (sys.float_info.min <= L * L < math.inf and abs(2.0 * A / (L * L)) < math.inf):
         raise DegenerateInputError(
             "chord length %.17g is out of scale: kappa_prime = 2A/L^2 needs L^2 "
-            "(L = %.17g) to be a finite normal double" % (rp.r, L)
+            "(L = %.17g) to be a finite normal double and the quotient (A = %.17g) "
+            "to be finite" % (rp.r, L, A)
         )
     B = rp.delta - A
     kappa = B / L

@@ -56,12 +56,14 @@ def test_fit_degenerate_exit_code(capsys):
 
 
 def test_fit_unrepresentable_chord_exit_code(capsys):
-    code = main(["fit", "--x0", "0", "--y0", "0", "--theta0", "0.3",
-                 "--x1", "1e200", "--y1", "0", "--theta1", "-0.2"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "chord length" in err
-    assert "Traceback" not in err
+    # L^2 overflows at the first chord; 2A/L^2 at the second
+    for x1, theta0, theta1 in (("1e200", "0.3", "-0.2"), ("1.5e-154", "1.2", "1.5")):
+        code = main(["fit", "--x0", "0", "--y0", "0", "--theta0", theta0,
+                     "--x1", x1, "--y1", "0", "--theta1", theta1])
+        err = capsys.readouterr().err
+        assert code == 3, x1
+        assert "chord length" in err
+        assert "Traceback" not in err
 
 
 def test_fit_accepts_negative_exponent_values(capsys):
@@ -80,8 +82,9 @@ def test_fit_excluded_exit_code(capsys):
 
 
 def test_fit_non_convergence_exit_code(capsys, monkeypatch):
+    # the linear guess needs three evaluated steps on this pose
     monkeypatch.setattr(clothofit.fitter, "_MAX_ITER", 1)
-    code = main(["fit"] + TEST1)
+    code = main(["fit"] + TEST1 + ["--guess", "linear"])
     assert code == 5
 
 

@@ -166,9 +166,38 @@ def test_initial_guess_values():
 
 
 def test_guess_vanishes_on_antisymmetric_pairs():
-    for variant in ("linear", "cubic", "quintic"):
+    for variant in fitter.GUESS_VARIANTS:
         for phi in (0.3, 1.2, 3.0):
             assert initial_guess(-phi, phi, variant) == 0.0
+
+
+def test_surface_coefficients_regenerate_from_the_solver():
+    # the stored surface is the unweighted least-squares fit of A/(phi0 +
+    # phi1) by u^i v^j, i + j <= 4, over the roots on a 121x121 grid of
+    # f = phi/pi in [-0.9999, 0.9999]; the roots come from the quintic
+    # guess, so the fit does not rest on the surface it regenerates
+    cfg = FitConfig(tol=1e-13, guess_variant="quintic")
+    fs = np.linspace(-0.9999, 0.9999, 121)
+    rows, targets = [], []
+    for f0 in fs:
+        for f1 in fs:
+            phi0, phi1 = math.pi * float(f0), math.pi * float(f1)
+            if abs(phi0 + phi1) < 1e-9:
+                continue
+            A, _ = solve_A(make_rp(phi0, phi1), cfg)
+            u, v = f0 * f1, f0 * f0 + f1 * f1
+            rows.append([u ** i * v ** j for i in range(5) for j in range(5 - i)])
+            targets.append(A / (phi0 + phi1))
+    coef, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
+    stored = np.array(fitter.SURFACE_GUESS_COEFFICIENTS)
+    assert np.max(np.abs(coef - stored)) <= 1e-10
+    # initial_guess's Horner form evaluates that polynomial
+    for f0, f1 in ((0.3, 0.5), (-0.9, 0.2)):
+        u, v = f0 * f1, f0 * f0 + f1 * f1
+        terms = [u ** i * v ** j for i in range(5) for j in range(5 - i)]
+        expected = math.pi * (f0 + f1) * float(np.dot(terms, stored))
+        assert initial_guess(math.pi * f0, math.pi * f1, "surface") == pytest.approx(
+            expected, rel=1e-14)
 
 
 # ------------------------------------------------------------ bracket
@@ -230,14 +259,47 @@ def test_fit_config_rejects_a_bool_tolerance():
 
 
 def test_solve_reports_non_convergence(monkeypatch):
+    # from the linear guess the reference pose takes three evaluated
+    # steps; the default guess is one step from the step stop
     monkeypatch.setattr(fitter, "_MAX_ITER", 1)
     rp = reduce_problem(
         HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0))
     with pytest.raises(ConvergenceError) as info:
-        solve_A(rp, FitConfig(tol=1e-12))
+        solve_A(rp, FitConfig(tol=1e-12, guess_variant="linear"))
     assert info.value.iterations == 1
     assert info.value.residual > 1e-12
     assert math.isfinite(info.value.A)
+
+
+def test_generic_fits_make_two_evaluations(monkeypatch):
+    # poses drawn as the generic benchmark draws them: chord-relative
+    # angles uniform over the domain, chord log-uniform in [1e-2, 1e2],
+    # random start point and chord direction.  The surface guess and the
+    # step stop leave one evaluated step and the evaluation it stops on
+    real = fitter.eval_xy
+    calls = [0]
+
+    def counting(a, b, c, k):
+        calls[0] += 1
+        return real(a, b, c, k)
+
+    monkeypatch.setattr(fitter, "eval_xy", counting)
+    rng = np.random.default_rng(43)
+    lim = 0.9999 * math.pi
+    counts = []
+    for _ in range(2000):
+        phi0, phi1 = rng.uniform(-lim, lim, 2)
+        r = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+        rot = rng.uniform(-math.pi, math.pi)
+        x0, y0 = rng.uniform(-100.0, 100.0, 2)
+        calls[0] = 0
+        build_clothoid(HermiteData(
+            float(x0), float(y0), float(rot + phi0),
+            float(x0 + r * math.cos(rot)), float(y0 + r * math.sin(rot)),
+            float(rot + phi1)))
+        counts.append(calls[0])
+    assert max(counts) <= 3
+    assert sum(counts) / len(counts) <= 2.02
 
 
 def _bend_derivative(monkeypatch, slope):
@@ -327,10 +389,11 @@ def test_build_reference_case():
         HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0))
     assert fit.iterations <= 5
     assert fit.endpoint_error <= 1e-12
-    assert fit.residual_g <= 1e-12
     assert fit.curve.L > 0.0
     rp = reduce_problem(
         HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0))
+    # residual_g is read before the last step; the returned A is a root
+    assert abs(g_eval(fit.A, rp)) <= 1e-15
     assert fit.B == rp.delta - fit.A
 
 
@@ -353,6 +416,23 @@ def test_fits_reach_machine_accuracy():
     assert _worst_relative_error(FitConfig(tol=tol), 1000) <= 10.0 * tol * tol
 
 
+def test_fits_near_the_excluded_corners_reach_machine_accuracy():
+    # phi0 = +/-(pi - e0), phi1 = -/+(pi - e1) with e log-uniform in
+    # [1e-9, 1e-1]: L grows as the corner nears, and the step stop must
+    # still leave only a rounding-level last step.  These fits reach
+    # 1e-15; a step stop at 1e-6 max(1, |A|) leaves 7.5e-15
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for _ in range(2000):
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        e0, e1 = 10.0 ** rng.uniform(-9.0, -1.0, 2)
+        theta0 = sign * (math.pi - float(e0))
+        theta1 = -sign * (math.pi - float(e1))
+        fit = build_clothoid(HermiteData(0.0, 0.0, theta0, 1.0, 0.0, theta1))
+        worst = max(worst, fit.endpoint_error / fit.curve.L)
+    assert worst <= 3e-15
+
+
 def test_build_excluded_corner():
     with pytest.raises(ExcludedAngleError):
         build_clothoid(HermiteData(0.0, 0.0, math.pi, 1.0, 0.0, -math.pi))
@@ -369,6 +449,9 @@ def test_build_rejects_unrepresentable_chord_scales():
     for r in (1e-320, 1e-300, 1e155, 1e200):
         with pytest.raises(DegenerateInputError, match="chord length"):
             build_clothoid(HermiteData(0.0, 0.0, 0.3, r, 0.0, -0.2))
+    # L^2 is a normal double here, but 2A/L^2 overflows
+    with pytest.raises(DegenerateInputError, match="chord length"):
+        build_clothoid(HermiteData(0.0, 0.0, 1.2, 1.5e-154, 0.0, 1.5))
     with pytest.raises(DegenerateInputError, match="chord length inf"):
         build_clothoid(HermiteData(-1e308, 0.0, 0.3, 1e308, 0.0, -0.2))
 
