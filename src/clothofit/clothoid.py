@@ -97,12 +97,14 @@ class ClothoidCurve:
         """
         if not math.isfinite(s):
             raise ValueError("point_at: s must be finite, got %r" % (s,))
-        a = self.kappa_prime * s * s
+        kappa_prime = self.kappa_prime
+        L = self.L
+        a = kappa_prime * s * s
         b = self.kappa * s
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r" % (s,))
         # s != L first: a fit's point_at(L) pays one comparison for the square
-        if s != self.L and EPSILON_A <= abs(self.kappa_prime * self.L * self.L) < math.inf:
+        if s != L and EPSILON_A <= abs(kappa_prime * L * L) < math.inf:
             sigma, z_per_L, w, c0, s0, ux, uy = self._square
             c, sv, _, _ = _fresnel_core(w + z_per_L * s)
             dc = c - c0
@@ -143,13 +145,17 @@ class ClothoidCurve:
         """
         if not isinstance(n, int) or n < 2:
             raise ValueError("sample: need at least 2 points, got %r" % (n,))
-        rows = [(self.x0, self.y0, self.theta0, self.kappa)]
-        step = self.L / (n - 1)
+        theta0, kappa, kappa_prime, L = self.theta0, self.kappa, self.kappa_prime, self.L
+        point_at = self.point_at
+        rows = [(self.x0, self.y0, theta0, kappa)]
+        step = L / (n - 1)
         for i in range(1, n):
             # (n - 1) step need not round to L
-            s = i * step if i < n - 1 else self.L
-            x, y = self.point_at(s)
-            rows.append((x, y, self.angle_at(s), self.curvature_at(s)))
+            s = i * step if i < n - 1 else L
+            x, y = point_at(s)
+            # angle_at(s) and curvature_at(s) inlined, the same expressions and bits
+            rows.append((x, y, theta0 + s * (kappa + 0.5 * kappa_prime * s),
+                         kappa + kappa_prime * s))
         return rows
 
     def endpoint_residual(self, data) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "ReducedProblem",
     "FitConfig",
     "FitResult",
-    "CUBIC_GUESS_COEFFICIENTS",
     "QUINTIC_GUESS_COEFFICIENTS",
     "SURFACE_GUESS_COEFFICIENTS",
     "GUESS_VARIANTS",
@@ -113,8 +112,7 @@ class ReducedProblem:
         return self.phi1 - self.phi0
 
 
-# Least-squares coefficients of the cubic and quintic guess surfaces.
-CUBIC_GUESS_COEFFICIENTS = (3.070645, 0.947923, -0.673029)
+# Least-squares coefficients of the quintic guess surface.
 QUINTIC_GUESS_COEFFICIENTS = (2.989696, 0.71622, -0.458969, -0.502821, 0.26106, -0.045854)
 
 # Least-squares fit of A/(phi0 + phi1) by the 15 monomials u^i v^j,
@@ -132,7 +130,7 @@ SURFACE_GUESS_COEFFICIENTS = (
     -0.12170944428974421,
 )
 
-GUESS_VARIANTS = ("linear", "cubic", "quintic", "surface")
+GUESS_VARIANTS = ("linear", "quintic", "surface")
 
 
 @dataclass(frozen=True)
@@ -247,20 +245,17 @@ def initial_guess(
 ) -> float:
     """Starting value for the Newton solve.
 
-    'linear' is 3 (phi0 + phi1), from linearizing g.  'cubic' and
-    'quintic' are least-squares fits of the root surface in the scaled
-    angles phi/pi; the quintic lands within Newton's quadratic basin
-    essentially everywhere.  'surface', the default, fits A/(phi0 + phi1)
-    by a degree-4 polynomial in f0 f1 and f0^2 + f1^2 (f = phi/pi), close
-    enough that one evaluated step usually meets the step stop.
+    'linear' is 3 (phi0 + phi1), from linearizing g.  'quintic' is a
+    least-squares fit of the root surface in the scaled angles phi/pi
+    that lands within Newton's quadratic basin essentially everywhere.
+    'surface', the default, fits A/(phi0 + phi1) by a degree-4 polynomial
+    in f0 f1 and f0^2 + f1^2 (f = phi/pi), close enough that one
+    evaluated step usually meets the step stop.
     """
     if variant == "linear":
         return 3.0 * (phi0 + phi1)
     f0 = phi0 / math.pi
     f1 = phi1 / math.pi
-    if variant == "cubic":
-        c1, c2, c3 = CUBIC_GUESS_COEFFICIENTS
-        return (phi0 + phi1) * (c1 + c2 * f0 * f1 + c3 * (f0 * f0 + f1 * f1))
     if variant == "quintic":
         d1, d2, d3, d4, d5, d6 = QUINTIC_GUESS_COEFFICIENTS
         prod = f0 * f1

@@ -5,18 +5,18 @@ The pi/2-normalized convention is used throughout:
     C(t) = int_0^t cos(pi/2 u^2) du,      S(t) = int_0^t sin(pi/2 u^2) du.
 
 With u = (pi/2) t^2 and w = u^2, C/t and S/(t u) are degree-11
-polynomials in w for |t| <= 1.6, summed together in one Horner pass.  Each
-is the Chebyshev interpolant at 12 first-kind nodes on w in [0, ((pi/2)
-1.6^2)^2] of the Maclaurin series, solved in 50-digit mpmath, converted
-to monomials and rounded to doubles; over t = 0.001..1.6 in steps of
-0.001 both stay within 8e-16 relative of mpmath.  Beyond, the asymptotic
-form
+polynomials in w for |t| <= 1.6, each summed by one unrolled Horner
+expression over its column of `_CS_SS`.  Each is the Chebyshev
+interpolant at 12 first-kind nodes on w in [0, ((pi/2) 1.6^2)^2] of the
+Maclaurin series, solved in 50-digit mpmath, converted to monomials and
+rounded to doubles; over t = 0.001..1.6 in steps of 0.001 both stay
+within 8e-16 relative of mpmath.  Beyond, the asymptotic form
 
     C(t) = 1/2 + f(t) sin u - g(t) cos u
     S(t) = 1/2 - f(t) cos u - g(t) sin u
 
 takes f and g as rationals in 1/(pi t^2)^2 (Cephes fresnl coefficients),
-whose four polynomials are also summed in one pass.  Both branches are
+whose four polynomials are unrolled the same way.  Both branches are
 within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  The kernel
 `_fresnel_core` returns sin u and cos u beside C and S, the phase
 carried in two doubles up to |t| = 1e150: `gfresnel`'s large-|a| path
@@ -91,9 +91,15 @@ _GD = (
     1.38796531259578871258e-15, 8.39158816283118707363e-19,
     1.86958710162783236342e-22,
 )
-# The four as rows (FN, FD, GN, GD) for one Horner pass; the shorter ones
-# are padded with leading zeros, which change no sum by a single bit.
-_FG = tuple(zip((0.0, 0.0) + _FN, (0.0,) + _FD, (0.0,) + _GN, _GD))
+# The tables unpacked by degree for the unrolled Horner sums in
+# `_fresnel_core`.  The leading 1.0 of FD and GD is left out: 1.0 u == u
+# exactly, so the sums start from u plus the next coefficient.
+((_C11, _S11), (_C10, _S10), (_C9, _S9), (_C8, _S8), (_C7, _S7), (_C6, _S6),
+ (_C5, _S5), (_C4, _S4), (_C3, _S3), (_C2, _S2), (_C1, _S1), (_C0, _S0)) = _CS_SS
+_FN9, _FN8, _FN7, _FN6, _FN5, _FN4, _FN3, _FN2, _FN1, _FN0 = _FN
+_FD9, _FD8, _FD7, _FD6, _FD5, _FD4, _FD3, _FD2, _FD1, _FD0 = _FD[1:]
+_GN10, _GN9, _GN8, _GN7, _GN6, _GN5, _GN4, _GN3, _GN2, _GN1, _GN0 = _GN
+_GD10, _GD9, _GD8, _GD7, _GD6, _GD5, _GD4, _GD3, _GD2, _GD1, _GD0 = _GD[1:]
 
 
 def _two_prod(a, b):
@@ -134,12 +140,11 @@ def _fresnel_core(t):
     if x <= _SERIES_CUTOFF:
         u = 0.5 * math.pi * x * x
         w = u * u
-        cc = sv = 0.0
-        for p, q in _CS_SS:
-            cc = cc * w + p
-            sv = sv * w + q
-        cc *= x
-        sv *= x * u
+        # S's last factor is (x * u): (...) * x * u rounds differently
+        cc = (_C0 + w * (_C1 + w * (_C2 + w * (_C3 + w * (_C4 + w * (_C5 + w * (
+            _C6 + w * (_C7 + w * (_C8 + w * (_C9 + w * (_C10 + w * _C11))))))))))) * x
+        sv = (_S0 + w * (_S1 + w * (_S2 + w * (_S3 + w * (_S4 + w * (_S5 + w * (
+            _S6 + w * (_S7 + w * (_S8 + w * (_S9 + w * (_S10 + w * _S11))))))))))) * (x * u)
         s, c = math.sin(u), math.cos(u)
     elif x > _LIMIT_CUTOFF:
         h = math.copysign(0.5, t)
@@ -150,12 +155,14 @@ def _fresnel_core(t):
     else:
         pix2 = math.pi * (x * x)
         u = 1.0 / (pix2 * pix2)
-        fn = fd = gn = gd = 0.0
-        for p, q, r, v in _FG:
-            fn = fn * u + p
-            fd = fd * u + q
-            gn = gn * u + r
-            gd = gd * u + v
+        fn = _FN0 + u * (_FN1 + u * (_FN2 + u * (_FN3 + u * (_FN4 + u * (
+            _FN5 + u * (_FN6 + u * (_FN7 + u * (_FN8 + u * _FN9))))))))
+        fd = _FD0 + u * (_FD1 + u * (_FD2 + u * (_FD3 + u * (_FD4 + u * (
+            _FD5 + u * (_FD6 + u * (_FD7 + u * (_FD8 + u * (_FD9 + u)))))))))
+        gn = _GN0 + u * (_GN1 + u * (_GN2 + u * (_GN3 + u * (_GN4 + u * (
+            _GN5 + u * (_GN6 + u * (_GN7 + u * (_GN8 + u * (_GN9 + u * _GN10)))))))))
+        gd = _GD0 + u * (_GD1 + u * (_GD2 + u * (_GD3 + u * (_GD4 + u * (
+            _GD5 + u * (_GD6 + u * (_GD7 + u * (_GD8 + u * (_GD9 + u * (_GD10 + u))))))))))
         f = 1.0 - u * fn / fd
         g = gn / (gd * pix2)
         s, c = _phase_sincos(x)

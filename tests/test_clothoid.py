@@ -105,17 +105,28 @@ def test_sample_endpoints_match_point_at():
     rows = curve.sample(2)
     assert rows[0] == _end_pose(curve, 0.0)
     assert rows[1] == _end_pose(curve, curve.L)
+    # every row is the pose point_at, angle_at and curvature_at give at its
+    # s, bit for bit
     rng = np.random.default_rng(1401)
-    rounded_away = 0
+    cases = []
     for _ in range(120):
         L = float(rng.uniform(0.1, 10.0))
         n = int(rng.integers(2, 60))
         # |kappa_prime L^2| up to 5 on both sides of the switch at EPSILON_A
-        curve = ClothoidCurve(0.3, -1.2, 0.7, float(rng.uniform(-2.0, 2.0)) / L,
-                              float(rng.uniform(-5.0, 5.0)) / (L * L), L)
+        cases.append((ClothoidCurve(0.3, -1.2, 0.7, float(rng.uniform(-2.0, 2.0)) / L,
+                                    float(rng.uniform(-5.0, 5.0)) / (L * L), L), n))
+    # a near-line curve and a line take eval_xy on every row
+    near_line = ClothoidCurve(0.3, -1.2, 0.7, 0.2, 0.05, 1.5)
+    assert abs(near_line.kappa_prime * near_line.L ** 2) < EPSILON_A
+    cases += [(near_line, 50), (LINE, 37)]
+    rounded_away = 0
+    for curve, n in cases:
+        L = curve.L
         rows = curve.sample(n)
-        assert rows[0] == _end_pose(curve, 0.0)
-        assert rows[-1] == _end_pose(curve, L), (L, n)
+        assert len(rows) == n
+        for i, row in enumerate(rows):
+            s = i * (L / (n - 1)) if i < n - 1 else L
+            assert row == _end_pose(curve, s), (L, n, i)
         rounded_away += (n - 1) * (L / (n - 1)) != L
     assert rounded_away > 0
 

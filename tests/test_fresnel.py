@@ -139,9 +139,28 @@ def test_continuity_across_the_series_switch():
         assert abs(hi - lo) <= 4 * math.ulp(lo), (below, above)
 
 
+def test_series_branch_matches_a_horner_loop_over_the_table():
+    # the unrolled sums must equal a plain Horner loop over _CS_SS, the
+    # table test_series_tables_regenerate_from_mpmath checks, bit for bit
+    kernel = importlib.import_module("clothofit.fresnel")
+    rng = np.random.default_rng(1601)
+    for t in rng.uniform(-1.6, 1.6, 2000):
+        x = abs(float(t))
+        u = 0.5 * math.pi * x * x
+        w = u * u
+        cc = sv = 0.0
+        for p, q in kernel._CS_SS:
+            cc = cc * w + p
+            sv = sv * w + q
+        ref = (cc * x, sv * (x * u))
+        if t < 0.0:
+            ref = (-ref[0], -ref[1])
+        assert fresnel(float(t)) == ref, t
+
+
 def test_asymptotic_branch_matches_separate_horner_sums():
-    # the one-pass sum over the padded rows must equal four plain Horner
-    # sums over the Cephes tables bit for bit
+    # the unrolled sums must equal four plain Horner sums over the Cephes
+    # tables bit for bit
     kernel = importlib.import_module("clothofit.fresnel")
 
     def polevl(x, coef):
