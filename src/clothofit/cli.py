@@ -13,9 +13,11 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 from .errors import ConvergenceError, DegenerateInputError, ExcludedAngleError, FitError
 from .fitter import (
+    DEFAULT_FIT_CONFIG,
     GUESS_VARIANTS,
     FitConfig,
     HermiteData,
@@ -53,24 +55,7 @@ BENCH_MAX_ERROR = 1e-12
 
 GRID_ANGLE_LIMIT = 0.9999 * math.pi
 
-
-def _add_fit_arguments(p):
-    for name in ("x0", "y0", "theta0", "x1", "y1", "theta1"):
-        p.add_argument("--" + name, type=float, required=True)
-    _add_solver_arguments(p)
-
-
-def _add_solver_arguments(p):
-    defaults = FitConfig()
-    p.add_argument("--tol", type=float, default=defaults.tol,
-                   help="Newton stop on |g(A)| (default %(default)g)")
-    p.add_argument("--guess", choices=GUESS_VARIANTS,
-                   default=defaults.guess_variant, help="initial guess variant")
-
-
-def _add_out_argument(p):
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="output file (default: stdout)")
+POSE_FLAGS = ("x0", "y0", "theta0", "x1", "y1", "theta1")
 
 
 def _build_parser():
@@ -80,44 +65,47 @@ def _build_parser():
                     "(positions plus tangent angles) and export the result.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, run, text in (("fit", cmd_fit, "solve one fit and print a JSON record"),
+                            ("sample", cmd_sample, "fit, then tabulate poses along the curve"),
+                            ("svg", cmd_svg, "fit, then render the curve as an SVG plot")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for flag in POSE_FLAGS:
+            p.add_argument("--" + flag, type=float, required=True)
+        p.add_argument("--tol", type=float, default=DEFAULT_FIT_CONFIG.tol,
+                       help="Newton stop on |g(A)| (default %(default)g)")
+        p.add_argument("--guess", choices=GUESS_VARIANTS,
+                       default=DEFAULT_FIT_CONFIG.guess_variant, help="initial guess variant")
 
-    p = sub.add_parser("fit", help="solve one fit and print a JSON record")
-    _add_fit_arguments(p)
-    _add_out_argument(p)
-
-    p = sub.add_parser("sample", help="fit, then tabulate poses along the curve")
-    _add_fit_arguments(p)
+    p = sub.choices["sample"]
     p.add_argument("--n", type=int, default=100, help="number of rows (>= 2)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_out_argument(p)
 
-    p = sub.add_parser("svg", help="fit, then render the curve as an SVG plot")
-    _add_fit_arguments(p)
+    p = sub.choices["svg"]
     p.add_argument("--n", type=int, default=100, help="polyline vertices (>= 2)")
     p.add_argument("--width", type=float, default=800.0)
     p.add_argument("--height", type=float, default=600.0)
-    _add_out_argument(p)
 
     p = sub.add_parser("bench", help="run the built-in reference problems")
-    _add_out_argument(p)
+    p.set_defaults(run=cmd_bench)
 
     p = sub.add_parser("grid-stats",
                        help="histogram of Newton iteration counts over an angle grid")
+    p.set_defaults(run=cmd_grid_stats)
     p.add_argument("--grid-n", type=int, default=64, help="grid points per axis (>= 2)")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--guess", choices=GUESS_VARIANTS, default=FitConfig().guess_variant)
-    _add_out_argument(p)
+    p.add_argument("--guess", choices=GUESS_VARIANTS, default=DEFAULT_FIT_CONFIG.guess_variant)
 
+    # added last so that it closes every subcommand's --help
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="PATH", default=None,
+                       help="output file (default: stdout)")
     return parser
 
 
-def _fit_config(args):
-    return FitConfig(tol=args.tol, guess_variant=args.guess)
-
-
-def _hermite_data(args):
-    names = ("x0", "y0", "theta0", "x1", "y1", "theta1")
-    return HermiteData(*[getattr(args, n) for n in names])
+def _fit(args):
+    data = HermiteData(*[getattr(args, flag) for flag in POSE_FLAGS])
+    return build_clothoid(data, FitConfig(tol=args.tol, guess_variant=args.guess))
 
 
 def _emit(text, out_path):
@@ -128,8 +116,9 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def _fit_record(result):
-    return {
+def cmd_fit(args):
+    result = _fit(args)
+    record = {
         "kappa": result.curve.kappa,
         "kappa_prime": result.curve.kappa_prime,
         "L": result.curve.L,
@@ -138,19 +127,14 @@ def _fit_record(result):
         "residual_g": result.residual_g,
         "endpoint_error": result.endpoint_error,
     }
-
-
-def cmd_fit(args):
-    result = build_clothoid(_hermite_data(args), _fit_config(args))
-    _emit(json.dumps(_fit_record(result)) + "\n", args.out)
+    _emit(json.dumps(record) + "\n", args.out)
     return 0
 
 
 def _sample_rows(args):
     if args.n < 2:
         raise ValueError("--n must be at least 2")
-    result = build_clothoid(_hermite_data(args), _fit_config(args))
-    curve = result.curve
+    curve = _fit(args).curve
     step = curve.L / (args.n - 1)
     # the s column matches curve.sample's rows: uniform steps, then L itself
     s = [i * step for i in range(args.n - 1)] + [curve.L]
@@ -176,31 +160,19 @@ def cmd_svg(args):
     rows = _sample_rows(args)
     xs = [r[1] for r in rows]
     ys = [r[2] for r in rows]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    xmin, ymin = min(xs), min(ys)
+    span_x, span_y = max(xs) - xmin, max(ys) - ymin
     margin = 0.05 * min(args.width, args.height)
-    span_x = xmax - xmin
-    span_y = ymax - ymin
-    # uniform scale preserves the curve's aspect ratio
-    avail_w = args.width - 2.0 * margin
-    avail_h = args.height - 2.0 * margin
-    candidates = []
-    if span_x > 0.0:
-        candidates.append(avail_w / span_x)
-    if span_y > 0.0:
-        candidates.append(avail_h / span_y)
-    scale = min(candidates) if candidates else 1.0
+    # uniform scale preserves the curve's aspect ratio; a chord of zero
+    # extent along one axis is scaled by the other alone
+    scale = min([(extent - 2.0 * margin) / span
+                 for extent, span in ((args.width, span_x), (args.height, span_y))
+                 if span > 0.0], default=1.0)
     off_x = 0.5 * (args.width - span_x * scale)
     off_y = 0.5 * (args.height - span_y * scale)
-
-    def to_px(x, y):
-        px = off_x + (x - xmin) * scale
-        py = args.height - (off_y + (y - ymin) * scale)
-        return px, py
-
-    points = " ".join("%.6f,%.6f" % to_px(x, y) for x, y in zip(xs, ys))
-    start = to_px(xs[0], ys[0])
-    end = to_px(xs[-1], ys[-1])
+    pixels = [(off_x + (x - xmin) * scale, args.height - (off_y + (y - ymin) * scale))
+              for x, y in zip(xs, ys)]
+    points = " ".join("%.6f,%.6f" % px for px in pixels)
     text = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -209,8 +181,7 @@ def cmd_svg(args):
         '  <circle cx="%.6f" cy="%.6f" r="3" fill="#2ca02c"/>\n'
         '  <circle cx="%.6f" cy="%.6f" r="3" fill="#d62728"/>\n'
         "</svg>\n"
-        % (args.width, args.height, args.width, args.height, points,
-           start[0], start[1], end[0], end[1])
+        % (args.width, args.height, args.width, args.height, points, *pixels[0], *pixels[-1])
     )
     _emit(text, args.out)
     return 0
@@ -218,29 +189,11 @@ def cmd_svg(args):
 
 def _grid_histogram(grid_n, tol, guess_variant):
     cfg = FitConfig(tol=tol, guess_variant=guess_variant)
-    lo, hi = -GRID_ANGLE_LIMIT, GRID_ANGLE_LIMIT
-    span = hi - lo
-    hist = {}
-    for i in range(grid_n):
-        phi0 = lo + span * i / (grid_n - 1)
-        for j in range(grid_n):
-            phi1 = lo + span * j / (grid_n - 1)
-            _, iterations = solve_A(ReducedProblem(1.0, phi0, phi1), cfg)
-            hist[iterations] = hist.get(iterations, 0) + 1
-    return hist
-
-
-def _format_histogram(hist, grid_n, tol, guess_variant, elapsed):
-    total = grid_n * grid_n
-    lines = [
-        "grid %dx%d, tol %g, guess %s" % (grid_n, grid_n, tol, guess_variant),
-        "iterations  count  percent",
-    ]
-    for it in sorted(hist):
-        lines.append("%10d  %5d  %6.2f%%" % (it, hist[it], 100.0 * hist[it] / total))
-    lines.append("max_iterations %d" % max(hist))
-    lines.append("elapsed_s %.3f" % elapsed)
-    return "\n".join(lines) + "\n"
+    lo = -GRID_ANGLE_LIMIT
+    span = GRID_ANGLE_LIMIT - lo
+    angles = [lo + span * i / (grid_n - 1) for i in range(grid_n)]
+    return Counter(solve_A(ReducedProblem(1.0, phi0, phi1), cfg)[1]
+                   for phi0 in angles for phi1 in angles)
 
 
 def cmd_grid_stats(args):
@@ -249,19 +202,27 @@ def cmd_grid_stats(args):
     t0 = time.perf_counter()
     hist = _grid_histogram(args.grid_n, args.tol, args.guess)
     elapsed = time.perf_counter() - t0
-    _emit(_format_histogram(hist, args.grid_n, args.tol, args.guess, elapsed), args.out)
+    total = args.grid_n * args.grid_n
+    lines = [
+        "grid %dx%d, tol %g, guess %s" % (args.grid_n, args.grid_n, args.tol, args.guess),
+        "iterations  count  percent",
+    ]
+    for it in sorted(hist):
+        lines.append("%10d  %5d  %6.2f%%" % (it, hist[it], 100.0 * hist[it] / total))
+    lines.append("max_iterations %d" % max(hist))
+    lines.append("elapsed_s %.3f" % elapsed)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_bench(args):
-    cfg = FitConfig()
     lines = ["case        iterations  endpoint_error  within_bounds"]
     all_ok = True
     cases = [(name, data, "arc") for name, data in BENCH_TESTS]
     cases += [("test-7-k%d" % k, bench_near_line_case(k), "regime") for k in range(1, 11)]
     cases += [("test-8-k%d" % k, bench_near_circle_case(k), "regime") for k in range(1, 11)]
     for name, data, kind in cases:
-        result = build_clothoid(HermiteData(*data), cfg)
+        result = build_clothoid(HermiteData(*data))
         ok = (result.iterations <= BENCH_MAX_ITER[kind]
               and result.endpoint_error <= BENCH_MAX_ERROR)
         all_ok = all_ok and ok
@@ -273,23 +234,6 @@ def cmd_bench(args):
     return 0 if all_ok else 1
 
 
-_COMMANDS = {
-    "fit": cmd_fit,
-    "sample": cmd_sample,
-    "svg": cmd_svg,
-    "bench": cmd_bench,
-    "grid-stats": cmd_grid_stats,
-}
-
-
-def _is_number(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _attach_negative_values(argv):
     """Join '--name -1e-3' into '--name=-1e-3'.
 
@@ -299,8 +243,13 @@ def _attach_negative_values(argv):
     out = []
     for arg in argv:
         prev = out[-1] if out else ""
-        if (arg.startswith("-") and _is_number(arg)
-                and prev.startswith("--") and len(prev) > 2 and "=" not in prev):
+        try:
+            float(arg)
+            joins = (arg.startswith("-") and prev.startswith("--") and len(prev) > 2
+                     and "=" not in prev)
+        except ValueError:
+            joins = False
+        if joins:
             out[-1] = prev + "=" + arg
         else:
             out.append(arg)
@@ -317,7 +266,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (FitError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

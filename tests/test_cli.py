@@ -17,6 +17,8 @@ SEMICIRCLE = ["--x0", "0", "--y0", "0", "--theta0", repr(math.pi / 2),
               "--x1", "2", "--y1", "0", "--theta1", repr(-math.pi / 2)]
 LINE = ["--x0", "0", "--y0", "0", "--theta0", "0",
         "--x1", "3", "--y1", "0", "--theta1", "0"]
+VERTICAL = ["--x0", "0", "--y0", "0", "--theta0", repr(math.pi / 2),
+            "--x1", "0", "--y1", "3", "--theta1", repr(math.pi / 2)]
 
 
 def run(capsys, argv):
@@ -123,7 +125,8 @@ def test_fit_out_file(tmp_path, capsys):
     assert record["L"] > 0
 
 
-@pytest.mark.parametrize("command", [["fit"] + TEST3, ["bench"]])
+@pytest.mark.parametrize("command", [["fit"] + TEST3, ["bench"], ["sample"] + TEST3,
+                                     ["svg"] + TEST3, ["grid-stats", "--grid-n", "2"]])
 def test_unwritable_out_exit_code(tmp_path, capsys, command):
     # a directory cannot be opened as the output file
     assert main(command + ["--out", str(tmp_path)]) == 2
@@ -209,11 +212,21 @@ def polyline_vertices(svg_text):
 
 
 def test_svg_line(capsys):
-    code, out = run(capsys, ["svg"] + LINE + ["--n", "2"])
-    assert code == 0
-    vertices, root, ns = polyline_vertices(out)
-    assert len(vertices) == 2
-    assert len(root.findall(ns + "circle")) == 2  # start and end markers
+    # a chord of zero extent across it sits on the 800x600 plot's centre
+    # line and spans the other side less a 30 px margin (5% of 600) at
+    # each end; svg's y axis points down, so a chord along +y starts low
+    for pose, expected in ((LINE, [(30.0, 300.0), (400.0, 300.0), (770.0, 300.0)]),
+                           (VERTICAL, [(400.0, 570.0), (400.0, 300.0), (400.0, 30.0)])):
+        code, out = run(capsys, ["svg"] + pose + ["--n", "3"])
+        assert code == 0
+        vertices, root, ns = polyline_vertices(out)
+        assert len(vertices) == 3
+        assert [c for v in vertices for c in v] == pytest.approx(
+            [c for v in expected for c in v], abs=1e-6)
+        # start and end markers
+        markers = [(float(c.attrib["cx"]), float(c.attrib["cy"]))
+                   for c in root.findall(ns + "circle")]
+        assert markers == [vertices[0], vertices[-1]]
 
 
 def test_svg_well_formed(capsys):

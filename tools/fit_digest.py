@@ -1,4 +1,4 @@
-"""One SHA-256 over every output of a seeded set of fits and sampled rows.
+"""SHA-256 digests of a seeded set of fits and sampled rows, and of CLI outputs.
 
     python tools/fit_digest.py
 
@@ -18,24 +18,71 @@ The families:
 
 Two checkouts whose digests agree made bit-identical fits and rows on
 these poses.  Prints the digest, then the number of fits and rows.
+
+A second line hashes, for each argument list in CLI_INVOCATIONS, the
+exit code, stdout and stderr of `cli.main`: every subcommand, each
+`--help`, and the error exits 2, 3 and 4.  The help text is laid out for
+COLUMNS=80, and grid-stats' `elapsed_s` line, wall time, is dropped
+before hashing.  argparse words its help differently across Python
+versions, so compare this line between checkouts on one interpreter.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clothofit import FitError, HermiteData, build_clothoid  # noqa: E402
-from clothofit.cli import bench_near_circle_case, bench_near_line_case  # noqa: E402
+from clothofit.cli import bench_near_circle_case, bench_near_line_case, main  # noqa: E402
 
 SEED = 20131
 ANGLE_LIMIT = 0.9999 * math.pi
 SAMPLE_N = 50
 PATH_SEGMENTS = 32
 COUNT = 15000
+
+POSE = ["--x0", "-1e-3", "--y0", "0", "--theta0", "0.3",
+        "--x1", "4", "--y1", "1", "--theta1", "-2.5E-1"]
+LINE = ["--x0", "0", "--y0", "0", "--theta0", "0", "--x1", "3", "--y1", "0", "--theta1", "0"]
+VERTICAL = ["--x0", "1", "--y0", "2", "--theta0", repr(math.pi / 2),
+            "--x1", "1", "--y1", "7", "--theta1", repr(math.pi / 2)]
+COINCIDENT = ["--x0", "1", "--y0", "1", "--theta0", "0.3",
+              "--x1", "1", "--y1", "1", "--theta1", "0.7"]
+EXCLUDED = ["--x0", "0", "--y0", "0", "--theta0", repr(math.pi),
+            "--x1", "1", "--y1", "0", "--theta1", repr(-math.pi)]
+# "{out}" stands for a fresh file path; that file's text is hashed too
+CLI_INVOCATIONS = (
+    ["--help"], ["fit", "--help"], ["sample", "--help"], ["svg", "--help"],
+    ["bench", "--help"], ["grid-stats", "--help"],
+    ["fit"] + POSE, ["fit"] + POSE + ["--tol", "1e-6", "--guess", "linear"],
+    ["fit"] + POSE + ["--guess", "quintic", "--out", "{out}"],
+    ["sample"] + POSE + ["--n", "7"],
+    ["sample"] + POSE + ["--n", "5", "--format", "json", "--tol", "1e-9"],
+    ["svg"] + POSE + ["--n", "20"], ["svg"] + LINE + ["--n", "3"],
+    ["svg"] + VERTICAL + ["--n", "4", "--width", "300", "--height", "500"],
+    ["bench"], ["bench", "--out", "{out}"],
+    ["grid-stats", "--grid-n", "6"],
+    ["grid-stats", "--grid-n", "5", "--tol", "1e-12", "--guess", "quintic"],
+    # exit 2: argparse, then the checks on values and on --out
+    [], ["plot"], ["fit"], ["fit"] + POSE[:-1], ["fit"] + POSE + ["--guess", "cubic"],
+    ["fit", "--x0", "zebra"] + POSE[2:], ["fit", "--x0", "nan"] + POSE[2:],
+    ["fit"] + POSE + ["--tol", "inf"], ["sample"] + POSE + ["--n", "1"],
+    ["svg"] + POSE + ["--width", "nan"], ["svg"] + POSE + ["--height", "-1"],
+    ["grid-stats", "--grid-n", "1"], ["grid-stats", "--grid-n", "2", "--tol", "0"],
+    ["bench", "--out", "."],
+    ["fit"] + COINCIDENT, ["sample"] + COINCIDENT,
+    ["fit", "--x0", "0", "--y0", "0", "--theta0", "0.3", "--x1", "1e200", "--y1", "0",
+     "--theta1", "-0.2"],
+    ["fit"] + EXCLUDED, ["svg"] + EXCLUDED,
+)
 
 
 def _log_uniform(rng, lo, hi):
@@ -101,5 +148,31 @@ def digest():
     return h.hexdigest(), fits, rows
 
 
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_digest():
+    """(hex digest, invocations) over CLI_INVOCATIONS."""
+    os.environ["COLUMNS"] = "80"
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, argv in enumerate(CLI_INVOCATIONS):
+            path = os.path.join(tmp, "out%d" % i)
+            code, out, err = _run_cli([a.replace("{out}", path) for a in argv])
+            out = "".join(line for line in out.splitlines(keepends=True)
+                          if not line.startswith("elapsed_s "))
+            written = Path(path).read_text() if os.path.exists(path) else None
+            h.update((json.dumps([argv, code, out, err, written]) + "\n").encode())
+    return h.hexdigest(), len(CLI_INVOCATIONS)
+
+
 if __name__ == "__main__":
     print("%s  %d fits, %d rows" % digest())
+    print("%s  %d cli invocations" % cli_digest())
