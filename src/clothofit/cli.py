@@ -93,8 +93,10 @@ def _build_parser():
                        help="histogram of Newton iteration counts over an angle grid")
     p.set_defaults(run=cmd_grid_stats)
     p.add_argument("--grid-n", type=int, default=64, help="grid points per axis (>= 2)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--guess", choices=GUESS_VARIANTS, default=DEFAULT_FIT_CONFIG.guess_variant)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="Newton stop on |g(A)| (default %(default)g)")
+    p.add_argument("--guess", choices=GUESS_VARIANTS,
+                   default=DEFAULT_FIT_CONFIG.guess_variant, help="initial guess variant")
 
     # added last so that it closes every subcommand's --help
     for p in sub.choices.values():

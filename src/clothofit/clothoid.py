@@ -56,6 +56,15 @@ __all__ = ["ClothoidCurve"]
 
 @dataclass(frozen=True)
 class ClothoidCurve:
+    """Start pose (x0, y0, theta0), curvature kappa, curvature rate
+    kappa_prime and length L.
+
+    The constructor, and with it `dataclasses.replace`, rejects a field
+    that is not finite and an L that is not positive.  `build_clothoid`
+    builds its curves without running that check, from values it has
+    already found to pass it.
+    """
+
     x0: float
     y0: float
     theta0: float

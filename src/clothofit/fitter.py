@@ -18,7 +18,17 @@ before that last one, and one on 99.5% of it: most fits make two
 evaluations.  The relevant root lies inside
 [-A_max, A_max] given by `a_max_bound`.  A Newton step that leaves
 twice that bracket, or a vanishing derivative, ends the solve with a
-`ConvergenceError`; neither has occurred on any angle pair tried.
+`ConvergenceError`; neither has occurred on any angle pair tried.  The
+excluded corners are rejected before the first evaluation, but the
+bracket itself is formed only for a step that lands beyond
+2 max(|delta|, 1): A_max >= |delta|, so a step inside that range cannot
+leave it.
+
+The public constructors and functions check their input.  The fit
+path checks each value once: `build_clothoid` reduces the pose, already
+checked by `HermiteData`, to three floats without a `ReducedProblem`,
+and builds its `ClothoidCurve` and `FitResult` from values it has
+already found finite without running their constructors.
 """
 
 import math
@@ -211,14 +221,8 @@ def _wrap(phi: float) -> float:
     return phi
 
 
-def reduce_problem(data: HermiteData) -> ReducedProblem:
-    """Rewrite the Hermite data in the chord frame.
-
-    A heading beyond 4 pi is reduced exactly before the chord angle is
-    subtracted, so that none of the chord angle's bits are lost to the
-    heading's magnitude.  Any other difference, at most 5 pi, is wrapped
-    by the double 2 pi.
-    """
+def _chord_frame(data):
+    """(r, phi0, phi1) of `reduce_problem`, as three floats."""
     dx = data.x1 - data.x0
     dy = data.y1 - data.y0
     r = math.hypot(dx, dy)
@@ -227,7 +231,18 @@ def reduce_problem(data: HermiteData) -> ReducedProblem:
     varphi = math.atan2(dy, dx)
     phi0 = _wrap(_reduce_exactly(data.theta0) - varphi)
     phi1 = _wrap(_reduce_exactly(data.theta1) - varphi)
-    return ReducedProblem(r=r, phi0=phi0, phi1=phi1)
+    return r, phi0, phi1
+
+
+def reduce_problem(data: HermiteData) -> ReducedProblem:
+    """Rewrite the Hermite data in the chord frame.
+
+    A heading beyond 4 pi is reduced exactly before the chord angle is
+    subtracted, so that none of the chord angle's bits are lost to the
+    heading's magnitude.  Any other difference, at most 5 pi, is wrapped
+    by the double 2 pi.
+    """
+    return ReducedProblem(*_chord_frame(data))
 
 
 def g_prime(A: float, rp: ReducedProblem) -> float:
@@ -278,6 +293,17 @@ def initial_guess(
     raise ValueError("initial_guess: unknown variant %r" % (variant,))
 
 
+def _reject_corner(phi0, phi1):
+    """Raise ExcludedAngleError on the corners phi0 = -phi1 = +/-pi."""
+    tol = _EXCLUDED_CORNER_TOL
+    if (abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
+            or abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol):
+        raise ExcludedAngleError(
+            "tangent angles opposite and parallel to the chord: no finite-length "
+            "interpolant exists (phi0=%.17g, phi1=%.17g)" % (phi0, phi1)
+        )
+
+
 def a_max_bound(phi0: float, phi1: float) -> float:
     """Half-width of the interval that brackets the relevant root of g.
 
@@ -290,14 +316,7 @@ def a_max_bound(phi0: float, phi1: float) -> float:
     exchange the roles of phi0 and phi1).  theta_max = 0 degenerates to
     A_max = |delta|.  The corners phi0 = -phi1 = +/-pi are rejected.
     """
-    tol = _EXCLUDED_CORNER_TOL
-    near_pos = abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
-    near_neg = abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol
-    if near_pos or near_neg:
-        raise ExcludedAngleError(
-            "tangent angles opposite and parallel to the chord: no finite-length "
-            "interpolant exists (phi0=%.17g, phi1=%.17g)" % (phi0, phi1)
-        )
+    _reject_corner(phi0, phi1)
     delta = abs(phi1 - phi0)
     sg0 = math.copysign(1.0, phi0) if phi0 != 0.0 else 0.0
     sg1 = math.copysign(1.0, phi1) if phi1 != 0.0 else 0.0
@@ -307,7 +326,7 @@ def a_max_bound(phi0: float, phi1: float) -> float:
     return delta + 2.0 * theta_max * (1.0 + math.sqrt(1.0 + delta / theta_max))
 
 
-def _solve(rp, cfg):
+def _solve(phi0, phi1, cfg):
     """Newton iteration on g; returns (A, iterations, |g|, h(A)).
 
     Each iterate makes one k = 3 evaluation at A, which gives g = Y_0,
@@ -317,12 +336,12 @@ def _solve(rp, cfg):
     Y_1), its length to first order, so the fit needs no further
     evaluation.  `iterations` counts the evaluated steps (the solve makes
     iterations + 1 evaluations) and |g| is read at the last evaluated
-    iterate.
+    iterate.  A step escapes beyond 2 max(A_max, 1); `a_max_bound` is
+    called only for a step beyond 2 max(|delta|, 1) <= 2 max(A_max, 1).
     """
-    A = initial_guess(rp.phi0, rp.phi1, cfg.guess_variant)
-    escape = 2.0 * max(a_max_bound(rp.phi0, rp.phi1), 1.0)
-    delta = rp.delta
-    phi0 = rp.phi0
+    A = initial_guess(phi0, phi1, cfg.guess_variant)
+    _reject_corner(phi0, phi1)
+    delta = phi1 - phi0
     iterations = 0
     while True:
         X, Y = eval_xy(2.0 * A, delta - A, phi0, 3)
@@ -341,12 +360,14 @@ def _solve(rp, cfg):
                 "Newton did not reach |g| <= %g in %d iterations" % (cfg.tol, _MAX_ITER),
                 A=A, iterations=iterations, residual=abs(g),
             )
-        if abs(A - dA) > escape:
-            raise ConvergenceError(
-                "Newton step from A=%.17g left the root bracket |A| <= %.17g"
-                % (A, escape),
-                A=A, iterations=iterations, residual=abs(g),
-            )
+        if abs(A - dA) > 2.0 * max(abs(delta), 1.0):
+            escape = 2.0 * max(a_max_bound(phi0, phi1), 1.0)
+            if abs(A - dA) > escape:
+                raise ConvergenceError(
+                    "Newton step from A=%.17g left the root bracket |A| <= %.17g"
+                    % (A, escape),
+                    A=A, iterations=iterations, residual=abs(g),
+                )
         A -= dA
         iterations += 1
     h = X[0]
@@ -366,8 +387,16 @@ def solve_A(rp: ReducedProblem, cfg: FitConfig = DEFAULT_FIT_CONFIG):
     `iterations` is the number of evaluated Newton steps before it
     stopped; the last, unevaluated step is already in A.
     """
-    A, iterations, _, _ = _solve(rp, cfg)
-    return A, iterations
+    return _solve(rp.phi0, rp.phi1, cfg)[:2]
+
+
+def _prechecked(cls, *values):
+    """An instance of the frozen dataclass cls holding values, which the
+    caller has already checked: object.__new__, then the fields into
+    __dict__ in field order, so neither __init__ nor __post_init__ runs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> FitResult:
@@ -387,32 +416,38 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
         Curve (start pose, kappa, kappa_prime, L > 0) and diagnostics.
         Lines and circles fall out of the same computation with
         kappa_prime = 0; no case split is involved.
+
+    The corners are rejected before the first evaluation; the root
+    bracket is formed only if a Newton step lands beyond 2 max(|delta|,
+    1).  The fit skips the checks it has already made: it works on the
+    chord-frame floats without a `ReducedProblem`, and builds the curve
+    and the result from values it has found finite, with L > 0, without
+    running the `ClothoidCurve` and `FitResult` constructors.  Those,
+    `reduce_problem` and `solve_A` keep every check.
     """
-    rp = reduce_problem(data)
-    A, iterations, residual, h = _solve(rp, cfg)
+    r, phi0, phi1 = _chord_frame(data)
+    try:
+        A, iterations, residual, h = _solve(phi0, phi1, cfg)
+    except ValueError:
+        # NaN, which HermiteData rejects, reaches the solve only from a pose
+        # that skipped those checks, and eval_xy rejects it; reduce_problem
+        # then raises ReducedProblem's error for it, which a fit always raised
+        reduce_problem(data)
+        raise
     if h <= 0.0:
         raise InternalConsistencyError(
             "X_0 <= 0 at the computed root (A=%.17g): spurious solution" % A
         )
-    L = rp.r / h
+    L = r / h
     if not (sys.float_info.min <= L * L < math.inf and abs(2.0 * A / (L * L)) < math.inf):
         raise DegenerateInputError(
             "chord length %.17g is out of scale: kappa_prime = 2A/L^2 needs L^2 "
             "(L = %.17g) to be a finite normal double and the quotient (A = %.17g) "
-            "to be finite" % (rp.r, L, A)
+            "to be finite" % (r, L, A)
         )
-    B = rp.delta - A
+    B = phi1 - phi0 - A
     kappa = B / L
     kappa_prime = 2.0 * A / (L * L)
-    curve = ClothoidCurve(
-        x0=data.x0, y0=data.y0, theta0=data.theta0,
-        kappa=kappa, kappa_prime=kappa_prime, L=L,
-    )
-    return FitResult(
-        curve=curve,
-        A=A,
-        B=B,
-        iterations=iterations,
-        residual_g=residual,
-        endpoint_error=curve.endpoint_residual(data),
-    )
+    curve = _prechecked(ClothoidCurve, data.x0, data.y0, data.theta0, kappa, kappa_prime, L)
+    return _prechecked(FitResult, curve, A, B, iterations, residual,
+                       curve.endpoint_residual(data))

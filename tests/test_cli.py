@@ -279,6 +279,15 @@ def test_bench_out_of_bounds_exit_code(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- grid
 
+def test_help_shows_each_default_tolerance(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, tol in (("fit", "1e-12"), ("grid-stats", "1e-10")):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "Newton stop on |g(A)| (default %s)" % tol in capsys.readouterr().out
+
+
 def test_grid_stats_minimal(capsys):
     code, out = run(capsys, ["grid-stats", "--grid-n", "2"])
     assert code == 0

@@ -1,13 +1,17 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from clothofit import (
+    ClothoidCurve,
     ConvergenceError,
     DegenerateInputError,
     ExcludedAngleError,
     FitConfig,
+    FitResult,
     HermiteData,
     ReducedProblem,
     SingularDerivativeError,
@@ -333,6 +337,37 @@ def test_newton_escape_raises_convergence_error(monkeypatch):
     assert info.value.residual > FitConfig().tol
 
 
+def test_bracket_is_formed_only_for_a_long_step(monkeypatch):
+    # a step within 2 max(|delta|, 1) cannot leave the bracket 2 max(A_max,
+    # 1), so A_max is computed only for a step past it.  At (0.4, 1.2) the
+    # two are 2 and 25.3: a first step to A = 10, in between, is taken, and
+    # the next one escapes
+    bounds = []
+    real_bound = fitter.a_max_bound
+
+    def counting(phi0, phi1):
+        bounds.append((phi0, phi1))
+        return real_bound(phi0, phi1)
+
+    monkeypatch.setattr(fitter, "a_max_bound", counting)
+    # A = 0.59 here, well inside 2 max(0.8, 1)
+    assert solve_A(make_rp(0.5, -0.3))[1] == 1
+    build_clothoid(HermiteData(0.0, 0.0, 0.5, 1.0, 0.0, -0.3))
+    assert bounds == []
+    rp = make_rp(0.4, 1.2)
+    assert 2.0 * max(abs(rp.delta), 1.0) == 2.0
+    assert 25.0 < 2.0 * real_bound(0.4, 1.2) < 26.0
+    A0 = initial_guess(0.4, 1.2)
+    _, Y = fitter.eval_xy(2.0 * A0, rp.delta - A0, rp.phi0, 3)
+    _bend_derivative(monkeypatch, Y[0] / (A0 - 10.0))
+    with pytest.raises(ConvergenceError) as info:
+        solve_A(rp)
+    assert not isinstance(info.value, SingularDerivativeError)
+    assert info.value.iterations == 1
+    assert info.value.A == pytest.approx(10.0, abs=1e-9)
+    assert bounds == [(0.4, 1.2), (0.4, 1.2)]
+
+
 def test_each_fit_evaluates_each_point_once(monkeypatch):
     # h comes from the last evaluated iterate, so no fit asks for the same
     # (a, b, c) twice; every solver evaluation is one k = 3 Newton
@@ -449,6 +484,89 @@ def test_build_rejects_unrepresentable_chord_scales():
         build_clothoid(HermiteData(0.0, 0.0, 1.2, 1.5e-154, 0.0, 1.5))
     with pytest.raises(DegenerateInputError, match="chord length inf"):
         build_clothoid(HermiteData(-1e308, 0.0, 0.3, 1e308, 0.0, -0.2))
+
+
+def _seeded_fits(seed, n):
+    """n fits each of generic, near-line and near-circle poses."""
+    rng = np.random.default_rng(seed)
+    lim = 0.9999 * math.pi
+    for _ in range(n):
+        x0, y0 = rng.uniform(-10.0, 10.0, 2)
+        r = float(rng.uniform(0.1, 10.0))
+        phi = float(rng.uniform(-0.99 * math.pi, 0.99 * math.pi))
+        pairs = (rng.uniform(-lim, lim, 2),             # generic
+                 rng.uniform(-1e-3, 1e-3, 2),           # |A| < 6e-3: near line
+                 (phi, -phi + rng.uniform(-1e-6, 1e-6)))  # |A| < 3e-6: near circle
+        for phi0, phi1 in pairs:
+            yield build_clothoid(HermiteData(
+                float(x0), float(y0), float(phi0), float(x0) + r, float(y0), float(phi1)))
+
+
+def _fields(obj):
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def test_fitter_built_objects_match_public_ones():
+    # build_clothoid makes its curve and result without running their
+    # constructors; nothing may tell them from publicly built ones
+    square_curves = 0
+    for fit in _seeded_fits(47, 20):
+        curve = fit.curve
+        public = ClothoidCurve(**_fields(curve))
+        result = FitResult(**dict(_fields(fit), curve=public))
+        assert type(curve) is ClothoidCurve and type(fit) is FitResult
+        assert list(vars(curve).items()) == list(vars(public).items())
+        assert list(vars(fit).items()) == list(vars(result).items())
+        for built, twin in ((curve, public), (fit, result)):
+            assert built == twin and twin == built
+            assert hash(built) == hash(twin) and repr(built) == repr(twin)
+            assert dataclasses.replace(built) == twin
+        with pytest.raises(ValueError, match="L must be positive"):
+            dataclasses.replace(curve, L=-1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.L = 2.0
+        # sampling builds the square on generic curves; it stays invisible
+        assert curve.sample(9) == public.sample(9)
+        square_curves += "_square" in vars(curve)
+        assert curve == public and hash(curve) == hash(public) and repr(curve) == repr(public)
+        assert fit == result and hash(fit) == hash(result)
+    assert square_curves == 20
+
+
+def test_fits_check_each_value_once(monkeypatch):
+    # HermiteData checks the pose; the fit runs neither ReducedProblem's nor
+    # ClothoidCurve's checks again, while their public constructors do
+    checks = []
+    for cls in (ReducedProblem, ClothoidCurve):
+        def counting(self, real=cls.__post_init__, name=cls.__name__):
+            checks.append(name)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    data = HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0)
+    for pose in (data, HermiteData(*cli.bench_near_line_case(3)),
+                 HermiteData(*cli.bench_near_circle_case(3))):
+        build_clothoid(pose)
+    assert checks == []
+    rp = reduce_problem(data)
+    curve = ClothoidCurve(**_fields(build_clothoid(data).curve))
+    assert checks == ["ReducedProblem", "ClothoidCurve"]
+    with pytest.raises(ValueError, match="phi0, phi1"):
+        dataclasses.replace(rp, phi0=4.0)
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        dataclasses.replace(curve, kappa=math.inf)
+    # a pose that skipped HermiteData's checks ends as reduce_problem does
+    for field, match in (("theta0", "phi0, phi1 must lie"), ("x1", "r must be positive")):
+        pose = SimpleNamespace(**dict(_fields(data), **{field: math.nan}))
+        with pytest.raises(ValueError, match=match):
+            build_clothoid(pose)
+    # the excluded corner is rejected before the solve evaluates anything
+    calls = []
+    real = fitter.eval_xy
+    monkeypatch.setattr(fitter, "eval_xy", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ExcludedAngleError):
+        build_clothoid(HermiteData(0.0, 0.0, math.pi, 1.0, 0.0, -math.pi))
+    assert calls == []
 
 
 # ------------------------------------------------------------ symmetry
