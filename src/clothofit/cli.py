@@ -72,8 +72,6 @@ def _build_parser():
         p.set_defaults(run=run)
         for flag in POSE_FLAGS:
             p.add_argument("--" + flag, type=float, required=True)
-        p.add_argument("--tol", type=float, default=DEFAULT_FIT_CONFIG.tol,
-                       help="Newton stop on |g(A)| (default %(default)g)")
         p.add_argument("--guess", choices=GUESS_VARIANTS,
                        default=DEFAULT_FIT_CONFIG.guess_variant, help="initial guess variant")
 
@@ -93,8 +91,6 @@ def _build_parser():
                        help="histogram of Newton iteration counts over an angle grid")
     p.set_defaults(run=cmd_grid_stats)
     p.add_argument("--grid-n", type=int, default=64, help="grid points per axis (>= 2)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="Newton stop on |g(A)| (default %(default)g)")
     p.add_argument("--guess", choices=GUESS_VARIANTS,
                    default=DEFAULT_FIT_CONFIG.guess_variant, help="initial guess variant")
 
@@ -107,7 +103,7 @@ def _build_parser():
 
 def _fit(args):
     data = HermiteData(*[getattr(args, flag) for flag in POSE_FLAGS])
-    return build_clothoid(data, FitConfig(tol=args.tol, guess_variant=args.guess))
+    return build_clothoid(data, FitConfig(guess_variant=args.guess))
 
 
 def _emit(text, out_path):
@@ -189,8 +185,8 @@ def cmd_svg(args):
     return 0
 
 
-def _grid_histogram(grid_n, tol, guess_variant):
-    cfg = FitConfig(tol=tol, guess_variant=guess_variant)
+def _grid_histogram(grid_n, guess_variant):
+    cfg = FitConfig(guess_variant=guess_variant)
     lo = -GRID_ANGLE_LIMIT
     span = GRID_ANGLE_LIMIT - lo
     angles = [lo + span * i / (grid_n - 1) for i in range(grid_n)]
@@ -202,11 +198,11 @@ def cmd_grid_stats(args):
     if args.grid_n < 2:
         raise ValueError("--grid-n must be at least 2")
     t0 = time.perf_counter()
-    hist = _grid_histogram(args.grid_n, args.tol, args.guess)
+    hist = _grid_histogram(args.grid_n, args.guess)
     elapsed = time.perf_counter() - t0
     total = args.grid_n * args.grid_n
     lines = [
-        "grid %dx%d, tol %g, guess %s" % (args.grid_n, args.grid_n, args.tol, args.guess),
+        "grid %dx%d, guess %s" % (args.grid_n, args.grid_n, args.guess),
         "iterations  count  percent",
     ]
     for it in sorted(hist):

@@ -34,7 +34,7 @@ class ExcludedAngleError(FitError):
 
 
 class ConvergenceError(FitError):
-    """Root finding did not reach the requested tolerance.
+    """The Newton solve ran out of iterations or left the root bracket.
 
     Carries the last iterate so callers can inspect how far the solve got.
     """
@@ -50,7 +50,7 @@ class SingularDerivativeError(ConvergenceError):
     """Newton hit a vanishing derivative g'(A).
 
     Every Newton step divides by g'(A), the last one included, so this
-    can also end a solve whose |g| is already within tol.
+    can also end a solve whose |g| is already at rounding level.
     """
 
 

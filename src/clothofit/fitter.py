@@ -10,19 +10,18 @@ A = kappa_prime L^2 / 2 solves
 after which L = r / X_0(2A, delta - A, phi0), kappa = (delta - A)/L and
 kappa_prime = 2A/L^2.  Newton starts from a fitted polynomial initial
 guess, and each iterate is one evaluation of X_k, Y_k (k = 0..2) at A:
-it gives g, g', h = X_0 and h'.  Once |g| <= tol, or once the Newton
-step dA = g/g' is at most 1e-8 max(1, |A|), the last step is taken from
-those values without evaluating it.  With the default surface guess a
-256x256 grid of the angle range needs at most two evaluated steps
-before that last one, and one on 99.5% of it: most fits make two
-evaluations.  The relevant root lies inside
-[-A_max, A_max] given by `a_max_bound`.  A Newton step that leaves
-twice that bracket, or a vanishing derivative, ends the solve with a
-`ConvergenceError`; neither has occurred on any angle pair tried.  The
-excluded corners are rejected before the first evaluation, but the
-bracket itself is formed only for a step that lands beyond
-2 max(|delta|, 1): A_max >= |delta|, so a step inside that range cannot
-leave it.
+it gives g, g', h = X_0 and h'.  The solve has one stop: once the
+Newton step dA = g/g' is at most 1e-8 max(1, |A|), that last step is
+taken from those values without evaluating it.  With the default
+surface guess a 256x256 grid of the angle range needs at most two
+evaluated steps before that last one, and one on 99.5% of it: most fits
+make two evaluations.  The relevant root lies inside [-A_max, A_max]
+given by `a_max_bound`.  A Newton step that leaves twice that bracket,
+or a vanishing derivative, ends the solve with a `ConvergenceError`;
+neither has occurred on any angle pair tried.  The excluded corners are
+rejected before the first evaluation, but the bracket itself is formed
+only for a step that lands beyond 2 max(|delta|, 1): A_max >= |delta|,
+so a step inside that range cannot leave it.
 
 The public constructors and functions check their input.  The fit
 path checks each value once: `build_clothoid` reduces the pose, already
@@ -127,9 +126,9 @@ QUINTIC_GUESS_COEFFICIENTS = (2.989696, 0.71622, -0.458969, -0.502821, 0.26106, 
 
 # Least-squares fit of A/(phi0 + phi1) by the 15 monomials u^i v^j,
 # i + j <= 4, in u = f0 f1 and v = f0^2 + f1^2 (f = phi/pi), ordered by i
-# then j.  The roots come from the quintic-guess solve at tol 1e-13 on a
-# 121x121 grid of f in [-0.9999, 0.9999], skipping |phi0 + phi1| < 1e-9;
-# the worst residual of the fit is 2.2e-3.
+# then j.  The roots come from the quintic-guess solve on a 121x121 grid
+# of f in [-0.9999, 0.9999], skipping |phi0 + phi1| < 1e-9; the worst
+# residual of the fit is 2.2e-3.
 SURFACE_GUESS_COEFFICIENTS = (
     2.9997699357420613, -0.5597989356659947, -0.04655247712489689,
     0.06928838496092776, -0.017361420822210632,
@@ -145,18 +144,15 @@ GUESS_VARIANTS = ("linear", "quintic", "surface")
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver settings: Newton stop |g(A)| <= tol, initial guess variant.
+    """Solver settings: the initial guess variant.
 
-    The solve also stops on a Newton step at rounding level, whatever tol.
+    The solve needs no tolerance: it stops once a Newton step is at
+    rounding level.
     """
 
-    tol: float = 1e-12
     guess_variant: str = "surface"
 
     def __post_init__(self):
-        tol = self.tol
-        if type(tol) is bool or not isinstance(tol, (int, float)) or not 0.0 < tol < math.inf:
-            raise ValueError("FitConfig: tol must be a positive finite number")
         if self.guess_variant not in GUESS_VARIANTS:
             raise ValueError(
                 "FitConfig: guess_variant must be one of %s" % (GUESS_VARIANTS,)
@@ -179,10 +175,9 @@ class FitResult:
         makes iterations + 1 evaluations; its last step is taken without
         one and is not counted.
     residual_g : float
-        |g| at the last evaluated iterate: at most tol, or above it
-        where the step stop (|dA| <= 1e-8 max(1, |A|)) ended the solve.
-        A is one Newton step past that iterate, where |g| is rounding
-        level in either case.
+        |g| at the last evaluated iterate, where the step stop (|dA| <=
+        1e-8 max(1, |A|)) ended the solve.  A is one Newton step past
+        that iterate, where |g| is rounding level.
     endpoint_error : float
         Distance from the curve's point_at(L), its own evaluation, to the
         requested end point (x1, y1): an independent check of the fit.
@@ -330,10 +325,10 @@ def _solve(phi0, phi1, cfg):
     """Newton iteration on g; returns (A, iterations, |g|, h(A)).
 
     Each iterate makes one k = 3 evaluation at A, which gives g = Y_0,
-    g' = X_2 - X_1, h = X_0 and h' = -(Y_2 - Y_1).  Once |g| <= tol or
-    |dA| <= _STEP_FLOOR max(1, |A|), the last Newton step dA = g/g' is
-    taken without evaluating it: A - dA is returned with h + dA (Y_2 -
-    Y_1), its length to first order, so the fit needs no further
+    g' = X_2 - X_1, h = X_0 and h' = -(Y_2 - Y_1).  Once |dA| <=
+    _STEP_FLOOR max(1, |A|), the last Newton step dA = g/g' is taken
+    without evaluating it: A - dA is returned with h + dA (Y_2 - Y_1),
+    its length to first order, so the fit needs no further
     evaluation.  `iterations` counts the evaluated steps (the solve makes
     iterations + 1 evaluations) and |g| is read at the last evaluated
     iterate.  A step escapes beyond 2 max(A_max, 1); `a_max_bound` is
@@ -353,11 +348,12 @@ def _solve(phi0, phi1, cfg):
                 A=A, iterations=iterations, residual=abs(g),
             )
         dA = g / gp
-        if abs(g) <= cfg.tol or abs(dA) <= _STEP_FLOOR * max(1.0, abs(A)):
+        if abs(dA) <= _STEP_FLOOR * max(1.0, abs(A)):
             break
         if iterations >= _MAX_ITER:
             raise ConvergenceError(
-                "Newton did not reach |g| <= %g in %d iterations" % (cfg.tol, _MAX_ITER),
+                "Newton step did not reach rounding level in %d iterations (|g| = %g)"
+                % (_MAX_ITER, abs(g)),
                 A=A, iterations=iterations, residual=abs(g),
             )
         if abs(A - dA) > 2.0 * max(abs(delta), 1.0):
@@ -371,8 +367,6 @@ def _solve(phi0, phi1, cfg):
         A -= dA
         iterations += 1
     h = X[0]
-    # |g| <= tol bounds the transverse defect only relative to L; the
-    # last step carries quadratic convergence on to machine level.
     if abs(g) > _RESIDUAL_FLOOR:
         A -= dA
         h += dA * (Y[2] - Y[1])
@@ -382,8 +376,8 @@ def _solve(phi0, phi1, cfg):
 def solve_A(rp: ReducedProblem, cfg: FitConfig = DEFAULT_FIT_CONFIG):
     """Root of g(A) = 0 for a reduced problem; returns (A, iterations).
 
-    The solve stops once |g| <= cfg.tol, or once the Newton step is at
-    most 1e-8 max(1, |A|), where one more step lands at rounding level.
+    The solve stops once the Newton step is at most 1e-8 max(1, |A|),
+    where one more step lands at rounding level.
     `iterations` is the number of evaluated Newton steps before it
     stopped; the last, unevaluated step is already in A.
     """
@@ -408,7 +402,7 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
         Start and end poses.  Endpoints must not coincide, and the
         chord-relative angles must not sit on an excluded corner.
     cfg : FitConfig
-        Newton tolerance and guess variant.
+        Initial guess variant.
 
     Returns
     -------

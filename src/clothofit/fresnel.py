@@ -30,10 +30,8 @@ import math
 __all__ = ["fresnel"]
 
 _SERIES_CUTOFF = 1.6
-# Above this the oscillation amplitude 1/(pi t) is below 1e-14 and both
-# integrals are 1/2 to the advertised absolute accuracy.
-_LIMIT_CUTOFF = 1e14
-# The two-double phase (pi/2) t^2 overflows for |t| > ~1.16e150.
+# The two-double phase (pi/2) t^2 overflows for |t| > ~1.16e150; past
+# this both integrals are 1/2 within 1/(pi t) < 1e-150.
 _PHASE_LIMIT = 1e150
 
 # Veltkamp splitter and a two-double representation of pi/2, used to carry
@@ -146,13 +144,12 @@ def _fresnel_core(t):
         sv = (_S0 + w * (_S1 + w * (_S2 + w * (_S3 + w * (_S4 + w * (_S5 + w * (
             _S6 + w * (_S7 + w * (_S8 + w * (_S9 + w * (_S10 + w * _S11))))))))))) * (x * u)
         s, c = math.sin(u), math.cos(u)
-    elif x > _LIMIT_CUTOFF:
+    elif x > _PHASE_LIMIT:
         h = math.copysign(0.5, t)
-        if x > _PHASE_LIMIT:
-            return h, h, None, None
-        s, c = _phase_sincos(x)
-        return h, h, s, c
+        return h, h, None, None
     else:
+        # past |t| ~ 1e77 pix2 * pix2 overflows to inf and u = 0.0, which
+        # leaves the leading terms f = 1, g ~ 1/(pi t^2): still correct
         pix2 = math.pi * (x * x)
         u = 1.0 / (pix2 * pix2)
         fn = _FN0 + u * (_FN1 + u * (_FN2 + u * (_FN3 + u * (_FN4 + u * (
@@ -186,7 +183,10 @@ def fresnel(t: float):
     -------
     (C, S) : pair of float
         Relative accuracy is ~1e-15 for |t| <= 10 and absolute ~1e-15
-        beyond, where both values approach 1/2.
+        beyond, where both values approach 1/2 with an oscillation of
+        amplitude 1/(pi t).  The asymptotic form tracks it up to |t| =
+        1e150; past that the phase overflows and 1/2 itself is returned,
+        within 1e-150.
     """
     if not math.isfinite(t):
         raise ValueError("fresnel: argument must be finite, got %r" % (t,))

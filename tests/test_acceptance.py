@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see one summary line per
 criterion.  Criterion 3 solves 65536 fits and takes some seconds; the
 full 1024x1024 reproduction is available separately via
-`clothofit grid-stats --grid-n 1024 --tol 1e-10 --guess quintic`.
+`clothofit grid-stats --grid-n 1024 --guess quintic`.
 """
 
 import math
@@ -90,7 +90,7 @@ def test_criterion_2_near_line_and_near_circle():
 
 def test_criterion_3_guess_quality_distribution():
     t0 = time.perf_counter()
-    hist = _grid_histogram(256, 1e-10, "quintic")
+    hist = _grid_histogram(256, "quintic")
     elapsed = time.perf_counter() - t0
     total = 256 * 256
     assert sum(hist.values()) == total

@@ -175,7 +175,7 @@ def test_surface_coefficients_regenerate_from_the_solver():
     # phi1) by u^i v^j, i + j <= 4, over the roots on a 121x121 grid of
     # f = phi/pi in [-0.9999, 0.9999]; the roots come from the quintic
     # guess, so the fit does not rest on the surface it regenerates
-    cfg = FitConfig(tol=1e-13, guess_variant="quintic")
+    cfg = FitConfig(guess_variant="quintic")
     fs = np.linspace(-0.9999, 0.9999, 121)
     rows, targets = [], []
     for f0 in fs:
@@ -247,16 +247,6 @@ def test_solve_matches_bisection_oracle():
         assert A == pytest.approx(A_ref, abs=1e-8)
 
 
-def test_fit_config_rejects_a_bool_tolerance():
-    # bool is an int subclass; tol=True would pass as 1.0 and stop the
-    # solve after one iteration at a 3e-8 endpoint error.  A string or
-    # None must not reach the comparison, which raises TypeError
-    for bad in (True, False, "1e-6", None):
-        with pytest.raises(ValueError, match="tol"):
-            FitConfig(tol=bad)
-    assert FitConfig(tol=1).tol == 1
-
-
 def test_solve_reports_non_convergence(monkeypatch):
     # from the linear guess the reference pose takes three evaluated
     # steps; the default guess is one step from the step stop
@@ -264,7 +254,7 @@ def test_solve_reports_non_convergence(monkeypatch):
     rp = reduce_problem(
         HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0))
     with pytest.raises(ConvergenceError) as info:
-        solve_A(rp, FitConfig(tol=1e-12, guess_variant="linear"))
+        solve_A(rp, FitConfig(guess_variant="linear"))
     assert info.value.iterations == 1
     assert info.value.residual > 1e-12
     assert math.isfinite(info.value.A)
@@ -322,7 +312,7 @@ def test_vanishing_derivative_raises(monkeypatch):
     assert info.value.A == initial_guess(0.4, 1.2)
     assert info.value.iterations == 0
     assert info.value.residual == abs(g_eval(info.value.A, rp))
-    assert info.value.residual > FitConfig().tol
+    assert info.value.residual > 1e-12
 
 
 def test_newton_escape_raises_convergence_error(monkeypatch):
@@ -334,7 +324,7 @@ def test_newton_escape_raises_convergence_error(monkeypatch):
     assert not isinstance(info.value, SingularDerivativeError)
     assert info.value.A == initial_guess(0.4, 1.2)
     assert info.value.iterations == 0
-    assert info.value.residual > FitConfig().tol
+    assert info.value.residual > 1e-12
 
 
 def test_bracket_is_formed_only_for_a_long_step(monkeypatch):
@@ -439,11 +429,11 @@ def _worst_relative_error(cfg, n):
 
 
 def test_fits_reach_machine_accuracy():
-    # the unevaluated last Newton step, with its first-order length
-    # update, takes |g| <= tol on to rounding level: about tol^2
-    assert _worst_relative_error(FitConfig(), 5000) <= 2e-14
-    tol = 1e-6
-    assert _worst_relative_error(FitConfig(tol=tol), 1000) <= 10.0 * tol * tol
+    # the step stop leaves an unevaluated last Newton step of at most
+    # 1e-8 max(1, |A|), whose error, with the first-order length update,
+    # is rounding level from every guess (1.3e-14, 7.4e-15 and 5.7e-15)
+    for variant in fitter.GUESS_VARIANTS:
+        assert _worst_relative_error(FitConfig(guess_variant=variant), 5000) <= 2e-14, variant
 
 
 def test_fits_near_the_excluded_corners_reach_machine_accuracy():

@@ -62,21 +62,21 @@ EXCLUDED = ["--x0", "0", "--y0", "0", "--theta0", repr(math.pi),
 CLI_INVOCATIONS = (
     ["--help"], ["fit", "--help"], ["sample", "--help"], ["svg", "--help"],
     ["bench", "--help"], ["grid-stats", "--help"],
-    ["fit"] + POSE, ["fit"] + POSE + ["--tol", "1e-6", "--guess", "linear"],
+    ["fit"] + POSE, ["fit"] + POSE + ["--guess", "linear"],
     ["fit"] + POSE + ["--guess", "quintic", "--out", "{out}"],
     ["sample"] + POSE + ["--n", "7"],
-    ["sample"] + POSE + ["--n", "5", "--format", "json", "--tol", "1e-9"],
+    ["sample"] + POSE + ["--n", "5", "--format", "json"],
     ["svg"] + POSE + ["--n", "20"], ["svg"] + LINE + ["--n", "3"],
     ["svg"] + VERTICAL + ["--n", "4", "--width", "300", "--height", "500"],
     ["bench"], ["bench", "--out", "{out}"],
     ["grid-stats", "--grid-n", "6"],
-    ["grid-stats", "--grid-n", "5", "--tol", "1e-12", "--guess", "quintic"],
+    ["grid-stats", "--grid-n", "5", "--guess", "quintic"],
     # exit 2: argparse, then the checks on values and on --out
     [], ["plot"], ["fit"], ["fit"] + POSE[:-1], ["fit"] + POSE + ["--guess", "cubic"],
     ["fit", "--x0", "zebra"] + POSE[2:], ["fit", "--x0", "nan"] + POSE[2:],
-    ["fit"] + POSE + ["--tol", "inf"], ["sample"] + POSE + ["--n", "1"],
+    ["fit"] + POSE + ["--tol", "1e-12"], ["sample"] + POSE + ["--n", "1"],
     ["svg"] + POSE + ["--width", "nan"], ["svg"] + POSE + ["--height", "-1"],
-    ["grid-stats", "--grid-n", "1"], ["grid-stats", "--grid-n", "2", "--tol", "0"],
+    ["grid-stats", "--grid-n", "1"],
     ["bench", "--out", "."],
     ["fit"] + COINCIDENT, ["sample"] + COINCIDENT,
     ["fit", "--x0", "0", "--y0", "0", "--theta0", "0.3", "--x1", "1e200", "--y1", "0",
