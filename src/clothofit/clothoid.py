@@ -17,7 +17,8 @@ A = kappa_prime L^2:
   taken at (A, kappa L, theta0), built once on first use and kept on the
   instance (not a dataclass field, so equality, hash, repr and
   `dataclasses.replace` ignore it), then one Fresnel kernel call per
-  point;
+  point.  Once the square is built, an s in [-L, L) goes straight to it
+  without the checks on s, which cannot fail there;
 * |A| < EPSILON_A, or A overflowing to inf (where the square would read
   z = inf): `eval_xy(kappa_prime s^2, kappa s, theta0, 1)` for every s,
   its small-|a| series wherever |kappa_prime s^2| < EPSILON_A, which
@@ -85,11 +86,13 @@ class ClothoidCurve:
         On a curve with EPSILON_A <= |kappa_prime L^2| < inf every s != L
         comes from the curve's completed square (`_square`, built on
         first use and kept on the instance): one Fresnel kernel call at
-        t(s) = w + (z/L) s, differenced against t(0) = w.  Every other
-        point, the curve's end s = L included, is x0 + s X_0(kappa_prime
-        s^2, kappa s, theta0) plus the matching sine integral from
-        `eval_xy`, whose small-|a| series keeps near-line and near-circle
-        curves fully accurate.  point_at(L) is thus the end the fitter
+        t(s) = w + (z/L) s, differenced against t(0) = w.  Once the square
+        is built, an s in [-L, L) skips the checks on s: |kappa_prime s^2|
+        and |kappa s| are at most the curve's own, which the square has
+        passed.  Every other point, the curve's end s = L included, is
+        x0 + s X_0(kappa_prime s^2, kappa s, theta0) plus the matching sine
+        integral from `eval_xy`, whose small-|a| series keeps near-line and
+        near-circle curves fully accurate.  point_at(L) is thus the end the fitter
         solved for, and a fit never builds the square.
 
         s outside [0, L] extrapolates along the same spiral (the defining
@@ -104,23 +107,30 @@ class ClothoidCurve:
         kappa_prime), c = 8; eta counts as 0 on the series (module
         docstring).
         """
-        if not math.isfinite(s):
-            raise ValueError("point_at: s must be finite, got %r" % (s,))
-        kappa_prime = self.kappa_prime
         L = self.L
-        a = kappa_prime * s * s
-        b = self.kappa * s
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r" % (s,))
-        # s != L first: a fit's point_at(L) pays one comparison for the square
-        if s != L and EPSILON_A <= abs(kappa_prime * L * L) < math.inf:
-            sigma, z_per_L, w, c0, s0, ux, uy = self._square
-            c, sv, _, _ = _fresnel_core(w + z_per_L * s)
-            dc = c - c0
-            ds = sigma * (sv - s0)
-            return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
-        X, Y = eval_xy(a, b, self.theta0, 1)
-        return self.x0 + s * X[0], self.y0 + s * Y[0]
+        # a built square means EPSILON_A <= |kappa_prime L^2| < inf and |kappa L|
+        # <= 1e150, so on [-L, L) kappa_prime s^2 and kappa s are finite and
+        # the checks below have nothing to find; the end s = L always takes them
+        square = self.__dict__.get("_square") if -L <= s < L else None
+        if square is None:
+            if not math.isfinite(s):
+                raise ValueError("point_at: s must be finite, got %r" % (s,))
+            kappa_prime = self.kappa_prime
+            a = kappa_prime * s * s
+            b = self.kappa * s
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r"
+                                 % (s,))
+            # s == L first: a fit's point_at(L) pays one comparison for the square
+            if s == L or not EPSILON_A <= abs(kappa_prime * L * L) < math.inf:
+                X, Y = eval_xy(a, b, self.theta0, 1)
+                return self.x0 + s * X[0], self.y0 + s * Y[0]
+            square = self._square
+        sigma, z_per_L, w, c0, s0, ux, uy = square
+        c, sv, _, _ = _fresnel_core(w + z_per_L * s)
+        dc = c - c0
+        ds = sigma * (sv - s0)
+        return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
 
     @cached_property
     def _square(self):

@@ -19,23 +19,26 @@ for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
   amplifies rounding as a -> 0.
 * |a| < EPSILON_A: the single sum
   I_j(a, b) = sum_m (ia/2)^m/m! I_{j+2m}(0, b) over the a = 0
-  integrals (`eval_xy_a_small`), one complex I_j per order and one
-  running factor (ia/2)^m/m!, its first 2p + 2 terms turned by e^{i c}
-  at the end.  Its order p comes from |a|: the lowest whose first
-  omitted factor (|a|/2)^(2p+2)/(2p+2)! is below LOMMEL_REL_TOL
-  (1e-17), p = 1 for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.
-  a == 0 exactly skips the series and turns the closed form directly.
+  integrals (`eval_xy_a_small`): one loop over its first 2p + 2 terms
+  steps the running factor (ia/2)^m/m! and adds each term to one complex
+  accumulator per order j < k, and each order is turned by e^{i c} at
+  the end.  Its order p comes from |a|: the lowest whose first omitted
+  factor (|a|/2)^(2p+2)/(2p+2)! is below LOMMEL_REL_TOL (1e-17), p = 1
+  for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0 exactly
+  skips the series and turns the closed form directly.
 * a = 0: closed form (`eval_xy_a_zero`), one complex I_j per order.
   Order 0 is sin b / b + i 2 sin^2(b/2) / b, the half-angle form of
   (1 - cos b) / b, which does not cancel for any b.  Orders
-  1..floor(|b|) follow by the upward recurrence in k, stable there
-  because each step scales the error by k/|b| <= 1.  Above |b| the top
-  order n comes from Kummer's series
+  1..floor(|b|) follow by the upward recurrence in k, each from the one
+  before it, stable there because each step scales the error by
+  k/|b| <= 1.  Above |b| the top order n comes from Kummer's series
   e^{ib}/(n+1) sum_m (-ib)^m/(n+2)_m, summed as two reduced Lommel
-  series (its even and its odd terms) whose terms shrink from the first
-  one there (each sum stops once its terms fall below LOMMEL_REL_TOL of
-  the partial sum), and the orders between follow by the downward
-  recurrence, stable because each step scales the error by |b|/k < 1.
+  series (`r_lommel`: its even and its odd terms) whose terms shrink
+  from the first one there (each sum stops once its terms fall below
+  LOMMEL_REL_TOL of the partial sum).  The orders between follow by the
+  downward recurrence, stable because each step scales the error by
+  |b|/k < 1; they are gathered top down and joined to the upward ones
+  once.
 
 No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
 """
@@ -73,32 +76,40 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
 
     alpha_n(mu, nu) = prod_{m=1..n} ((mu + 2m - 1)^2 - nu^2).  Terms are
     accumulated until they fall below LOMMEL_REL_TOL of the partial sum,
-    i.e. until they stop changing the double result.  `eval_xy_a_zero`
-    calls it twice, with (mu, nu) = (j - 1/2, 1/2) and (j + 1/2, 1/2),
-    for the even and odd halves of Kummer's series at the top order j it
-    builds, and only when j exceeds |b|, where mu ~ j makes every term
-    smaller than the one before; at larger |b| the alternating terms
-    grow first and the sum cancels.
+    i.e. until they stop changing the double result.  Each term is the
+    one before times -b^2 / ((2n + mu - nu + 1) (2n + mu + nu + 1)), with
+    2n a float counter added to mu - nu + 1 and mu + nu + 1, exact
+    arithmetic for the half-integer pairs it is called with:
+    `eval_xy_a_zero` calls it twice, with (mu, nu) = (j - 1/2, 1/2) and
+    (j + 1/2, 1/2), for the even and odd halves of Kummer's series at the
+    top order j it builds, and only when j exceeds |b|, where mu ~ j makes
+    every term smaller than the one before; at larger |b| the alternating
+    terms grow first and the sum cancels.
 
     Requires (mu + 2m - 1)^2 != nu^2 for all m >= 1; the pairs used by
-    `eval_xy_a_zero` satisfy this because j >= 1 there.
+    `eval_xy_a_zero` satisfy this because j >= 1 there.  Raises
+    ValueError at a singular first pair and when the sum is not finite:
+    far above mu the terms overflow before they shrink (b = 1e3 at
+    mu = nu = 1/2).  A sum that stays finite there can still have
+    cancelled to noise (b = 300 at mu = nu = 1/2); that is not detected.
     """
-    den = (mu + nu + 1.0) * (mu - nu + 1.0)
+    minus = mu - nu + 1.0
+    plus = mu + nu + 1.0
+    den = plus * minus
     if den == 0.0:
         raise ValueError("r_lommel: singular order pair (mu=%g, nu=%g)" % (mu, nu))
     term = 1.0 / den
     total = term
-    b2 = b * b
+    nb2 = -(b * b)
     rel_tol = LOMMEL_REL_TOL
-    n = 1
+    t = 2.0
     while abs(term) > rel_tol * abs(total):
-        term *= -b2 / ((2.0 * n + mu - nu + 1.0) * (2.0 * n + mu + nu + 1.0))
+        term *= nb2 / ((t + minus) * (t + plus))
         total += term
-        n += 1
-        if n > 1000:
-            raise ValueError(
-                "r_lommel: series did not settle (mu=%g, nu=%g, b=%g)" % (mu, nu, b)
-            )
+        t += 2.0
+    if not math.isfinite(total):
+        raise ValueError("r_lommel: the sum is not finite at (mu, nu, b) = (%r, %r, %r)"
+                         % (mu, nu, b))
     return total
 
 
@@ -131,24 +142,27 @@ def eval_xy_a_zero(b: float, k: int):
     """
     sb = math.sin(b)
     if b == 0.0:
-        I = [complex(1.0, 0.0)]
+        v = complex(1.0, 0.0)
     else:
         sh = math.sin(0.5 * b)
-        I = [complex(sb / b, 2.0 * sh * sh / b)]
+        v = complex(sb / b, 2.0 * sh * sh / b)
+    I = [v]
     e = complex(math.cos(b), sb)
     ib = complex(0.0, b)
     # each recurrence step scales the error by j/|b| <= 1
     m = min(k, int(abs(b)))
     for j in range(1, m + 1):
-        I.append((e - j * I[j - 1]) / ib)
+        v = (e - j * v) / ib
+        I.append(v)
     if m == k:
         return I
-    I.extend([0j] * (k - m))
-    I[k] = e * complex(k * r_lommel(k - 0.5, 0.5, b), -b * r_lommel(k + 0.5, 0.5, b))
+    v = e * complex(k * r_lommel(k - 0.5, 0.5, b), -b * r_lommel(k + 0.5, 0.5, b))
+    down = [v]
     # each step down scales the error by |b|/j < 1
     for j in range(k, m + 1, -1):
-        I[j - 1] = (e - ib * I[j]) / j
-    return I
+        v = (e - ib * v) / j
+        down.append(v)
+    return I + down[::-1]
 
 
 def _completed_square(a: float, b: float, c: float):
@@ -230,32 +244,46 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
 
         I_j(a, b) = sum_m (ia/2)^m/m! I_{j+2m}(0, b),
 
-    over the complex a = 0 values, I_j = X_j + i Y_j, one running factor
-    (ia/2)^m/m! and one update per term, and turns the sum by e^{ic}.
-    The terms m >= 1 are summed apart and added to I_j(0, b) last, so
-    only that addition rounds at the scale of the result.
+    over the complex a = 0 values, I_j = X_j + i Y_j: one loop over the
+    terms steps the running factor (ia/2)^m/m! and updates one complex
+    accumulator per order, so k = 1 sums only the even orders.  The
+    terms m >= 1 are summed apart and added to I_j(0, b) last, so only
+    that addition rounds at the scale of the result; each order is then
+    turned by e^{ic} and split into X_j and Y_j.
     Since |I_j(0,b)| <= 1, the truncation error is about the first
     omitted factor (|a|/2)^(2p+2)/(2p+2)!; `eval_xy` picks the smallest p
     that brings it below LOMMEL_REL_TOL.  a == 0 turns the closed form
     `eval_xy_a_zero(b, k - 1)` without building the higher orders.
     p must be a positive int; `eval_xy` checks the rest.
     """
+    turn = complex(math.cos(c), math.sin(c))
     if a == 0.0:
         I = eval_xy_a_zero(b, k - 1)
     else:
-        I0 = eval_xy_a_zero(b, k + 4 * p + 1)
-        dI = [0j] * k
+        I = eval_xy_a_zero(b, k + 4 * p + 1)
         ia = complex(0.0, a)
         t = 1.0
+        d0 = d1 = d2 = 0j
         # n = 2m, so t runs through (ia/2)^m/m!
-        for n in range(2, 4 * p + 4, 2):
-            t *= ia / n
-            for j in range(k):
-                dI[j] += t * I0[j + n]
-        I = [v + d for v, d in zip(I0, dI)]
-    turn = complex(math.cos(c), math.sin(c))
-    I = [turn * v for v in I]
-    return [v.real for v in I], [v.imag for v in I]
+        if k == 1:
+            for n in range(2, 4 * p + 4, 2):
+                t *= ia / n
+                d0 += t * I[n]
+        else:
+            # k = 2 reads I[4p + 4], one past its top order: pad, and drop d2
+            I.append(0j)
+            for n in range(2, 4 * p + 4, 2):
+                t *= ia / n
+                d0 += t * I[n]
+                d1 += t * I[n + 1]
+                d2 += t * I[n + 2]
+        I = (I[0] + d0, I[1] + d1, I[2] + d2)[:k]
+    X, Y = [], []
+    for v in I:
+        v = turn * v
+        X.append(v.real)
+        Y.append(v.imag)
+    return X, Y
 
 
 def _series_order(a: float) -> int:

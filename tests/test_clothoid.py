@@ -245,6 +245,45 @@ def test_point_at_on_the_completed_square_against_mpmath():
         assert flips["sigma"] >= 1 and flips["eta"] >= 1, (curve, flips)
 
 
+def _series_curves():
+    """Seeded curves on the series, |kappa_prime L^2| < EPSILON_A: near lines
+    (|kappa L| <= 0.5) and near circles (|kappa L| up to 6)."""
+    rng = np.random.default_rng(2501)
+    curves = []
+    for i in range(8):
+        L = float(10.0 ** rng.uniform(-1.0, 1.0))
+        a = float(10.0 ** rng.uniform(-8.0, math.log10(EPSILON_A)) * rng.choice((-1.0, 1.0)))
+        b = float(rng.uniform(-0.5, 0.5) if i % 2 else rng.uniform(-6.0, 6.0))
+        x0, y0 = (float(v) for v in rng.uniform(-1e3, 1e3, 2) * rng.choice((0.0, 1.0), 2))
+        curves.append(ClothoidCurve(x0, y0, float(rng.uniform(-math.pi, math.pi)),
+                                    b / L, a / (L * L), L))
+    return curves
+
+
+def test_series_rows_against_mpmath():
+    # near-line and near-circle curves take eval_xy's small-|a| series for
+    # every row: sampled rows and points out to |s| = 10 L, each while
+    # |kappa_prime s^2| < EPSILON_A, must meet the docstring's contract with
+    # eta counted as 0
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2502)
+    for curve in _series_curves():
+        L = curve.L
+        n = int(rng.integers(50, 400))
+        rows = curve.sample(n)
+        step = L / (n - 1)
+        cases = [(i * step if i < n - 1 else L, rows[i][:2])
+                 for i in [0, n - 1, *map(int, rng.integers(1, n - 1, 16))]]
+        reach = min(10.0 * L, 0.999 * math.sqrt(EPSILON_A / abs(curve.kappa_prime)))
+        cases += [(s, curve.point_at(s)) for s in map(float, rng.uniform(-reach, reach, 6))]
+        for s, (x, y) in cases:
+            assert abs(curve.kappa_prime * s * s) < EPSILON_A
+            bound = CONTRACT_C * EPS * (max(L, abs(s)) + max(abs(curve.x0), abs(curve.y0)))
+            xr, yr = clothoid_position_mpmath(curve.x0, curve.y0, curve.theta0,
+                                              curve.kappa, curve.kappa_prime, s)
+            assert abs(x - xr) <= bound and abs(y - yr) <= bound, (curve, s)
+
+
 def test_mpmath_references_agree_and_quadrature_stops_at_its_limit():
     # the exact Fresnel reference against the independent Gauss-Legendre
     # rule wherever the rule holds (the phase turns by <= 100 rad), and the

@@ -53,6 +53,15 @@ def test_lommel_singular_pair_rejected():
         r_lommel(0.5, 1.5, 1.0)
 
 
+@pytest.mark.parametrize("mu, nu, b", [(0.5, 0.5, 1e3), (10.5, 0.5, 2000.0),
+                                        (2.5, 0.5, math.inf), (2.5, 0.5, math.nan)])
+def test_lommel_rejects_a_sum_that_is_not_finite(mu, nu, b):
+    # far above mu the terms overflow before they shrink
+    with pytest.raises(ValueError, match=r"not finite at \(mu, nu, b\) = \(%r, %r, %r\)"
+                       % (mu, nu, b)):
+        r_lommel(mu, nu, b)
+
+
 # ---------------------------------------------------------------- a == 0
 
 def test_zero_path_b_zero():
@@ -221,21 +230,24 @@ def test_series_sums_exactly_2p_plus_2_terms():
     # at |a| = 1 even the first omitted term is far above rounding, so a
     # loop with one term too few or too many misses the truncated sum
     # sum_{m=0}^{2p+1} (ia/2)^m/m! I_{j+2m}(0, b), turned by e^{ic}, with
-    # I_n(0, b) = 1F1(n+1; n+2; ib)/(n+1)
+    # I_n(0, b) = 1F1(n+1; n+2; ib)/(n+1); each k sums its own orders
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for p in (1, 2, 4):
             for a in (1.0, -1.0):
                 for b in (-2.5, 0.7, 3.1):
-                    X, Y = eval_xy_a_small(a, b, 0.4, 3, p)
-                    for j in range(3):
-                        ref = mpmath.expj(0.4) * mpmath.fsum(
-                            mpmath.mpc(0, a / 2) ** m / mpmath.factorial(m)
-                            * mpmath.hyp1f1(j + 2 * m + 1, j + 2 * m + 2, 1j * b)
-                            / (j + 2 * m + 1)
-                            for m in range(2 * p + 2))
-                        assert X[j] == pytest.approx(float(ref.real), abs=1e-15), (p, a, b, j)
-                        assert Y[j] == pytest.approx(float(ref.imag), abs=1e-15), (p, a, b, j)
+                    refs = [mpmath.expj(0.4) * mpmath.fsum(
+                        mpmath.mpc(0, a / 2) ** m / mpmath.factorial(m)
+                        * mpmath.hyp1f1(j + 2 * m + 1, j + 2 * m + 2, 1j * b)
+                        / (j + 2 * m + 1)
+                        for m in range(2 * p + 2)) for j in range(3)]
+                    for k in (1, 2, 3):
+                        X, Y = eval_xy_a_small(a, b, 0.4, k, p)
+                        assert len(X) == len(Y) == k
+                        for j, ref in enumerate(refs[:k]):
+                            case = (p, a, b, k, j)
+                            assert X[j] == pytest.approx(float(ref.real), abs=1e-15), case
+                            assert Y[j] == pytest.approx(float(ref.imag), abs=1e-15), case
 
 
 def _largest_abs_a_of_order(p):

@@ -1,4 +1,4 @@
-"""SHA-256 digests of a seeded set of fits and sampled rows, and of CLI outputs.
+"""SHA-256 digests of seeded fits and sampled rows, of CLI outputs and of evaluations.
 
     python tools/fit_digest.py
 
@@ -25,6 +25,17 @@ exit code, stdout and stderr of `cli.main`: every subcommand, each
 COLUMNS=80, and grid-stats' `elapsed_s` line, wall time, is dropped
 before hashing.  argparse words its help differently across Python
 versions, so compare this line between checkouts on one interpreter.
+
+A third line hashes `eval_xy(a, b, c, k)` for k = 1, 2, 3 at EVAL_COUNT
+seeded (a, b, c), and `r_lommel(j - 1/2, 1/2, b)` and `r_lommel(j + 1/2,
+1/2, b)` at EVAL_COUNT seeded (j, b), the pairs `eval_xy_a_zero` seeds
+its top order j with: j in 1..20 and |b| < j, with b = 0 among them.  The
+(a, b, c) cover a = 0, 0 < |a| < EPSILON_A (log-uniform over
+[1e-8, EPSILON_A), so every series order p = 1..4), and |a| just above
+EPSILON_A on the completed square; |b| is 0 or log-uniform in
+[1e-6, 1e2] and c uniform in [-pi, pi].  No fit asks for k = 2, so this
+line is what covers the k = 2 series.  Prints the digest, then the
+number of evaluations and of sums.
 """
 
 import contextlib
@@ -42,12 +53,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clothofit import FitError, HermiteData, build_clothoid  # noqa: E402
 from clothofit.cli import bench_near_circle_case, bench_near_line_case, main  # noqa: E402
+from clothofit.gfresnel import EPSILON_A, eval_xy, r_lommel  # noqa: E402
 
 SEED = 20131
 ANGLE_LIMIT = 0.9999 * math.pi
 SAMPLE_N = 50
 PATH_SEGMENTS = 32
 COUNT = 15000
+EVAL_COUNT = 4000
+# the highest order eval_xy_a_zero seeds: k + 4p + 1 at k = 3, p = 4
+TOP_ORDER = 20
 
 POSE = ["--x0", "-1e-3", "--y0", "0", "--theta0", "0.3",
         "--x1", "4", "--y1", "1", "--theta1", "-2.5E-1"]
@@ -173,6 +188,43 @@ def cli_digest():
     return h.hexdigest(), len(CLI_INVOCATIONS)
 
 
+def _signed(rng, x):
+    return x if rng.random() < 0.5 else -x
+
+
+def eval_arguments(rng, count):
+    for _ in range(count):
+        u = rng.random()
+        if u < 0.1:
+            a = 0.0
+        elif u < 0.8:
+            a = _signed(rng, _log_uniform(rng, 1e-8, EPSILON_A))
+        else:
+            a = _signed(rng, rng.uniform(EPSILON_A, 1.5 * EPSILON_A))
+        b = 0.0 if rng.random() < 0.05 else _signed(rng, _log_uniform(rng, 1e-6, 1e2))
+        yield a, b, rng.uniform(-math.pi, math.pi)
+
+
+def eval_digest():
+    """(hex digest, evaluations, sums) over the seeded eval_xy and r_lommel arguments."""
+    rng = random.Random(SEED)
+    h = hashlib.sha256()
+    evaluations = sums = 0
+    for a, b, c in eval_arguments(rng, EVAL_COUNT):
+        for k in (1, 2, 3):
+            X, Y = eval_xy(a, b, c, k)
+            h.update((" ".join(v.hex() for v in X + Y) + "\n").encode())
+            evaluations += 1
+    for _ in range(EVAL_COUNT):
+        j = rng.randint(1, TOP_ORDER)
+        b = 0.0 if rng.random() < 0.05 else rng.uniform(-j, j)
+        values = (r_lommel(j - 0.5, 0.5, b), r_lommel(j + 0.5, 0.5, b))
+        h.update((" ".join(v.hex() for v in values) + "\n").encode())
+        sums += 2
+    return h.hexdigest(), evaluations, sums
+
+
 if __name__ == "__main__":
     print("%s  %d fits, %d rows" % digest())
     print("%s  %d cli invocations" % cli_digest())
+    print("%s  %d evaluations, %d r_lommel sums" % eval_digest())
