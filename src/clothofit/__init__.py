@@ -24,7 +24,6 @@ from .errors import (
 )
 from .fresnel import fresnel
 from .fitter import (
-    FitConfig,
     FitResult,
     HermiteData,
     ReducedProblem,
@@ -41,7 +40,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateInputError",
     "ExcludedAngleError",
-    "FitConfig",
     "FitError",
     "FitResult",
     "HermiteData",

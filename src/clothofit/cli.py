@@ -17,9 +17,8 @@ from collections import Counter
 
 from .errors import ConvergenceError, DegenerateInputError, ExcludedAngleError, FitError
 from .fitter import (
-    DEFAULT_FIT_CONFIG,
+    DEFAULT_GUESS,
     GUESS_VARIANTS,
-    FitConfig,
     HermiteData,
     ReducedProblem,
     build_clothoid,
@@ -73,7 +72,7 @@ def _build_parser():
         for flag in POSE_FLAGS:
             p.add_argument("--" + flag, type=float, required=True)
         p.add_argument("--guess", choices=GUESS_VARIANTS,
-                       default=DEFAULT_FIT_CONFIG.guess_variant, help="initial guess variant")
+                       default=DEFAULT_GUESS, help="initial guess variant")
 
     p = sub.choices["sample"]
     p.add_argument("--n", type=int, default=100, help="number of rows (>= 2)")
@@ -92,7 +91,7 @@ def _build_parser():
     p.set_defaults(run=cmd_grid_stats)
     p.add_argument("--grid-n", type=int, default=64, help="grid points per axis (>= 2)")
     p.add_argument("--guess", choices=GUESS_VARIANTS,
-                   default=DEFAULT_FIT_CONFIG.guess_variant, help="initial guess variant")
+                   default=DEFAULT_GUESS, help="initial guess variant")
 
     # added last so that it closes every subcommand's --help
     for p in sub.choices.values():
@@ -103,7 +102,7 @@ def _build_parser():
 
 def _fit(args):
     data = HermiteData(*[getattr(args, flag) for flag in POSE_FLAGS])
-    return build_clothoid(data, FitConfig(guess_variant=args.guess))
+    return build_clothoid(data, guess=args.guess)
 
 
 def _emit(text, out_path):
@@ -185,12 +184,11 @@ def cmd_svg(args):
     return 0
 
 
-def _grid_histogram(grid_n, guess_variant):
-    cfg = FitConfig(guess_variant=guess_variant)
+def _grid_histogram(grid_n, guess):
     lo = -GRID_ANGLE_LIMIT
     span = GRID_ANGLE_LIMIT - lo
     angles = [lo + span * i / (grid_n - 1) for i in range(grid_n)]
-    return Counter(solve_A(ReducedProblem(1.0, phi0, phi1), cfg)[1]
+    return Counter(solve_A(ReducedProblem(1.0, phi0, phi1), guess)[1]
                    for phi0 in angles for phi1 in angles)
 
 

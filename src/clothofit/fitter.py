@@ -9,8 +9,10 @@ A = kappa_prime L^2 / 2 solves
 
 after which L = r / X_0(2A, delta - A, phi0), kappa = (delta - A)/L and
 kappa_prime = 2A/L^2.  Newton starts from a fitted polynomial initial
-guess, and each iterate is one evaluation of X_k, Y_k (k = 0..2) at A:
-it gives g, g', h = X_0 and h'.  The solve has one stop: once the
+guess, named by a plain `guess` argument (one of GUESS_VARIANTS,
+DEFAULT_GUESS unless the caller names another) that `initial_guess`
+alone checks.  Each iterate is one evaluation of X_k, Y_k (k = 0..2) at
+A: it gives g, g', h = X_0 and h'.  The solve has one stop: once the
 Newton step dA = g/g' is at most 1e-8 max(1, |A|), that last step is
 taken from those values without evaluating it.  With the default
 surface guess a 256x256 grid of the angle range needs at most two
@@ -26,8 +28,9 @@ so a step inside that range cannot leave it.
 The public constructors and functions check their input.  The fit
 path checks each value once: `build_clothoid` reduces the pose, already
 checked by `HermiteData`, to three floats without a `ReducedProblem`,
-and builds its `ClothoidCurve` and `FitResult` from values it has
-already found finite without running their constructors.
+and builds its `ClothoidCurve` from values it has already found finite
+without running its constructor.  `FitResult`, which checks nothing,
+is built by its own constructor.
 """
 
 import math
@@ -47,11 +50,11 @@ from .gfresnel import eval_xy
 __all__ = [
     "HermiteData",
     "ReducedProblem",
-    "FitConfig",
     "FitResult",
     "QUINTIC_GUESS_COEFFICIENTS",
     "SURFACE_GUESS_COEFFICIENTS",
     "GUESS_VARIANTS",
+    "DEFAULT_GUESS",
     "reduce_problem",
     "g_prime",
     "initial_guess",
@@ -141,25 +144,8 @@ SURFACE_GUESS_COEFFICIENTS = (
 
 GUESS_VARIANTS = ("linear", "quintic", "surface")
 
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Solver settings: the initial guess variant.
-
-    The solve needs no tolerance: it stops once a Newton step is at
-    rounding level.
-    """
-
-    guess_variant: str = "surface"
-
-    def __post_init__(self):
-        if self.guess_variant not in GUESS_VARIANTS:
-            raise ValueError(
-                "FitConfig: guess_variant must be one of %s" % (GUESS_VARIANTS,)
-            )
-
-
-DEFAULT_FIT_CONFIG = FitConfig()
+# The guess the solve starts from unless the caller names another.
+DEFAULT_GUESS = "surface"
 
 
 @dataclass(frozen=True)
@@ -250,23 +236,22 @@ def g_prime(A: float, rp: ReducedProblem) -> float:
     return X[2] - X[1]
 
 
-def initial_guess(
-    phi0: float, phi1: float, variant: str = DEFAULT_FIT_CONFIG.guess_variant
-) -> float:
-    """Starting value for the Newton solve.
+def initial_guess(phi0: float, phi1: float, guess: str = DEFAULT_GUESS) -> float:
+    """Starting value for the Newton solve; guess names one of GUESS_VARIANTS.
 
     'linear' is 3 (phi0 + phi1), from linearizing g.  'quintic' is a
     least-squares fit of the root surface in the scaled angles phi/pi
     that lands within Newton's quadratic basin essentially everywhere.
     'surface', the default, fits A/(phi0 + phi1) by a degree-4 polynomial
     in f0 f1 and f0^2 + f1^2 (f = phi/pi), close enough that one
-    evaluated step usually meets the step stop.
+    evaluated step usually meets the step stop.  This is the one check
+    of the guess: any other name raises a ValueError.
     """
-    if variant == "linear":
+    if guess == "linear":
         return 3.0 * (phi0 + phi1)
     f0 = phi0 / math.pi
     f1 = phi1 / math.pi
-    if variant == "quintic":
+    if guess == "quintic":
         d1, d2, d3, d4, d5, d6 = QUINTIC_GUESS_COEFFICIENTS
         prod = f0 * f1
         sq = f0 * f0 + f1 * f1
@@ -274,7 +259,7 @@ def initial_guess(
             d1 + prod * (d2 + d3 * prod) + sq * (d4 + d5 * prod)
             + d6 * (f0 ** 4 + f1 ** 4)
         )
-    if variant == "surface":
+    if guess == "surface":
         (e00, e01, e02, e03, e04, e10, e11, e12, e13,
          e20, e21, e22, e30, e31, e40) = SURFACE_GUESS_COEFFICIENTS
         u = f0 * f1
@@ -285,7 +270,7 @@ def initial_guess(
                    + u * (e20 + v * (e21 + v * e22)
                           + u * (e30 + v * e31 + u * e40)))
         )
-    raise ValueError("initial_guess: unknown variant %r" % (variant,))
+    raise ValueError("guess must be one of %s, got %r" % (GUESS_VARIANTS, guess))
 
 
 def _reject_corner(phi0, phi1):
@@ -321,7 +306,7 @@ def a_max_bound(phi0: float, phi1: float) -> float:
     return delta + 2.0 * theta_max * (1.0 + math.sqrt(1.0 + delta / theta_max))
 
 
-def _solve(phi0, phi1, cfg):
+def _solve(phi0, phi1, guess):
     """Newton iteration on g; returns (A, iterations, |g|, h(A)).
 
     Each iterate makes one k = 3 evaluation at A, which gives g = Y_0,
@@ -334,7 +319,7 @@ def _solve(phi0, phi1, cfg):
     iterate.  A step escapes beyond 2 max(A_max, 1); `a_max_bound` is
     called only for a step beyond 2 max(|delta|, 1) <= 2 max(A_max, 1).
     """
-    A = initial_guess(phi0, phi1, cfg.guess_variant)
+    A = initial_guess(phi0, phi1, guess)
     _reject_corner(phi0, phi1)
     delta = phi1 - phi0
     iterations = 0
@@ -373,27 +358,37 @@ def _solve(phi0, phi1, cfg):
     return A, iterations, abs(g), h
 
 
-def solve_A(rp: ReducedProblem, cfg: FitConfig = DEFAULT_FIT_CONFIG):
+def solve_A(rp: ReducedProblem, guess: str = DEFAULT_GUESS):
     """Root of g(A) = 0 for a reduced problem; returns (A, iterations).
+
+    Newton starts from `initial_guess(rp.phi0, rp.phi1, guess)`, which
+    rejects an unknown guess before anything is evaluated.
 
     The solve stops once the Newton step is at most 1e-8 max(1, |A|),
     where one more step lands at rounding level.
     `iterations` is the number of evaluated Newton steps before it
     stopped; the last, unevaluated step is already in A.
     """
-    return _solve(rp.phi0, rp.phi1, cfg)[:2]
+    return _solve(rp.phi0, rp.phi1, guess)[:2]
 
 
-def _prechecked(cls, *values):
-    """An instance of the frozen dataclass cls holding values, which the
-    caller has already checked: object.__new__, then the fields into
-    __dict__ in field order, so neither __init__ nor __post_init__ runs."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
+def _prechecked_curve(x0, y0, theta0, kappa, kappa_prime, L):
+    """A ClothoidCurve of values the caller has already checked, built
+    without running __init__ and so without __post_init__'s checks.  Its
+    fields are set one by one in field order, as the constructor sets
+    them, so that it keeps no instance dict a public one lacks."""
+    curve = object.__new__(ClothoidCurve)
+    set_field = object.__setattr__
+    set_field(curve, "x0", x0)
+    set_field(curve, "y0", y0)
+    set_field(curve, "theta0", theta0)
+    set_field(curve, "kappa", kappa)
+    set_field(curve, "kappa_prime", kappa_prime)
+    set_field(curve, "L", L)
+    return curve
 
 
-def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> FitResult:
+def build_clothoid(data: HermiteData, guess: str = DEFAULT_GUESS) -> FitResult:
     """Fit one clothoid segment through the Hermite data.
 
     Parameters
@@ -401,8 +396,10 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
     data : HermiteData
         Start and end poses.  Endpoints must not coincide, and the
         chord-relative angles must not sit on an excluded corner.
-    cfg : FitConfig
-        Initial guess variant.
+    guess : str
+        Initial guess variant, one of GUESS_VARIANTS; `initial_guess`
+        rejects any other with a ValueError, after the chord check and
+        before the first evaluation.
 
     Returns
     -------
@@ -415,13 +412,14 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
     bracket is formed only if a Newton step lands beyond 2 max(|delta|,
     1).  The fit skips the checks it has already made: it works on the
     chord-frame floats without a `ReducedProblem`, and builds the curve
-    and the result from values it has found finite, with L > 0, without
-    running the `ClothoidCurve` and `FitResult` constructors.  Those,
-    `reduce_problem` and `solve_A` keep every check.
+    from values it has found finite, with L > 0, without running the
+    `ClothoidCurve` constructor.  That constructor, `reduce_problem` and
+    `solve_A` keep every check; `FitResult`, which has none, is built by
+    its own constructor.
     """
     r, phi0, phi1 = _chord_frame(data)
     try:
-        A, iterations, residual, h = _solve(phi0, phi1, cfg)
+        A, iterations, residual, h = _solve(phi0, phi1, guess)
     except ValueError:
         # NaN, which HermiteData rejects, reaches the solve only from a pose
         # that skipped those checks, and eval_xy rejects it; reduce_problem
@@ -442,6 +440,5 @@ def build_clothoid(data: HermiteData, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> Fi
     B = phi1 - phi0 - A
     kappa = B / L
     kappa_prime = 2.0 * A / (L * L)
-    curve = _prechecked(ClothoidCurve, data.x0, data.y0, data.theta0, kappa, kappa_prime, L)
-    return _prechecked(FitResult, curve, A, B, iterations, residual,
-                       curve.endpoint_residual(data))
+    curve = _prechecked_curve(data.x0, data.y0, data.theta0, kappa, kappa_prime, L)
+    return FitResult(curve, A, B, iterations, residual, curve.endpoint_residual(data))

@@ -91,7 +91,7 @@ def test_fit_non_convergence_exit_code(capsys, monkeypatch):
 
 
 def test_fit_other_fit_error_exit_code(capsys, monkeypatch):
-    def spurious_root(data, cfg):
+    def spurious_root(data, guess):
         raise InternalConsistencyError("X_0 <= 0 at the computed root")
 
     monkeypatch.setattr(clothofit.cli, "build_clothoid", spurious_root)
@@ -113,12 +113,18 @@ def test_parse_errors_exit_code(capsys):
     assert code == 2
     code = main(["sample"] + LINE + ["--n", "1"])
     assert code == 2
-    # the solve has no tolerance to set
+    # the solve has no tolerance to set, and argparse's choices refuse an
+    # unknown guess on every subcommand that takes one
     for argv in (["fit"] + LINE + ["--tol", "inf"],
-                 ["grid-stats", "--grid-n", "2", "--tol", "nan"]):
+                 ["grid-stats", "--grid-n", "2", "--tol", "nan"],
+                 ["fit"] + LINE + ["--guess", "septic"],
+                 ["sample"] + LINE + ["--guess", "septic"],
+                 ["svg"] + LINE + ["--guess", "septic"],
+                 ["grid-stats", "--grid-n", "2", "--guess", "septic"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+    assert capsys.readouterr().err.count("invalid choice") == 4
 
 
 def test_fit_out_file(tmp_path, capsys):
@@ -298,7 +304,9 @@ def test_grid_stats_iteration_bounds(capsys):
     code, out = run(capsys, ["grid-stats", "--grid-n", "64"])
     assert code == 0
     max_line = [l for l in out.split("\n") if l.startswith("max_iterations")][0]
-    assert int(max_line.split()[1]) <= 4
+    # the default guess: at most two evaluated steps, as the fitter
+    # docstring and CI's installed-script check state
+    assert int(max_line.split()[1]) <= 2
 
     code, out = run(capsys, ["grid-stats", "--grid-n", "64", "--guess", "linear"])
     assert code == 0

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +13,6 @@ from clothofit import (
     ConvergenceError,
     DegenerateInputError,
     ExcludedAngleError,
-    FitConfig,
     FitResult,
     HermiteData,
     ReducedProblem,
@@ -164,6 +166,29 @@ def test_initial_guess_values():
         initial_guess(0.1, 0.1, "septic")
 
 
+def test_an_unknown_guess_is_rejected_before_any_evaluation(monkeypatch):
+    # initial_guess holds the one check of the guess, and the solve calls it
+    # before its first evaluation
+    calls = []
+    real = fitter.eval_xy
+    monkeypatch.setattr(fitter, "eval_xy", lambda *args: calls.append(args) or real(*args))
+    data = HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0)
+    message = re.escape("guess must be one of %s, got 'septic'" % (fitter.GUESS_VARIANTS,))
+    for attempt in (lambda: build_clothoid(data, guess="septic"),
+                    lambda: solve_A(reduce_problem(data), guess="septic"),
+                    lambda: initial_guess(0.4, 1.2, guess="septic")):
+        with pytest.raises(ValueError, match=message):
+            attempt()
+    assert calls == []
+    # the chord is checked before the guess
+    with pytest.raises(DegenerateInputError):
+        build_clothoid(HermiteData(1.0, 1.0, 0.3, 1.0, 1.0, 0.7), guess="septic")
+    assert calls == []
+    # the patched eval_xy does see a fit's evaluations
+    build_clothoid(data, guess="linear")
+    assert calls
+
+
 def test_guess_vanishes_on_antisymmetric_pairs():
     for variant in fitter.GUESS_VARIANTS:
         for phi in (0.3, 1.2, 3.0):
@@ -175,7 +200,6 @@ def test_surface_coefficients_regenerate_from_the_solver():
     # phi1) by u^i v^j, i + j <= 4, over the roots on a 121x121 grid of
     # f = phi/pi in [-0.9999, 0.9999]; the roots come from the quintic
     # guess, so the fit does not rest on the surface it regenerates
-    cfg = FitConfig(guess_variant="quintic")
     fs = np.linspace(-0.9999, 0.9999, 121)
     rows, targets = [], []
     for f0 in fs:
@@ -183,7 +207,7 @@ def test_surface_coefficients_regenerate_from_the_solver():
             phi0, phi1 = math.pi * float(f0), math.pi * float(f1)
             if abs(phi0 + phi1) < 1e-9:
                 continue
-            A, _ = solve_A(make_rp(phi0, phi1), cfg)
+            A, _ = solve_A(make_rp(phi0, phi1), "quintic")
             u, v = f0 * f1, f0 * f0 + f1 * f1
             rows.append([u ** i * v ** j for i in range(5) for j in range(5 - i)])
             targets.append(A / (phi0 + phi1))
@@ -235,14 +259,13 @@ def test_solve_circle_pair():
 
 def test_solve_matches_bisection_oracle():
     rng = np.random.default_rng(17)
-    cfg = FitConfig()
     for _ in range(40):
         phi0 = float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
         phi1 = float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
         rp = make_rp(phi0, phi1)
-        A, _ = solve_A(rp, cfg)
+        A, _ = solve_A(rp, fitter.DEFAULT_GUESS)
         a_max = a_max_bound(phi0, phi1)
-        seed = initial_guess(phi0, phi1, cfg.guess_variant)
+        seed = initial_guess(phi0, phi1, fitter.DEFAULT_GUESS)
         A_ref = bisection_root(lambda x: g_eval(x, rp), -a_max, a_max, seed)
         assert A == pytest.approx(A_ref, abs=1e-8)
 
@@ -254,7 +277,7 @@ def test_solve_reports_non_convergence(monkeypatch):
     rp = reduce_problem(
         HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0))
     with pytest.raises(ConvergenceError) as info:
-        solve_A(rp, FitConfig(guess_variant="linear"))
+        solve_A(rp, "linear")
     assert info.value.iterations == 1
     assert info.value.residual > 1e-12
     assert math.isfinite(info.value.A)
@@ -417,13 +440,13 @@ def test_build_reference_case():
     assert fit.B == rp.delta - fit.A
 
 
-def _worst_relative_error(cfg, n):
+def _worst_relative_error(guess, n):
     # angles uniform in (-0.9999 pi, 0.9999 pi)^2 on a unit chord
     lim = 0.9999 * math.pi
     angles = np.random.default_rng(5).uniform(-lim, lim, size=(n, 2))
     worst = 0.0
     for theta0, theta1 in angles:
-        fit = build_clothoid(HermiteData(0.0, 0.0, float(theta0), 1.0, 0.0, float(theta1)), cfg)
+        fit = build_clothoid(HermiteData(0.0, 0.0, float(theta0), 1.0, 0.0, float(theta1)), guess)
         worst = max(worst, fit.endpoint_error / fit.curve.L)
     return worst
 
@@ -433,7 +456,7 @@ def test_fits_reach_machine_accuracy():
     # 1e-8 max(1, |A|), whose error, with the first-order length update,
     # is rounding level from every guess (1.3e-14, 7.4e-15 and 5.7e-15)
     for variant in fitter.GUESS_VARIANTS:
-        assert _worst_relative_error(FitConfig(guess_variant=variant), 5000) <= 2e-14, variant
+        assert _worst_relative_error(variant, 5000) <= 2e-14, variant
 
 
 def test_fits_near_the_excluded_corners_reach_machine_accuracy():
@@ -497,8 +520,8 @@ def _fields(obj):
 
 
 def test_fitter_built_objects_match_public_ones():
-    # build_clothoid makes its curve and result without running their
-    # constructors; nothing may tell them from publicly built ones
+    # build_clothoid makes its curve without running its constructor;
+    # nothing may tell it, or the result holding it, from publicly built ones
     square_curves = 0
     for fit in _seeded_fits(47, 20):
         curve = fit.curve
@@ -521,6 +544,54 @@ def test_fitter_built_objects_match_public_ones():
         assert curve == public and hash(curve) == hash(public) and repr(curve) == repr(public)
         assert fit == result and hash(fit) == hash(result)
     assert square_curves == 20
+
+
+def _kept_bytes(build, inputs):
+    """Bytes that build(x) keeps allocated over all x in inputs, and the
+    outputs.  The list holding them is made before tracing starts, and full
+    collections empty the interpreter's free lists on both sides, so that
+    neither the list nor blocks parked on a free list count."""
+    kept = [None] * len(inputs)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i, x in enumerate(inputs):
+            kept[i] = build(x)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0], kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_fitter_built_objects_hold_no_more_memory_than_public_ones():
+    # the curve built without its constructor keeps no instance dict that a
+    # public one lacks: kept fits hold no more bytes than public twins of
+    # them on equal floats, each copied into a new object as the fit made
+    # its own (on 3.11, 424 B per fit either way; a dict written through
+    # __dict__ costs 64 B more per object)
+    lim = 0.9999 * math.pi
+    rng = np.random.default_rng(53)
+    poses = [HermiteData(0.0, 0.0, float(theta0), 1.0, 0.0, float(theta1))
+             for theta0, theta1 in rng.uniform(-lim, lim, size=(2000, 2))]
+
+    def copy(v):
+        return -(-v)  # an equal float in a new object
+
+    def twin(fit):
+        c = fit.curve
+        curve = ClothoidCurve(c.x0, c.y0, c.theta0, copy(c.kappa), copy(c.kappa_prime),
+                              copy(c.L))
+        return FitResult(curve, copy(fit.A), copy(fit.B), fit.iterations,
+                         copy(fit.residual_g), copy(fit.endpoint_error))
+
+    # the first instances a path builds can take larger attribute storage
+    # while the interpreter settles the class's layout: both paths run once
+    # before either is measured
+    fits = [build_clothoid(pose) for pose in poses]
+    assert [twin(fit) for fit in fits] == fits
+    fit_bytes, _ = _kept_bytes(build_clothoid, poses)
+    twin_bytes, _ = _kept_bytes(twin, fits)
+    assert fit_bytes <= twin_bytes, (fit_bytes / len(fits), twin_bytes / len(fits))
 
 
 def test_fits_check_each_value_once(monkeypatch):
