@@ -15,10 +15,12 @@ A = kappa_prime L^2:
 * EPSILON_A <= |A| < inf: every s != L comes from the curve's completed
   square, the one `gfresnel._completed_square` that `eval_xy` shares,
   taken at (A, kappa L, theta0), built once on first use and kept on the
-  instance (not a dataclass field, so equality, hash, repr and
-  `dataclasses.replace` ignore it), then one Fresnel kernel call per
-  point.  Once the square is built, an s in [-L, L) goes straight to it
-  without the checks on s, which cannot fail there;
+  instance in the plain attribute `_square` (not a dataclass field, so
+  equality, hash, repr and `dataclasses.replace` ignore it; a curve
+  without it reads the class's None, and no instance dict is read or
+  made), then one Fresnel kernel call per point.  Once the square is
+  built, an s in [-L, L) goes straight to it without the checks on s,
+  which cannot fail there;
 * |A| < EPSILON_A, or A overflowing to inf (where the square would read
   z = inf): `eval_xy(kappa_prime s^2, kappa s, theta0, 1)` for every s,
   its small-|a| series wherever |kappa_prime s^2| < EPSILON_A, which
@@ -47,7 +49,6 @@ sqrt(pi/|kappa_prime|) <= 4.6 eps L.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .fresnel import _fresnel_core
 from .gfresnel import EPSILON_A, _completed_square, eval_xy
@@ -84,8 +85,9 @@ class ClothoidCurve:
         """Position at arc length s.
 
         On a curve with EPSILON_A <= |kappa_prime L^2| < inf every s != L
-        comes from the curve's completed square (`_square`, built on
-        first use and kept on the instance): one Fresnel kernel call at
+        comes from the curve's completed square (built on first use and
+        kept in the plain attribute `_square`, which reads None until then;
+        no instance dict is read): one Fresnel kernel call at
         t(s) = w + (z/L) s, differenced against t(0) = w.  Once the square
         is built, an s in [-L, L) skips the checks on s: |kappa_prime s^2|
         and |kappa s| are at most the curve's own, which the square has
@@ -111,7 +113,7 @@ class ClothoidCurve:
         # a built square means EPSILON_A <= |kappa_prime L^2| < inf and |kappa L|
         # <= 1e150, so on [-L, L) kappa_prime s^2 and kappa s are finite and
         # the checks below have nothing to find; the end s = L always takes them
-        square = self.__dict__.get("_square") if -L <= s < L else None
+        square = self._square if -L <= s < L else None
         if square is None:
             if not math.isfinite(s):
                 raise ValueError("point_at: s must be finite, got %r" % (s,))
@@ -125,23 +127,30 @@ class ClothoidCurve:
             if s == L or not EPSILON_A <= abs(kappa_prime * L * L) < math.inf:
                 X, Y = eval_xy(a, b, self.theta0, 1)
                 return self.x0 + s * X[0], self.y0 + s * Y[0]
-            square = self._square
+            square = self._build_square()
         sigma, z_per_L, w, c0, s0, ux, uy = square
         c, sv, _, _ = _fresnel_core(w + z_per_L * s)
         dc = c - c0
         ds = sigma * (sv - s0)
         return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
 
-    @cached_property
-    def _square(self):
-        """The curve's completed square: `_completed_square` at (kappa_prime
-        L^2, kappa L, theta0), in units of L so that every factor stays
-        finite over the range of curves the fitter builds.  Returns sigma,
-        z/L, w, C(w), S(w) and its turn scaled by L/z, as two reals."""
+    # None until `_build_square` keeps the square on the instance;
+    # unannotated, so not a dataclass field
+    _square = None
+
+    def _build_square(self):
+        """Build, keep and return the curve's completed square:
+        `_completed_square` at (kappa_prime L^2, kappa L, theta0), in units
+        of L so that every factor stays finite over the range of curves the
+        fitter builds.  It holds sigma, z/L, w, C(w), S(w) and its turn
+        scaled by L/z, as two reals, and is kept in the plain attribute
+        `_square`, set once here past the frozen dataclass's guard."""
         sigma, z, w, ce, se, c0, s0, _, _ = _completed_square(
             self.kappa_prime * self.L * self.L, self.kappa * self.L, self.theta0)
         scale = self.L / z
-        return sigma, z / self.L, w, c0, s0, scale * ce, scale * se
+        square = (sigma, z / self.L, w, c0, s0, scale * ce, scale * se)
+        object.__setattr__(self, "_square", square)
+        return square
 
     def angle_at(self, s: float) -> float:
         """Tangent angle theta0 + kappa s + kappa_prime s^2 / 2."""

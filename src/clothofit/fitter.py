@@ -26,11 +26,14 @@ only for a step that lands beyond 2 max(|delta|, 1): A_max >= |delta|,
 so a step inside that range cannot leave it.
 
 The public constructors and functions check their input.  The fit
-path checks each value once: `build_clothoid` reduces the pose, already
-checked by `HermiteData`, to three floats without a `ReducedProblem`,
-and builds its `ClothoidCurve` from values it has already found finite
-without running its constructor.  `FitResult`, which checks nothing,
-is built by its own constructor.
+path checks each value once: `HermiteData` is the one check of the pose,
+and `build_clothoid` reduces it to three floats without a
+`ReducedProblem`, and builds its `ClothoidCurve` from values it has
+already found finite without running its constructor.  `FitResult`,
+which checks nothing, is built by its own constructor.  A duck-typed
+pose that skipped `HermiteData` gets no second check: a NaN in it ends
+in `eval_xy`'s ValueError, an infinite heading in `math.sin`'s, and an
+infinite coordinate in a `DegenerateInputError`.
 """
 
 import math
@@ -394,8 +397,12 @@ def build_clothoid(data: HermiteData, guess: str = DEFAULT_GUESS) -> FitResult:
     Parameters
     ----------
     data : HermiteData
-        Start and end poses.  Endpoints must not coincide, and the
-        chord-relative angles must not sit on an excluded corner.
+        Start and end poses, checked finite by `HermiteData`, the one
+        check of the pose.  Endpoints must not coincide, and the
+        chord-relative angles must not sit on an excluded corner.  Any
+        object with the six fields is read the same way, unchecked: a
+        NaN in it ends in `eval_xy`'s ValueError ("a, b, c must be
+        finite"), not in a fit.
     guess : str
         Initial guess variant, one of GUESS_VARIANTS; `initial_guess`
         rejects any other with a ValueError, after the chord check and
@@ -418,14 +425,7 @@ def build_clothoid(data: HermiteData, guess: str = DEFAULT_GUESS) -> FitResult:
     its own constructor.
     """
     r, phi0, phi1 = _chord_frame(data)
-    try:
-        A, iterations, residual, h = _solve(phi0, phi1, guess)
-    except ValueError:
-        # NaN, which HermiteData rejects, reaches the solve only from a pose
-        # that skipped those checks, and eval_xy rejects it; reduce_problem
-        # then raises ReducedProblem's error for it, which a fit always raised
-        reduce_problem(data)
-        raise
+    A, iterations, residual, h = _solve(phi0, phi1, guess)
     if h <= 0.0:
         raise InternalConsistencyError(
             "X_0 <= 0 at the computed root (A=%.17g): spurious solution" % A

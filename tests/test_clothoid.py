@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
+import gc
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +351,26 @@ def test_square_cache_is_invisible():
     assert [twin.point_at(s) for s in points] == before
     assert first.sample(41) == rows == twin.sample(41)
     assert [pickle.loads(pickle.dumps(sampled)).point_at(s) for s in points] == before
+
+
+def test_point_at_leaves_a_near_line_curve_no_larger():
+    # the square is read from a plain attribute, so point_at on a curve that
+    # never builds one allocates nothing that outlives the call (reading
+    # __dict__, or calling vars(), would give each curve an instance dict)
+    fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=0.03, L=2.0)
+    curves = [ClothoidCurve(**fields) for _ in range(2000)]
+    ClothoidCurve(**fields).point_at(1.0)   # the first call may fill caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for curve in curves:
+            curve.point_at(0.5 * curve.L)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < len(curves), (after - before) / len(curves)
 
 
 def test_fits_never_build_the_square():

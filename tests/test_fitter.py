@@ -13,6 +13,7 @@ from clothofit import (
     ConvergenceError,
     DegenerateInputError,
     ExcludedAngleError,
+    FitError,
     FitResult,
     HermiteData,
     ReducedProblem,
@@ -616,10 +617,11 @@ def test_fits_check_each_value_once(monkeypatch):
         dataclasses.replace(rp, phi0=4.0)
     with pytest.raises(ValueError, match="kappa must be finite"):
         dataclasses.replace(curve, kappa=math.inf)
-    # a pose that skipped HermiteData's checks ends as reduce_problem does
-    for field, match in (("theta0", "phi0, phi1 must lie"), ("x1", "r must be positive")):
+    # a pose that skipped HermiteData's checks is not checked again: its NaN
+    # reaches eval_xy, which rejects it
+    for field in ("theta0", "x1"):
         pose = SimpleNamespace(**dict(_fields(data), **{field: math.nan}))
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="eval_xy: a, b, c must be finite"):
             build_clothoid(pose)
     # the excluded corner is rejected before the solve evaluates anything
     calls = []
@@ -628,6 +630,17 @@ def test_fits_check_each_value_once(monkeypatch):
     with pytest.raises(ExcludedAngleError):
         build_clothoid(HermiteData(0.0, 0.0, math.pi, 1.0, 0.0, -math.pi))
     assert calls == []
+
+
+def test_unchecked_non_finite_poses_never_fit():
+    # HermiteData is the one check of the pose; an object that skipped it,
+    # with NaN or an infinity in any one field, still ends in an error
+    data = HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0)
+    for field in _fields(data):
+        for value in (math.nan, math.inf, -math.inf):
+            pose = SimpleNamespace(**dict(_fields(data), **{field: value}))
+            with pytest.raises((ValueError, FitError)):
+                build_clothoid(pose)
 
 
 # ------------------------------------------------------------ symmetry

@@ -2,22 +2,26 @@
 
     python tools/fit_digest.py
 
-Fits three families of poses with the package in this checkout's src/
+Fits four families of poses with the package in this checkout's src/
 and hashes, as float.hex, each fit's kappa, kappa_prime, L, A, B,
 residual_g, endpoint_error and iterations, then the rows of its
-sample(50).  A pose that raises a FitError hashes the error's class name.
-The families:
+sample(SAMPLE_N), perfbench's 50 rows per fit.  A pose that raises a
+FitError hashes the error's class name.  Three of the families are the benchmark's own streams,
+imported from this checkout's perfbench/workloads.py and seeded with
+SEED, so the digest fits the traffic that perfbench times:
 
-* COUNT uniform angle pairs: chord-relative angles uniform in
-  (-0.9999 pi, 0.9999 pi)^2, chord length log-uniform in [1e-2, 1e2],
-  start point and chord direction uniform;
+* the first COUNT poses of `generic_stream`: random poses over the
+  paper's angle domain;
 * `cli.bench_near_line_case` and `bench_near_circle_case` at k = 1..10;
-* COUNT consecutive waypoint pairs of planned paths: a random walk of chord
-  directions turning by up to 1 rad, log-uniform steps in [0.5, 5], the
-  heading at a waypoint bisecting its chords plus N(0, 0.05) rad.
+* the first NEAR_COUNT poses of `near_stream`: the near-line and
+  near-circle shapes at scales 2^-8..2^8, rotated and translated, and
+  exact lines and arcs (100 rounds of its 32 shapes);
+* the first COUNT poses of `spline_stream`: consecutive waypoint pairs
+  of planned paths.
 
 Two checkouts whose digests agree made bit-identical fits and rows on
-these poses.  Prints the digest, then the number of fits and rows.
+these poses, provided their perfbench streams agree too.  Prints the
+digest, then the number of fits and rows.
 
 A second line hashes, for each argument list in CLI_INVOCATIONS, the
 exit code, stdout and stderr of `cli.main`: every subcommand, each
@@ -47,19 +51,20 @@ import os
 import random
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from clothofit import FitError, HermiteData, build_clothoid  # noqa: E402
 from clothofit.cli import bench_near_circle_case, bench_near_line_case, main  # noqa: E402
 from clothofit.gfresnel import EPSILON_A, eval_xy, r_lommel  # noqa: E402
+from perfbench.workloads import SAMPLE_N, generic_stream, near_stream, spline_stream  # noqa: E402
 
 SEED = 20131
-ANGLE_LIMIT = 0.9999 * math.pi
-SAMPLE_N = 50
-PATH_SEGMENTS = 32
 COUNT = 15000
+NEAR_COUNT = 3200
 EVAL_COUNT = 4000
 # the highest order eval_xy_a_zero seeds: k + 4p + 1 at k = 3, p = 4
 TOP_ORDER = 20
@@ -104,48 +109,21 @@ def _log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def uniform_poses(rng, count):
-    for _ in range(count):
-        phi0 = rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT)
-        phi1 = rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT)
-        r = _log_uniform(rng, 1e-2, 1e2)
-        x0 = rng.uniform(-100.0, 100.0)
-        y0 = rng.uniform(-100.0, 100.0)
-        d = rng.uniform(-math.pi, math.pi)
-        yield (x0, y0, d + phi0, x0 + r * math.cos(d), y0 + r * math.sin(d), d + phi1)
-
-
-def regime_poses():
+def poses():
+    """The four families, in order."""
+    yield from islice(generic_stream(SEED), COUNT)
     for k in range(1, 11):
         yield bench_near_line_case(k)
         yield bench_near_circle_case(k)
-
-
-def waypoint_poses(rng, count):
-    while True:
-        x = rng.uniform(-100.0, 100.0)
-        y = rng.uniform(-100.0, 100.0)
-        d = rng.uniform(-math.pi, math.pi)
-        h = d + rng.gauss(0.0, 0.05)
-        for _ in range(PATH_SEGMENTS):
-            if count == 0:
-                return
-            count -= 1
-            step = _log_uniform(rng, 0.5, 5.0)
-            d_next = d + rng.uniform(-1.0, 1.0)
-            nx = x + step * math.cos(d)
-            ny = y + step * math.sin(d)
-            nh = 0.5 * (d + d_next) + rng.gauss(0.0, 0.05)
-            yield (x, y, h, nx, ny, nh)
-            x, y, h, d = nx, ny, nh, d_next
+    yield from islice(near_stream(SEED), NEAR_COUNT)
+    yield from islice(spline_stream(SEED), COUNT)
 
 
 def digest():
-    """(hex digest, fits, rows) over the three families."""
-    rng = random.Random(SEED)
+    """(hex digest, fits, rows) over the four families."""
     h = hashlib.sha256()
     fits = rows = 0
-    for pose in (*uniform_poses(rng, COUNT), *regime_poses(), *waypoint_poses(rng, COUNT)):
+    for pose in poses():
         try:
             fit = build_clothoid(HermiteData(*pose))
         except FitError as exc:
