@@ -172,7 +172,7 @@ class ClothoidCurve:
         the last row is `eval_xy`'s, the end the fitter solved for.
         """
         if not isinstance(n, int) or n < 2:
-            raise ValueError("sample: need at least 2 points, got %r" % (n,))
+            raise ValueError("sample: n must be an int >= 2, got %r" % (n,))
         theta0, kappa, kappa_prime, L = self.theta0, self.kappa, self.kappa_prime, self.L
         point_at = self.point_at
         rows = [(self.x0, self.y0, theta0, kappa)]

@@ -290,23 +290,23 @@ def _reject_corner(phi0, phi1):
 def a_max_bound(phi0: float, phi1: float) -> float:
     """Half-width of the interval that brackets the relevant root of g.
 
-    A_max = |delta| + 2 theta_max (1 + sqrt(1 + |delta|/theta_max)) with
+    The paper's A_max = |delta| + 2 theta_max (1 + sqrt(1 + |delta|/theta_max)),
+    written without the division as
 
-        theta_max = max(0, pi/2 + sign(phi1) phi0, pi/2 + sign(phi0) phi1).
+        A_max = |delta| + 2 (theta_max + sqrt(theta_max (theta_max + |delta|))),
+        theta_max = max(0, pi/2 + sign(phi1) phi0, pi/2 + sign(phi0) phi1),
 
-    Taking the larger of the two signed combinations covers all four
-    angle orderings (the reductions that swap or mirror the endpoints
-    exchange the roles of phi0 and phi1).  theta_max = 0 degenerates to
-    A_max = |delta|.  The corners phi0 = -phi1 = +/-pi are rejected.
+    so theta_max = 0 gives A_max = |delta| with no branch.  Taking the
+    larger of the two signed combinations covers all four angle orderings
+    (the reductions that swap or mirror the endpoints exchange the roles
+    of phi0 and phi1).  The corners phi0 = -phi1 = +/-pi are rejected.
     """
     _reject_corner(phi0, phi1)
     delta = abs(phi1 - phi0)
     sg0 = math.copysign(1.0, phi0) if phi0 != 0.0 else 0.0
     sg1 = math.copysign(1.0, phi1) if phi1 != 0.0 else 0.0
     theta_max = max(0.0, 0.5 * math.pi + sg1 * phi0, 0.5 * math.pi + sg0 * phi1)
-    if theta_max == 0.0:
-        return delta
-    return delta + 2.0 * theta_max * (1.0 + math.sqrt(1.0 + delta / theta_max))
+    return delta + 2.0 * (theta_max + math.sqrt(theta_max * (theta_max + delta)))
 
 
 def _solve(phi0, phi1, guess):

@@ -27,7 +27,9 @@ for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
   for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0 exactly
   skips the series and turns the closed form directly.
 * a = 0: closed form (`eval_xy_a_zero`), one complex I_j per order.
-  Order 0 is sin b / b + i 2 sin^2(b/2) / b, the half-angle form of
+  b = 0 returns I_j = 1/(j+1) directly, with no Kummer seed; an exact
+  line evaluates there on every solve iterate.  Otherwise order 0 is
+  sin b / b + i 2 sin^2(b/2) / b, the half-angle form of
   (1 - cos b) / b, which does not cancel for any b.  Orders
   1..floor(|b|) follow by the upward recurrence in k, each from the one
   before it, stable there because each step scales the error by
@@ -116,7 +118,9 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
 def eval_xy_a_zero(b: float, k: int):
     """I_j(0, b) = X_j(0, b) + i Y_j(0, b) for j = 0..k, as complex.
 
-    Order zero is elementary: sin b / b + i 2 sin^2(b/2) / b, whose
+    b = 0 (either sign) returns I_j = 1/(j+1) directly, exactly rounded,
+    with no Kummer seed and no recurrence.  Otherwise order zero is
+    elementary: sin b / b + i 2 sin^2(b/2) / b, whose
     imaginary part is the half-angle form of (1 - cos b) / b, free of its
     cancellation at small |b|.  Orders j = 1..min(k, floor(|b|)) follow
     from the upward recurrence
@@ -136,16 +140,15 @@ def eval_xy_a_zero(b: float, k: int):
 
         I_{j-1} = (e^{ib} - ib I_j) / j,
 
-    stable because every step has j > |b|; at b = 0 it gives 1/j exactly.
+    stable because every step has j > |b|.
     k may be large here (the small-a series needs orders up to k + 4p + 1).
     b must be finite and k a non-negative int; `eval_xy` checks its inputs.
     """
-    sb = math.sin(b)
     if b == 0.0:
-        v = complex(1.0, 0.0)
-    else:
-        sh = math.sin(0.5 * b)
-        v = complex(sb / b, 2.0 * sh * sh / b)
+        return [complex(1.0 / (j + 1), 0.0) for j in range(k + 1)]
+    sb = math.sin(b)
+    sh = math.sin(0.5 * b)
+    v = complex(sb / b, 2.0 * sh * sh / b)
     I = [v]
     e = complex(math.cos(b), sb)
     ib = complex(0.0, b)

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,8 +45,12 @@ def test_validation():
         for s in (1e200, -1e200):
             with pytest.raises(ValueError, match=r"point_at: .* s = -?1e\+200$"):
                 curve.point_at(s)
-    with pytest.raises(ValueError):
-        LINE.sample(1)
+    # the count and the type are refused with one message: np.int64(50)
+    # is a count of 50, but not an int
+    for n in (1, np.int64(50), 2.0):
+        with pytest.raises(ValueError, match=r"^sample: n must be an int >= 2, got %s$"
+                           % re.escape(repr(n))):
+            LINE.sample(n)
 
 
 def test_point_at_start_is_exact():

@@ -230,6 +230,25 @@ def test_a_max_examples():
     assert a_max_bound(0.0, math.pi) == pytest.approx(
         math.pi * (2.0 + math.sqrt(3.0)), rel=1e-15)
     assert a_max_bound(-0.5 * math.pi, 0.5 * math.pi) == pytest.approx(math.pi, rel=1e-15)
+
+    # the paper's form |delta| + 2 theta (1 + sqrt(1 + |delta|/theta)), or
+    # its limit |delta| at theta_max = 0, within 4 ulp: theta_max just
+    # above 0, then seeded pairs
+    def paper_form(phi0, phi1):
+        delta = abs(phi1 - phi0)
+        theta = max(0.5 * math.pi + math.copysign(1.0, phi1) * phi0,
+                    0.5 * math.pi + math.copysign(1.0, phi0) * phi1)
+        if theta <= 0.0:
+            return delta
+        return delta + 2.0 * theta * (1.0 + math.sqrt(1.0 + delta / theta))
+
+    rng = np.random.default_rng(29)
+    pairs = [(-0.5 * math.pi + 1e-9, 0.5 * math.pi)]
+    pairs += [tuple(float(x) for x in rng.uniform(-0.999 * math.pi, 0.999 * math.pi, 2))
+              for _ in range(200)]
+    for phi0, phi1 in pairs:
+        expected = paper_form(phi0, phi1)
+        assert abs(a_max_bound(phi0, phi1) - expected) <= 4.0 * math.ulp(expected), (phi0, phi1)
     with pytest.raises(ExcludedAngleError):
         a_max_bound(math.pi, -math.pi)
     with pytest.raises(ExcludedAngleError):

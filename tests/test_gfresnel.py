@@ -17,9 +17,9 @@ from clothofit.gfresnel import (
 from oracles import lommel_partial_sum, xy_reference, xy_zero_recurrence
 
 
-# ---------------------------------------------------------------- config
+# ---------------------------------------------------------------- switch
 
-def test_default_config_valid():
+def test_series_order_at_the_switch():
     # the order picked at the switch truncates the series below 1e-17
     assert EPSILON_A > 0
     n = 2 * _series_order(EPSILON_A) + 2
@@ -64,10 +64,25 @@ def test_lommel_rejects_a_sum_that_is_not_finite(mu, nu, b):
 
 # ---------------------------------------------------------------- a == 0
 
-def test_zero_path_b_zero():
+def test_zero_path_b_zero(monkeypatch):
     I = eval_xy_a_zero(0.0, 2)
     assert [v.real for v in I] == [1.0, 0.5, 1.0 / 3.0]
     assert [v.imag for v in I] == [0.0, 0.0, 0.0]
+    # I_j(0, 0) = 1/(j+1), exactly rounded at every order and either sign
+    # of zero, with no Kummer seed
+    calls = []
+    real_r_lommel = clothofit.gfresnel.r_lommel
+
+    def recording(mu, nu, b):
+        calls.append((mu, nu, b))
+        return real_r_lommel(mu, nu, b)
+
+    monkeypatch.setattr(clothofit.gfresnel, "r_lommel", recording)
+    for b in (0.0, -0.0):
+        for k in range(200):
+            I = eval_xy_a_zero(b, k)
+            assert I == [complex(1.0 / (j + 1), 0.0) for j in range(k + 1)], (b, k)
+    assert calls == []
 
 
 def test_zero_path_b_pi():
