@@ -87,7 +87,7 @@ def _build_parser():
     p.set_defaults(run=cmd_bench)
 
     p = sub.add_parser("grid-stats",
-                       help="histogram of Newton iteration counts over an angle grid")
+                       help="histogram of evaluated solver steps over an angle grid")
     p.set_defaults(run=cmd_grid_stats)
     p.add_argument("--grid-n", type=int, default=64, help="grid points per axis (>= 2)")
     p.add_argument("--guess", choices=GUESS_VARIANTS,

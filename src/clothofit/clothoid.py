@@ -27,8 +27,8 @@ A = kappa_prime L^2:
   keeps near-line and near-circle curves fully accurate.
 
 The curve's own end, s = L, takes `eval_xy(A, kappa L, theta0, 1)` on
-either path, on purpose: these are the integrals the fitter's Newton
-solve drove to its target, so `endpoint_residual` checks the fit
+either path, on purpose: these are the integrals the fitter's solve
+drove to its target, so `endpoint_residual` checks the fit
 independently of the square, and a fit never builds the square.
 
 Error contract: with eta = -kappa^2/(2 kappa_prime) and eps = 2^-52,

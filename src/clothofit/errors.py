@@ -34,7 +34,7 @@ class ExcludedAngleError(FitError):
 
 
 class ConvergenceError(FitError):
-    """The Newton solve ran out of iterations or left the root bracket.
+    """The solve ran out of iterations or left the root bracket.
 
     Carries the last iterate so callers can inspect how far the solve got.
     """
@@ -47,10 +47,11 @@ class ConvergenceError(FitError):
 
 
 class SingularDerivativeError(ConvergenceError):
-    """Newton hit a vanishing derivative g'(A).
+    """The solve hit a vanishing derivative g'(A).
 
-    Every Newton step divides by g'(A), the last one included, so this
-    can also end a solve whose |g| is already at rounding level.
+    Every step, Halley's or Newton's, divides by g'(A), the last one
+    included, so this can also end a solve whose |g| is already at
+    rounding level.
     """
 
 

@@ -8,17 +8,19 @@ A = kappa_prime L^2 / 2 solves
     g(A) := Y_0(2A, delta - A, phi0) = 0,     delta = phi1 - phi0,
 
 after which L = r / X_0(2A, delta - A, phi0), kappa = (delta - A)/L and
-kappa_prime = 2A/L^2.  Newton starts from a fitted polynomial initial
-guess, named by a plain `guess` argument (one of GUESS_VARIANTS,
+kappa_prime = 2A/L^2.  Halley's method starts from a fitted polynomial
+initial guess, named by a plain `guess` argument (one of GUESS_VARIANTS,
 DEFAULT_GUESS unless the caller names another) that `initial_guess`
-alone checks.  Each iterate is one evaluation of X_k, Y_k (k = 0..2) at
-A: it gives g, g', h = X_0 and h'.  The solve has one stop: once the
-Newton step dA = g/g' is at most 1e-8 max(1, |A|), that last step is
-taken from those values without evaluating it.  With the default
-surface guess a 256x256 grid of the angle range needs at most two
-evaluated steps before that last one, and one on 99.5% of it: most fits
-make two evaluations.  The relevant root lies inside [-A_max, A_max]
-given by `a_max_bound`.  A Newton step that leaves twice that bracket,
+alone checks.  Each iterate is one evaluation of X_k, Y_k (k = 0..4) at
+A: it gives g, g', g'', h = X_0, h' and h''.  The step is Halley's
+dA = 2 g g'/(2 g'^2 - g g''), or Newton's g/g' where |g g''| > g'^2.
+Halley's error is about C dA^3 (C <= 3.3 measured), so the solve has one
+stop: once |dA| is at most 2e-6 max(1, |A|), that last step is taken
+from those values without evaluating it.  The default guess, a degree-8
+surface, lands within that stop on 99.1% of a 256x256 grid of the angle
+range and one evaluated step from it on the rest: most fits make one
+evaluation.  The relevant root lies inside [-A_max, A_max]
+given by `a_max_bound`.  A step that leaves twice that bracket,
 or a vanishing derivative, ends the solve with a `ConvergenceError`;
 neither has occurred on any angle pair tried.  The excluded corners are
 rejected before the first evaluation, but the bracket itself is formed
@@ -70,19 +72,19 @@ __all__ = [
 # the segment length diverges.
 _EXCLUDED_CORNER_TOL = 1e-12
 
-# Below this g is rounding noise, and so is a Newton step taken from it:
-# the solve skips its last step, so exact lines and arcs keep A = 0.0.
+# Below this g is rounding noise, and so is a step taken from it: the
+# solve skips its last step, so exact lines and arcs keep A = 0.0.
 _RESIDUAL_FLOOR = 1e-15
 
-# The solve also stops once the Newton step |dA| is below this times
-# max(1, |A|): the unevaluated last step then errs by about
-# |g''/2g'| dA^2, which is rounding level.
-_STEP_FLOOR = 1e-8
+# The solve also stops once the Halley step |dA| is below this times
+# max(1, |A|): the unevaluated last step then errs by about C dA^3,
+# C <= 3.3, which is rounding level.
+_STEP_FLOOR = 2e-6
 
 # |g'| below this is treated as a vanishing derivative.
 _DERIVATIVE_FLOOR = 1e-30
 
-# Evaluated Newton steps before the solve gives up with a ConvergenceError.
+# Evaluated steps before the solve gives up with a ConvergenceError.
 _MAX_ITER = 100
 
 
@@ -130,19 +132,30 @@ class ReducedProblem:
 # Least-squares coefficients of the quintic guess surface.
 QUINTIC_GUESS_COEFFICIENTS = (2.989696, 0.71622, -0.458969, -0.502821, 0.26106, -0.045854)
 
-# Least-squares fit of A/(phi0 + phi1) by the 15 monomials u^i v^j,
-# i + j <= 4, in u = f0 f1 and v = f0^2 + f1^2 (f = phi/pi), ordered by i
+# Least-squares fit of A/(phi0 + phi1) by the 45 monomials u^i v^j,
+# i + j <= 8, in u = f0 f1 and v = f0^2 + f1^2 (f = phi/pi), ordered by i
 # then j.  The roots come from the quintic-guess solve on a 121x121 grid
 # of f in [-0.9999, 0.9999], skipping |phi0 + phi1| < 1e-9; the worst
-# residual of the fit is 2.2e-3.
+# residual of the fit is 9.9e-6, and the first evaluation already meets
+# the step stop on 99.1% of a 256x256 grid.  The values are that
+# least-squares solution refined in extended precision: np.linalg.lstsq
+# reproduces them within 1.2e-11, another solver (QR) within 2.4e-10.
 SURFACE_GUESS_COEFFICIENTS = (
-    2.9997699357420613, -0.5597989356659947, -0.04655247712489689,
-    0.06928838496092776, -0.017361420822210632,
-    0.8413558637426737, 0.14521918581119722, -0.06948041416468714,
-    0.020402468466841482,
-    -0.19282922111233214, -0.2483296508062434, 0.04459856591382696,
-    0.2555446855031779, 0.030794591009160405,
-    -0.12170944428974421,
+    2.999999832188139, -0.5639593339227786, -0.02824373603342472,
+    0.04160744933532112, -0.009847072166866712, 0.020590118082906127,
+    -0.026415433837316572, 0.014918063402019042, -0.003351550145754509,
+    0.8459731353350639, 0.12118028131577495, -0.030534969429679457,
+    0.01884622667169532, -0.05418339809781686, 0.06418541739957256,
+    -0.03379240933143252, 0.006840937988685491, -0.20211584922334808,
+    -0.2225246808416106, 0.027386432719236534, -0.011740873545413364,
+    0.039126487182053665, -0.04015747347494401, 0.015105013214726263,
+    0.24517248639972475, -0.03194728378370878, 0.1686175550357935,
+    -0.18516295118191703, 0.09205475509521714, -0.018448344795702107,
+    -0.028338636613530168, -0.2575381863098261, 0.20018551414674576,
+    0.014920004712217397, -0.06161755668910897, 0.16069516713197202,
+    -0.2273153689681195, 0.10717493090451762, 0.02961448086927524,
+    0.12874942581247148, -0.32421806789796415, 0.18705706050776286,
+    0.16989082823345514, -0.23975422481282618, 0.08618829393090435,
 )
 
 GUESS_VARIANTS = ("linear", "quintic", "surface")
@@ -160,12 +173,13 @@ class FitResult:
     Attributes
     ----------
     iterations : int
-        Evaluated Newton steps before the solve stopped.  The solve
-        makes iterations + 1 evaluations; its last step is taken without
-        one and is not counted.
+        Evaluated Halley steps before the solve stopped, 0 for most
+        fits from the default guess.  The solve makes iterations + 1
+        evaluations; its last step is taken without one and is not
+        counted.
     residual_g : float
         |g| at the last evaluated iterate, where the step stop (|dA| <=
-        1e-8 max(1, |A|)) ended the solve.  A is one Newton step past
+        2e-6 max(1, |A|)) ended the solve.  A is one Halley step past
         that iterate, where |g| is rounding level.
     endpoint_error : float
         Distance from the curve's point_at(L), its own evaluation, to the
@@ -240,14 +254,15 @@ def g_prime(A: float, rp: ReducedProblem) -> float:
 
 
 def initial_guess(phi0: float, phi1: float, guess: str = DEFAULT_GUESS) -> float:
-    """Starting value for the Newton solve; guess names one of GUESS_VARIANTS.
+    """Starting value for the solve; guess names one of GUESS_VARIANTS.
 
     'linear' is 3 (phi0 + phi1), from linearizing g.  'quintic' is a
     least-squares fit of the root surface in the scaled angles phi/pi
-    that lands within Newton's quadratic basin essentially everywhere.
-    'surface', the default, fits A/(phi0 + phi1) by a degree-4 polynomial
-    in f0 f1 and f0^2 + f1^2 (f = phi/pi), close enough that one
-    evaluated step usually meets the step stop.  This is the one check
+    that lands within the solve's basin essentially everywhere.
+    'surface', the default, fits A/(phi0 + phi1) by a degree-8 polynomial
+    in f0 f1 and f0^2 + f1^2 (f = phi/pi), within 9.9e-6 of the roots,
+    summed by one unrolled Horner expression: close enough that the first
+    evaluation usually meets Halley's step stop.  This is the one check
     of the guess: any other name raises a ValueError.
     """
     if guess == "linear":
@@ -263,16 +278,24 @@ def initial_guess(phi0: float, phi1: float, guess: str = DEFAULT_GUESS) -> float
             + d6 * (f0 ** 4 + f1 ** 4)
         )
     if guess == "surface":
-        (e00, e01, e02, e03, e04, e10, e11, e12, e13,
-         e20, e21, e22, e30, e31, e40) = SURFACE_GUESS_COEFFICIENTS
+        (e00, e01, e02, e03, e04, e05, e06, e07, e08, e10, e11, e12, e13, e14,
+         e15, e16, e17, e20, e21, e22, e23, e24, e25, e26, e30, e31, e32, e33,
+         e34, e35, e40, e41, e42, e43, e44, e50, e51, e52, e53, e60, e61, e62,
+         e70, e71, e80) = SURFACE_GUESS_COEFFICIENTS
         u = f0 * f1
         v = f0 * f0 + f1 * f1
+        # Horner in u over Horner sums in v; the u brackets all close at the end
         return (phi0 + phi1) * (
-            e00 + v * (e01 + v * (e02 + v * (e03 + v * e04)))
-            + u * (e10 + v * (e11 + v * (e12 + v * e13))
-                   + u * (e20 + v * (e21 + v * e22)
-                          + u * (e30 + v * e31 + u * e40)))
-        )
+            e00 + v * (e01 + v * (e02 + v * (e03 + v * (e04 + v * (e05 + v * (
+                e06 + v * (e07 + v * e08)))))))
+            + u * (e10 + v * (e11 + v * (e12 + v * (e13 + v * (e14 + v * (
+                e15 + v * (e16 + v * e17))))))
+            + u * (e20 + v * (e21 + v * (e22 + v * (e23 + v * (e24 + v * (e25 + v * e26)))))
+            + u * (e30 + v * (e31 + v * (e32 + v * (e33 + v * (e34 + v * e35))))
+            + u * (e40 + v * (e41 + v * (e42 + v * (e43 + v * e44)))
+            + u * (e50 + v * (e51 + v * (e52 + v * e53))
+            + u * (e60 + v * (e61 + v * e62)
+            + u * (e70 + v * e71 + u * e80))))))))
     raise ValueError("guess must be one of %s, got %r" % (GUESS_VARIANTS, guess))
 
 
@@ -310,24 +333,28 @@ def a_max_bound(phi0: float, phi1: float) -> float:
 
 
 def _solve(phi0, phi1, guess):
-    """Newton iteration on g; returns (A, iterations, |g|, h(A)).
+    """Halley iteration on g; returns (A, iterations, |g|, h(A)).
 
-    Each iterate makes one k = 3 evaluation at A, which gives g = Y_0,
-    g' = X_2 - X_1, h = X_0 and h' = -(Y_2 - Y_1).  Once |dA| <=
-    _STEP_FLOOR max(1, |A|), the last Newton step dA = g/g' is taken
-    without evaluating it: A - dA is returned with h + dA (Y_2 - Y_1),
-    its length to first order, so the fit needs no further
-    evaluation.  `iterations` counts the evaluated steps (the solve makes
-    iterations + 1 evaluations) and |g| is read at the last evaluated
-    iterate.  A step escapes beyond 2 max(A_max, 1); `a_max_bound` is
-    called only for a step beyond 2 max(|delta|, 1) <= 2 max(A_max, 1).
+    Each iterate makes one k = 5 evaluation at A.  Its moments
+    J_m = int_0^1 (tau^2 - tau)^m e^{i phi(tau)} dtau, J0 = I_0,
+    J1 = I_2 - I_1 and J2 = I_4 - 2 I_3 + I_2, give g = Im J0,
+    g' = Re J1, g'' = -Im J2, h = Re J0, h' = -Im J1 and h'' = -Re J2.
+    The step is Halley's dA = 2 g g'/(2 g'^2 - g g''), or Newton's g/g'
+    where |g g''| > g'^2, far from the root.  Once |dA| <=
+    _STEP_FLOOR max(1, |A|), that last step is taken without evaluating
+    it: A - dA is returned with h - dA h' + dA^2/2 h'', its length to
+    second order, so the fit needs no further evaluation.  `iterations`
+    counts the evaluated steps (the solve makes iterations + 1
+    evaluations) and |g| is read at the last evaluated iterate.  A step
+    escapes beyond 2 max(A_max, 1); `a_max_bound` is called only for a
+    step beyond 2 max(|delta|, 1) <= 2 max(A_max, 1).
     """
     A = initial_guess(phi0, phi1, guess)
     _reject_corner(phi0, phi1)
     delta = phi1 - phi0
     iterations = 0
     while True:
-        X, Y = eval_xy(2.0 * A, delta - A, phi0, 3)
+        X, Y = eval_xy(2.0 * A, delta - A, phi0, 5)
         g = Y[0]
         gp = X[2] - X[1]
         if abs(gp) < _DERIVATIVE_FLOOR:
@@ -335,12 +362,15 @@ def _solve(phi0, phi1, guess):
                 "g'(A) vanished at A=%.17g (|g| = %g)" % (A, abs(g)),
                 A=A, iterations=iterations, residual=abs(g),
             )
-        dA = g / gp
+        # g g'', g'' = -Im J2; Halley's step, or Newton's where g g'' would
+        # shrink its denominator
+        ggpp = g * (2.0 * Y[3] - Y[4] - Y[2])
+        dA = g / gp if abs(ggpp) > gp * gp else 2.0 * g * gp / (2.0 * gp * gp - ggpp)
         if abs(dA) <= _STEP_FLOOR * max(1.0, abs(A)):
             break
         if iterations >= _MAX_ITER:
             raise ConvergenceError(
-                "Newton step did not reach rounding level in %d iterations (|g| = %g)"
+                "the step did not reach rounding level in %d iterations (|g| = %g)"
                 % (_MAX_ITER, abs(g)),
                 A=A, iterations=iterations, residual=abs(g),
             )
@@ -348,7 +378,7 @@ def _solve(phi0, phi1, guess):
             escape = 2.0 * max(a_max_bound(phi0, phi1), 1.0)
             if abs(A - dA) > escape:
                 raise ConvergenceError(
-                    "Newton step from A=%.17g left the root bracket |A| <= %.17g"
+                    "the step from A=%.17g left the root bracket |A| <= %.17g"
                     % (A, escape),
                     A=A, iterations=iterations, residual=abs(g),
                 )
@@ -357,20 +387,21 @@ def _solve(phi0, phi1, guess):
     h = X[0]
     if abs(g) > _RESIDUAL_FLOOR:
         A -= dA
-        h += dA * (Y[2] - Y[1])
+        h += dA * (Y[2] - Y[1] + 0.5 * dA * (2.0 * X[3] - X[4] - X[2]))
     return A, iterations, abs(g), h
 
 
 def solve_A(rp: ReducedProblem, guess: str = DEFAULT_GUESS):
     """Root of g(A) = 0 for a reduced problem; returns (A, iterations).
 
-    Newton starts from `initial_guess(rp.phi0, rp.phi1, guess)`, which
-    rejects an unknown guess before anything is evaluated.
+    Halley's method starts from `initial_guess(rp.phi0, rp.phi1, guess)`,
+    which rejects an unknown guess before anything is evaluated.
 
-    The solve stops once the Newton step is at most 1e-8 max(1, |A|),
+    The solve stops once the Halley step is at most 2e-6 max(1, |A|),
     where one more step lands at rounding level.
-    `iterations` is the number of evaluated Newton steps before it
-    stopped; the last, unevaluated step is already in A.
+    `iterations` is the number of evaluated steps before it stopped (0
+    for most poses from the default guess); the last, unevaluated step
+    is already in A.
     """
     return _solve(rp.phi0, rp.phi1, guess)[:2]
 
@@ -416,7 +447,7 @@ def build_clothoid(data: HermiteData, guess: str = DEFAULT_GUESS) -> FitResult:
         kappa_prime = 0; no case split is involved.
 
     The corners are rejected before the first evaluation; the root
-    bracket is formed only if a Newton step lands beyond 2 max(|delta|,
+    bracket is formed only if a step lands beyond 2 max(|delta|,
     1).  The fit skips the checks it has already made: it works on the
     chord-frame floats without a `ReducedProblem`, and builds the curve
     from values it has found finite, with L > 0, without running the

@@ -5,7 +5,9 @@ The target quantities are the real and imaginary parts of
     I_k(a, b, c) = int_0^1 tau^k e^{i (a/2 tau^2 + b tau + c)} dtau
                  = X_k(a, b, c) + i Y_k(a, b, c),
 
-for k = 0, 1, 2.  Three regimes keep full double accuracy everywhere:
+for k = 0..4.  Three regimes keep full double accuracy everywhere;
+orders 3 and 4, which only the solver's second derivatives read, lose
+more on the large-|a| path (`eval_xy_a_large`):
 
 * |a| >= EPSILON_A: complete the square (`_completed_square`, which
   `ClothoidCurve.point_at` shares for a curve's points short of its
@@ -207,9 +209,21 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
     turned by e^{i eta} e^{i c}.  One Fresnel kernel call per end gives
     C, S, sin and cos there, from which orders 1 and 2 follow:
     dC_1 = (sin u_+ - sin u_-)/pi, dS_1 = (cos u_- - cos u_+)/pi.
-    The formula is exact for any a != 0 but should only be used away from
-    a = 0, where the 1/z^(j+1) factors amplify rounding (z ~ sqrt(|a|));
-    `eval_xy` handles the switch and checks the inputs.
+    Orders 3 and 4 follow, with no further kernel call, from the shifted
+    momenta P_j = int_w^{w+z} (u - w)^j cos or sin((pi/2) u^2) du, which
+    order j of the square turns and divides by z^(j+1):
+
+        Pc_{j+2} = (z^(j+1) sin u_+ - (j+1) Ps_j)/pi - w Pc_{j+1},
+        Ps_{j+2} = ((j+1) Pc_j - z^(j+1) cos u_+)/pi - w Ps_{j+1}.
+
+    Orders 0..2 keep their own expressions, so the first three entries do
+    not depend on k.  The formula is exact for any a != 0 but should only
+    be used away from a = 0, where the 1/z^(j+1) factors amplify rounding
+    (z ~ sqrt(|a|)); order j >= 3 rounds to about eps |w|^j / |z|^(j+1),
+    w = b/sqrt(pi |a|).  Next to the switch, with |b| <= 2 pi as on the
+    fitter's iterates there, orders 3 and 4 are within 5e-10 of mpmath;
+    at (a, b) = (0.2, 60) order 4 is off by 1.9e-6.  `eval_xy` handles
+    the switch and checks the inputs.
     """
     sigma, z, wm, ce, se, cm, sm, sin_m, cos_m = _completed_square(a, b, c)
     wp = wm + z
@@ -232,11 +246,21 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
         X.append((ce * dc - sse * ds) / z2)
         Y.append((se * dc + sce * ds) / z2)
         if k > 2:
-            dc = (wp * sin_p - wm * sin_m - dS0) / math.pi + wm * (wm * dC0 - 2.0 * dC1)
-            ds = (dC0 - wp * cos_p + wm * cos_m) / math.pi + wm * (wm * dS0 - 2.0 * dS1)
+            pc = (wp * sin_p - wm * sin_m - dS0) / math.pi + wm * (wm * dC0 - 2.0 * dC1)
+            ps = (dC0 - wp * cos_p + wm * cos_m) / math.pi + wm * (wm * dS0 - 2.0 * dS1)
             z3 = z2 * z
-            X.append((ce * dc - sse * ds) / z3)
-            Y.append((se * dc + sce * ds) / z3)
+            X.append((ce * pc - sse * ps) / z3)
+            Y.append((se * pc + sce * ps) / z3)
+            if k > 3:
+                # P_3 and P_4 by the recurrence, from dc, ds (P_1) and pc, ps (P_2)
+                pc3 = (z2 * sin_p - 2.0 * ds) / math.pi - wm * pc
+                ps3 = (2.0 * dc - z2 * cos_p) / math.pi - wm * ps
+                pc4 = (z3 * sin_p - 3.0 * ps) / math.pi - wm * pc3
+                ps4 = (3.0 * pc - z3 * cos_p) / math.pi - wm * ps3
+                z4 = z3 * z
+                z5 = z4 * z
+                X += [(ce * pc3 - sse * ps3) / z4, (ce * pc4 - sse * ps4) / z5][:k - 3]
+                Y += [(se * pc3 + sce * ps3) / z4, (se * pc4 + sce * ps4) / z5][:k - 3]
     return X, Y
 
 
@@ -249,7 +273,9 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
 
     over the complex a = 0 values, I_j = X_j + i Y_j: one loop over the
     terms steps the running factor (ia/2)^m/m! and updates one complex
-    accumulator per order, so k = 1 sums only the even orders.  The
+    accumulator per order, so k = 1 sums only the even orders, and every
+    k >= 2 sums five, reading orders up to 4p + 6 (zeros past its own
+    top order k + 4p + 1, which only feed the orders it drops).  The
     terms m >= 1 are summed apart and added to I_j(0, b) last, so only
     that addition rounds at the scale of the result; each order is then
     turned by e^{ic} and split into X_j and Y_j.
@@ -266,21 +292,24 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
         I = eval_xy_a_zero(b, k + 4 * p + 1)
         ia = complex(0.0, a)
         t = 1.0
-        d0 = d1 = d2 = 0j
+        d0 = d1 = d2 = d3 = d4 = 0j
         # n = 2m, so t runs through (ia/2)^m/m!
         if k == 1:
             for n in range(2, 4 * p + 4, 2):
                 t *= ia / n
                 d0 += t * I[n]
         else:
-            # k = 2 reads I[4p + 4], one past its top order: pad, and drop d2
-            I.append(0j)
+            # every k reads up to I[4p + 6], past its top order 4p + k + 1
+            # below k = 5: pad with zeros, and drop the orders they reach
+            I += [0j] * (5 - k)
             for n in range(2, 4 * p + 4, 2):
                 t *= ia / n
                 d0 += t * I[n]
                 d1 += t * I[n + 1]
                 d2 += t * I[n + 2]
-        I = (I[0] + d0, I[1] + d1, I[2] + d2)[:k]
+                d3 += t * I[n + 3]
+                d4 += t * I[n + 4]
+        I = (I[0] + d0, I[1] + d1, I[2] + d2, I[3] + d3, I[4] + d4)[:k]
     X, Y = [], []
     for v in I:
         v = turn * v
@@ -316,12 +345,17 @@ def eval_xy(a: float, b: float, c: float, k: int):
         |a| >= EPSILON_A the completed square needs |b| <= 1e150, and
         k >= 2 also |b| and |b + a| <= 1e150 sqrt(pi |a|).
     k : int
-        Number of orders wanted (1..3): entries j = 0..k-1.
+        Number of orders wanted (1..5): entries j = 0..k-1.  Orders
+        0..2 are those of a k = 3 call on the large-|a| path.  Elsewhere
+        a larger k seeds the a = 0 orders at a higher top order, which
+        can move them by an ulp: on 1 of 40 000 seeded series draws, and
+        more often at a = 0 itself, as between k = 2 and k = 3.  Orders 3
+        and 4 lose more on the large-|a| path (`eval_xy_a_large`).
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError("eval_xy: a, b, c must be finite, got %r, %r, %r" % (a, b, c))
-    if type(k) is not int or not 1 <= k <= 3:
-        raise ValueError("k must be an int in 1..3 (number of orders), got %r" % (k,))
+    if type(k) is not int or not 1 <= k <= 5:
+        raise ValueError("k must be an int in 1..5 (number of orders), got %r" % (k,))
     if abs(a) >= EPSILON_A:
         return eval_xy_a_large(a, b, c, k)
     return eval_xy_a_small(a, b, c, k, _series_order(a))

@@ -6,7 +6,7 @@ defining integrals, 40-digit mpmath Fresnel integrals, long partial sums with
 explicitly built coefficient products, the (unstable) upward recurrence
 for the zero-quadratic-phase integrals, and plain bisection for roots.
 The exceptions are g_eval and h_eval: k = 1 evaluations of g and h
-through `eval_xy`, where the fitter reads both from one k = 3 evaluation.
+through `eval_xy`, where the fitter reads both from one k = 5 evaluation.
 """
 
 import math
@@ -111,6 +111,33 @@ def bisection_root(g, lo, hi, seed, n_scan=512, width=1e-13):
 _GL_RULE = []
 
 
+def _gl_rule(mpmath):
+    """The 96-node Gauss-Legendre rule on [0, 1] at 30 digits, built once."""
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    if not _GL_RULE:
+        with mpmath.workdps(30):
+            _GL_RULE.extend(GaussLegendre(mpmath.mp).get_nodes(0, 1, 6, mpmath.mp.prec))
+    return _GL_RULE
+
+
+def moments_mpmath(a, b, c, k):
+    """I_j(a, b, c) = int_0^1 tau^j e^{i(a/2 tau^2 + b tau + c)} dtau for
+    j = 0..k-1 as 30-digit mpmath complex numbers, by the Gauss-Legendre
+    rule of `clothoid_position_mpmath`: exact to 30 digits while the phase
+    turns by at most about 100 radians, |a|/2 + |b| <= 100, beyond which a
+    ValueError is raised."""
+    import mpmath
+
+    if abs(a) / 2 + abs(b) > 100.0:
+        raise ValueError("moments_mpmath: the phase turns by more than 100 rad")
+    rule = _gl_rule(mpmath)
+    with mpmath.workdps(30):
+        ha, mb, mc = mpmath.mpf(a) / 2, mpmath.mpf(b), mpmath.mpf(c)
+        terms = [(t, w * mpmath.expj((ha * t + mb) * t + mc)) for t, w in rule]
+        return [mpmath.fsum(t ** j * e for t, e in terms) for j in range(k)]
+
+
 def clothoid_position_mpmath(x0, y0, theta0, kappa, kappa_prime, s):
     """Curve point in 30-digit mpmath: Gauss-Legendre quadrature (96 nodes)
     of the defining arc-length integral, exact to 30 digits while the
@@ -118,18 +145,16 @@ def clothoid_position_mpmath(x0, y0, theta0, kappa, kappa_prime, s):
     |kappa s| + |kappa_prime s^2|/2 > 100, the rule would be silently wrong
     and a ValueError is raised instead."""
     import mpmath
-    from mpmath.calculus.quadrature import GaussLegendre
 
     turn = abs(kappa * s) + 0.5 * abs(kappa_prime * s * s)
     if turn > 100.0:
         raise ValueError("clothoid_position_mpmath: the phase turns by %g > 100 rad "
                          "over [0, s]" % turn)
+    rule = _gl_rule(mpmath)
     with mpmath.workdps(30):
-        if not _GL_RULE:
-            _GL_RULE.extend(GaussLegendre(mpmath.mp).get_nodes(0, 1, 6, mpmath.mp.prec))
         s = mpmath.mpf(s)
         k, kp = mpmath.mpf(kappa) * s, mpmath.mpf(kappa_prime) * s * s / 2
-        I = s * mpmath.fsum(w * mpmath.expj(theta0 + t * (k + kp * t)) for t, w in _GL_RULE)
+        I = s * mpmath.fsum(w * mpmath.expj(theta0 + t * (k + kp * t)) for t, w in rule)
         return mpmath.mpf(x0) + I.real, mpmath.mpf(y0) + I.imag
 
 

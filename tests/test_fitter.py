@@ -198,7 +198,7 @@ def test_guess_vanishes_on_antisymmetric_pairs():
 
 def test_surface_coefficients_regenerate_from_the_solver():
     # the stored surface is the unweighted least-squares fit of A/(phi0 +
-    # phi1) by u^i v^j, i + j <= 4, over the roots on a 121x121 grid of
+    # phi1) by u^i v^j, i + j <= 8, over the roots on a 121x121 grid of
     # f = phi/pi in [-0.9999, 0.9999]; the roots come from the quintic
     # guess, so the fit does not rest on the surface it regenerates
     fs = np.linspace(-0.9999, 0.9999, 121)
@@ -210,7 +210,7 @@ def test_surface_coefficients_regenerate_from_the_solver():
                 continue
             A, _ = solve_A(make_rp(phi0, phi1), "quintic")
             u, v = f0 * f1, f0 * f0 + f1 * f1
-            rows.append([u ** i * v ** j for i in range(5) for j in range(5 - i)])
+            rows.append([u ** i * v ** j for i in range(9) for j in range(9 - i)])
             targets.append(A / (phi0 + phi1))
     coef, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
     stored = np.array(fitter.SURFACE_GUESS_COEFFICIENTS)
@@ -218,7 +218,7 @@ def test_surface_coefficients_regenerate_from_the_solver():
     # initial_guess's Horner form evaluates that polynomial
     for f0, f1 in ((0.3, 0.5), (-0.9, 0.2)):
         u, v = f0 * f1, f0 * f0 + f1 * f1
-        terms = [u ** i * v ** j for i in range(5) for j in range(5 - i)]
+        terms = [u ** i * v ** j for i in range(9) for j in range(9 - i)]
         expected = math.pi * (f0 + f1) * float(np.dot(terms, stored))
         assert initial_guess(math.pi * f0, math.pi * f1, "surface") == pytest.approx(
             expected, rel=1e-14)
@@ -291,8 +291,8 @@ def test_solve_matches_bisection_oracle():
 
 
 def test_solve_reports_non_convergence(monkeypatch):
-    # from the linear guess the reference pose takes three evaluated
-    # steps; the default guess is one step from the step stop
+    # from the linear guess the reference pose takes two evaluated
+    # steps; the default guess stops on its first evaluation
     monkeypatch.setattr(fitter, "_MAX_ITER", 1)
     rp = reduce_problem(
         HermiteData(5.0, 4.0, math.pi / 3.0, 5.0, 6.0, 7.0 * math.pi / 6.0))
@@ -303,11 +303,12 @@ def test_solve_reports_non_convergence(monkeypatch):
     assert math.isfinite(info.value.A)
 
 
-def test_generic_fits_make_two_evaluations(monkeypatch):
+def test_generic_fits_make_one_evaluation(monkeypatch):
     # poses drawn as the generic benchmark draws them: chord-relative
     # angles uniform over the domain, chord log-uniform in [1e-2, 1e2],
-    # random start point and chord direction.  The surface guess and the
-    # step stop leave one evaluated step and the evaluation it stops on
+    # random start point and chord direction.  The degree-8 surface lands
+    # within Halley's step stop, so nearly every fit stops on its first
+    # evaluation and takes its one step unevaluated
     real = fitter.eval_xy
     calls = [0]
 
@@ -330,17 +331,18 @@ def test_generic_fits_make_two_evaluations(monkeypatch):
             float(x0 + r * math.cos(rot)), float(y0 + r * math.sin(rot)),
             float(rot + phi1)))
         counts.append(calls[0])
-    assert max(counts) <= 3
-    assert sum(counts) / len(counts) <= 2.02
+    assert max(counts) <= 2
+    assert sum(counts) / len(counts) <= 1.01
 
 
 def _bend_derivative(monkeypatch, slope):
-    """Make every k = 3 evaluation in the solver report g'(A) = slope."""
+    """Make every k = 5 evaluation in the solver report g'(A) = Re J1 =
+    X_2 - X_1 = slope."""
     real = fitter.eval_xy
 
     def bent(a, b, c, k):
         X, Y = real(a, b, c, k)
-        if k == 3:
+        if k == 5:
             X[2] = X[1] + slope
         return X, Y
 
@@ -359,7 +361,8 @@ def test_vanishing_derivative_raises(monkeypatch):
 
 
 def test_newton_escape_raises_convergence_error(monkeypatch):
-    # a tiny but nonzero slope throws the Newton step far outside the bracket
+    # a tiny but nonzero slope throws the step far outside the bracket: with
+    # |g g''| > g'^2 the solve takes Newton's g/g', not Halley's step
     _bend_derivative(monkeypatch, 1e-9)
     rp = make_rp(0.4, 1.2)
     with pytest.raises(ConvergenceError) as info:
@@ -383,15 +386,16 @@ def test_bracket_is_formed_only_for_a_long_step(monkeypatch):
         return real_bound(phi0, phi1)
 
     monkeypatch.setattr(fitter, "a_max_bound", counting)
-    # A = 0.59 here, well inside 2 max(0.8, 1)
-    assert solve_A(make_rp(0.5, -0.3))[1] == 1
-    build_clothoid(HermiteData(0.0, 0.0, 0.5, 1.0, 0.0, -0.3))
+    # A = 0.59 here, well inside 2 max(0.8, 1); the default guess stops on
+    # its first evaluation, the linear guess takes one evaluated step
+    assert solve_A(make_rp(0.5, -0.3), "linear")[1] == 1
+    build_clothoid(HermiteData(0.0, 0.0, 0.5, 1.0, 0.0, -0.3), "linear")
     assert bounds == []
     rp = make_rp(0.4, 1.2)
     assert 2.0 * max(abs(rp.delta), 1.0) == 2.0
     assert 25.0 < 2.0 * real_bound(0.4, 1.2) < 26.0
     A0 = initial_guess(0.4, 1.2)
-    _, Y = fitter.eval_xy(2.0 * A0, rp.delta - A0, rp.phi0, 3)
+    _, Y = fitter.eval_xy(2.0 * A0, rp.delta - A0, rp.phi0, 5)
     _bend_derivative(monkeypatch, Y[0] / (A0 - 10.0))
     with pytest.raises(ConvergenceError) as info:
         solve_A(rp)
@@ -403,7 +407,7 @@ def test_bracket_is_formed_only_for_a_long_step(monkeypatch):
 
 def test_each_fit_evaluates_each_point_once(monkeypatch):
     # h comes from the last evaluated iterate, so no fit asks for the same
-    # (a, b, c) twice; every solver evaluation is one k = 3 Newton
+    # (a, b, c) twice; every solver evaluation is one k = 5 Halley
     # iterate, and the last step is not evaluated
     real = fitter.eval_xy
     seen = []
@@ -424,7 +428,7 @@ def test_each_fit_evaluates_each_point_once(monkeypatch):
         fit = build_clothoid(HermiteData(*data))
         assert seen, data
         assert len(set(seen)) == len(seen), data
-        assert set(orders) == {3}, data
+        assert set(orders) == {5}, data
         assert len(orders) == fit.iterations + 1, data
 
 
@@ -472,9 +476,9 @@ def _worst_relative_error(guess, n):
 
 
 def test_fits_reach_machine_accuracy():
-    # the step stop leaves an unevaluated last Newton step of at most
-    # 1e-8 max(1, |A|), whose error, with the first-order length update,
-    # is rounding level from every guess (1.3e-14, 7.4e-15 and 5.7e-15)
+    # the step stop leaves an unevaluated last Halley step of at most
+    # 2e-6 max(1, |A|), whose error, with the second-order length update,
+    # is rounding level from every guess (8.9e-15, 9.9e-15 and 8.8e-15)
     for variant in fitter.GUESS_VARIANTS:
         assert _worst_relative_error(variant, 5000) <= 2e-14, variant
 
@@ -483,7 +487,7 @@ def test_fits_near_the_excluded_corners_reach_machine_accuracy():
     # phi0 = +/-(pi - e0), phi1 = -/+(pi - e1) with e log-uniform in
     # [1e-9, 1e-1]: L grows as the corner nears, and the step stop must
     # still leave only a rounding-level last step.  These fits reach
-    # 1e-15; a step stop at 1e-6 max(1, |A|) leaves 7.5e-15
+    # 9.3e-16
     rng = np.random.default_rng(47)
     worst = 0.0
     for _ in range(2000):

@@ -37,8 +37,9 @@ its top order j with: j in 1..20 and |b| < j, with b = 0 among them.  The
 (a, b, c) cover a = 0, 0 < |a| < EPSILON_A (log-uniform over
 [1e-8, EPSILON_A), so every series order p = 1..4), and |a| just above
 EPSILON_A on the completed square; |b| is 0 or log-uniform in
-[1e-6, 1e2] and c uniform in [-pi, pi].  No fit asks for k = 2, so this
-line is what covers the k = 2 series.  Prints the digest, then the
+[1e-6, 1e2] and c uniform in [-pi, pi].  No fit asks for k = 2 or 3
+(the solve evaluates k = 5, the curve's end k = 1), so this line is what
+covers them; the first line covers k = 5 through the fits.  Prints the digest, then the
 number of evaluations and of sums.
 """
 
