@@ -100,9 +100,13 @@ class HermiteData:
     theta1: float
 
     def __post_init__(self):
-        for name in ("x0", "y0", "theta0", "x1", "y1", "theta1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("HermiteData: %s must be finite" % name)
+        # one test of all six fields; the loop runs only to name the bad one
+        isfinite = math.isfinite
+        if not (isfinite(self.x0) and isfinite(self.y0) and isfinite(self.theta0)
+                and isfinite(self.x1) and isfinite(self.y1) and isfinite(self.theta1)):
+            for name in ("x0", "y0", "theta0", "x1", "y1", "theta1"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError("HermiteData: %s must be finite" % name)
 
 
 @dataclass(frozen=True)
@@ -302,8 +306,9 @@ def initial_guess(phi0: float, phi1: float, guess: str = DEFAULT_GUESS) -> float
 def _reject_corner(phi0, phi1):
     """Raise ExcludedAngleError on the corners phi0 = -phi1 = +/-pi."""
     tol = _EXCLUDED_CORNER_TOL
-    if (abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
-            or abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol):
+    # |phi0| > 3 holds at both corners and spares the common pose the rest
+    if abs(phi0) > 3.0 and (abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
+                            or abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol):
         raise ExcludedAngleError(
             "tangent angles opposite and parallel to the chord: no finite-length "
             "interpolant exists (phi0=%.17g, phi1=%.17g)" % (phi0, phi1)

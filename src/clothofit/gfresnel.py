@@ -38,13 +38,13 @@ more on the large-|a| path (`eval_xy_a_large`):
   k/|b| <= 1.  Above |b| the top order n comes from Kummer's series
   e^{ib}/(n+1) sum_m (-ib)^m/(n+2)_m, summed as two reduced Lommel
   series (`r_lommel`: its even and its odd terms) whose terms shrink
-  from the first one there (each sum stops once its terms fall below
-  LOMMEL_REL_TOL of the partial sum).  The orders between follow by the
-  downward recurrence, stable because each step scales the error by
-  |b|/k < 1; they are gathered top down and joined to the upward ones
-  once.
+  from the first one there (each sum stops at the first term that
+  leaves it unchanged).  The orders between follow by the downward
+  recurrence, stable because each step scales the error by |b|/k < 1;
+  both recurrences write their orders into one list in place.
 
-No other threshold or fallback: LOMMEL_REL_TOL alone sets the precision.
+No other threshold or fallback: LOMMEL_REL_TOL alone sets the series
+order, and the Lommel sums run until their terms no longer change them.
 """
 
 import math
@@ -68,10 +68,10 @@ __all__ = [
 # stays low: p = 4 brings the first omitted factor
 # (EPSILON_A/2)^(2p+2)/(2p+2)! under LOMMEL_REL_TOL.
 EPSILON_A = 0.15
-# What "negligible" means for a double result of magnitude <= 1: Lommel
-# series terms are summed until they fall below this fraction of the
-# partial sum, and the small-|a| series stops once its first omitted
-# factor falls below it.
+# What "negligible" means for a double result of magnitude <= 1: the
+# small-|a| series stops once its first omitted factor falls below it
+# (`_series_order`).  The Lommel sums, after which it is named, no longer
+# read it: they stop at the first term that leaves them unchanged.
 LOMMEL_REL_TOL = 1e-17
 
 
@@ -79,10 +79,13 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
     """Reduced Lommel series w_{mu,nu}(b) = sum_n (-b^2)^n / alpha_{n+1}.
 
     alpha_n(mu, nu) = prod_{m=1..n} ((mu + 2m - 1)^2 - nu^2).  Terms are
-    accumulated until they fall below LOMMEL_REL_TOL of the partial sum,
-    i.e. until they stop changing the double result.  Each term is the
-    one before times -b^2 / ((2n + mu - nu + 1) (2n + mu + nu + 1)), with
-    2n a float counter added to mu - nu + 1 and mu + nu + 1, exact
+    added up to the first one that leaves the double sum unchanged.  Each
+    term is the one before times
+    -b^2 / ((2n + mu - nu + 1) (2n + mu + nu + 1)); where mu + 1 > |nu|
+    the terms that start to shrink keep shrinking, so every later one
+    stays below half an ulp of the sum: the sum is the one that adding
+    terms until one is at most 1e-17 of it gives, with fewer terms.  The
+    2n is a float counter added to mu - nu + 1 and mu + nu + 1, exact
     arithmetic for the half-integer pairs it is called with:
     `eval_xy_a_zero` calls it twice, with (mu, nu) = (j - 1/2, 1/2) and
     (j + 1/2, 1/2), for the even and odd halves of Kummer's series at the
@@ -102,12 +105,14 @@ def r_lommel(mu: float, nu: float, b: float) -> float:
     den = plus * minus
     if den == 0.0:
         raise ValueError("r_lommel: singular order pair (mu=%g, nu=%g)" % (mu, nu))
-    term = 1.0 / den
-    total = term
+    term = total = 1.0 / den
     nb2 = -(b * b)
-    rel_tol = LOMMEL_REL_TOL
     t = 2.0
-    while abs(term) > rel_tol * abs(total):
+    prev = 0.0
+    # until a term leaves the sum unchanged; two comparisons, not one !=,
+    # so that a NaN sum ends the loop too
+    while prev < total or total < prev:
+        prev = total
         term *= nb2 / ((t + minus) * (t + plus))
         total += term
         t += 2.0
@@ -151,23 +156,20 @@ def eval_xy_a_zero(b: float, k: int):
     sb = math.sin(b)
     sh = math.sin(0.5 * b)
     v = complex(sb / b, 2.0 * sh * sh / b)
-    I = [v]
+    I = [v] * (k + 1)
     e = complex(math.cos(b), sb)
     ib = complex(0.0, b)
     # each recurrence step scales the error by j/|b| <= 1
     m = min(k, int(abs(b)))
     for j in range(1, m + 1):
         v = (e - j * v) / ib
-        I.append(v)
-    if m == k:
-        return I
-    v = e * complex(k * r_lommel(k - 0.5, 0.5, b), -b * r_lommel(k + 0.5, 0.5, b))
-    down = [v]
-    # each step down scales the error by |b|/j < 1
-    for j in range(k, m + 1, -1):
-        v = (e - ib * v) / j
-        down.append(v)
-    return I + down[::-1]
+        I[j] = v
+    if m < k:
+        v = I[k] = e * complex(k * r_lommel(k - 0.5, 0.5, b), -b * r_lommel(k + 0.5, 0.5, b))
+        # each step down scales the error by |b|/j < 1
+        for j in range(k, m + 1, -1):
+            v = I[j - 1] = (e - ib * v) / j
+    return I
 
 
 def _completed_square(a: float, b: float, c: float):
@@ -287,7 +289,8 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
     """
     turn = complex(math.cos(c), math.sin(c))
     if a == 0.0:
-        I = eval_xy_a_zero(b, k - 1)
+        # padded to five orders as the series below is; k = 1 reads only I[0]
+        I = eval_xy_a_zero(b, k - 1) + [0j] * (5 - k)
     else:
         I = eval_xy_a_zero(b, k + 4 * p + 1)
         ia = complex(0.0, a)
@@ -298,6 +301,7 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
             for n in range(2, 4 * p + 4, 2):
                 t *= ia / n
                 d0 += t * I[n]
+            I = [I[0] + d0]
         else:
             # every k reads up to I[4p + 6], past its top order 4p + k + 1
             # below k = 5: pad with zeros, and drop the orders they reach
@@ -309,13 +313,13 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
                 d2 += t * I[n + 2]
                 d3 += t * I[n + 3]
                 d4 += t * I[n + 4]
-        I = (I[0] + d0, I[1] + d1, I[2] + d2, I[3] + d3, I[4] + d4)[:k]
-    X, Y = [], []
-    for v in I:
-        v = turn * v
-        X.append(v.real)
-        Y.append(v.imag)
-    return X, Y
+            I = (I[0] + d0, I[1] + d1, I[2] + d2, I[3] + d3, I[4] + d4)
+    if k == 1:
+        v = turn * I[0]
+        return [v.real], [v.imag]
+    v0, v1, v2, v3, v4 = turn * I[0], turn * I[1], turn * I[2], turn * I[3], turn * I[4]
+    return ([v0.real, v1.real, v2.real, v3.real, v4.real][:k],
+            [v0.imag, v1.imag, v2.imag, v3.imag, v4.imag][:k])
 
 
 def _series_order(a: float) -> int:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own evaluation paths:
 adaptive (scipy) and 30-digit Gauss-Legendre (mpmath) quadrature of the
 defining integrals, 40-digit mpmath Fresnel integrals, long partial sums with
-explicitly built coefficient products, the (unstable) upward recurrence
-for the zero-quadratic-phase integrals, and plain bisection for roots.
+explicitly built coefficient products, the Lommel sums under their
+former relative stop rule, the (unstable) upward recurrence for the
+zero-quadratic-phase integrals, and plain bisection for roots.
 The exceptions are g_eval and h_eval: k = 1 evaluations of g and h
 through `eval_xy`, where the fitter reads both from one k = 5 evaluation.
 """
@@ -49,6 +50,30 @@ def lommel_partial_sum(mu, nu, b, n_terms=50):
         for m in range(1, n + 2):
             alpha *= (mu + 2 * m - 1) ** 2 - nu ** 2
         total += (-b * b) ** n / alpha
+    return total
+
+
+def lommel_relative_stop(mu, nu, b, rel_tol=1e-17):
+    """Reduced Lommel series by `r_lommel`'s recurrence, summed until a
+    term is at most rel_tol of the partial sum: the stop rule `r_lommel`
+    had before it stopped at the first term that leaves the sum unchanged.
+    Raises `r_lommel`'s ValueErrors, with the same messages."""
+    minus = mu - nu + 1.0
+    plus = mu + nu + 1.0
+    den = plus * minus
+    if den == 0.0:
+        raise ValueError("r_lommel: singular order pair (mu=%g, nu=%g)" % (mu, nu))
+    term = 1.0 / den
+    total = term
+    nb2 = -(b * b)
+    t = 2.0
+    while abs(term) > rel_tol * abs(total):
+        term *= nb2 / ((t + minus) * (t + plus))
+        total += term
+        t += 2.0
+    if not math.isfinite(total):
+        raise ValueError("r_lommel: the sum is not finite at (mu, nu, b) = (%r, %r, %r)"
+                         % (mu, nu, b))
     return total
 
 

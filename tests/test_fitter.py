@@ -98,6 +98,18 @@ def test_hermite_data_validation():
         HermiteData(0.0, 0.0, math.nan, 1.0, 0.0, 0.0)
 
 
+def test_hermite_data_names_the_field_that_is_not_finite():
+    pose = dict(x0=5.0, y0=4.0, theta0=1.0, x1=5.0, y1=6.0, theta1=3.5)
+    for name in pose:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^HermiteData: %s must be finite$" % name):
+                HermiteData(**dict(pose, **{name: value}))
+    # the largest magnitudes pass, of either sign and mixed
+    big = 1.7e308
+    for values in ((big,) * 6, (-big,) * 6, (big, -big, big, -big, -big, big)):
+        assert dataclasses.astuple(HermiteData(*values)) == values
+
+
 def test_reduced_problem_invariants():
     with pytest.raises(ValueError):
         ReducedProblem(r=0.0, phi0=0.0, phi1=0.0)
@@ -503,6 +515,21 @@ def test_fits_near_the_excluded_corners_reach_machine_accuracy():
 def test_build_excluded_corner():
     with pytest.raises(ExcludedAngleError):
         build_clothoid(HermiteData(0.0, 0.0, math.pi, 1.0, 0.0, -math.pi))
+
+
+def test_excluded_corner_tolerance_edges():
+    # phi0 = -phi1 within 1e-12 of +/-pi is a corner; 2e-12 from it is not,
+    # and the coarse |phi0| > 3 pre-test passes both
+    for sign in (1.0, -1.0):
+        phi = sign * (math.pi - 0.5e-12)
+        with pytest.raises(ExcludedAngleError):
+            fitter._reject_corner(phi, -phi)
+        with pytest.raises(ExcludedAngleError):
+            build_clothoid(HermiteData(0.0, 0.0, phi, 1.0, 0.0, -phi))
+        phi = sign * (math.pi - 2e-12)
+        fitter._reject_corner(phi, -phi)
+        assert math.isfinite(a_max_bound(phi, -phi))
+        assert build_clothoid(HermiteData(0.0, 0.0, phi, 1.0, 0.0, -phi)).curve.L > 1e12
 
 
 def test_build_degenerate():

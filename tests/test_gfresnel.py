@@ -15,7 +15,8 @@ from clothofit.gfresnel import (
     r_lommel,
 )
 
-from oracles import lommel_partial_sum, moments_mpmath, xy_reference, xy_zero_recurrence
+from oracles import (lommel_partial_sum, lommel_relative_stop, moments_mpmath, xy_reference,
+                     xy_zero_recurrence)
 
 
 # ---------------------------------------------------------------- switch
@@ -61,6 +62,35 @@ def test_lommel_rejects_a_sum_that_is_not_finite(mu, nu, b):
     with pytest.raises(ValueError, match=r"not finite at \(mu, nu, b\) = \(%r, %r, %r\)"
                        % (mu, nu, b)):
         r_lommel(mu, nu, b)
+
+
+def _lommel_outcome(sum_fn, mu, nu, b):
+    try:
+        return sum_fn(mu, nu, b).hex()
+    except ValueError as error:
+        return str(error)
+
+
+def test_lommel_stops_where_the_relative_rule_did():
+    # r_lommel stops at the first term that leaves the sum unchanged; the
+    # former rule added terms until one fell to 1e-17 of the sum.  Every
+    # term past the stop is below half an ulp of the sum, so both return
+    # the same double, or raise the same ValueError
+    rng = np.random.default_rng(30)
+    cases = [(0.5, 0.5, 300.0), (0.5, 0.5, 1e3), (10.5, 0.5, 2000.0),
+             (2.5, 0.5, math.inf), (2.5, 0.5, math.nan)]
+    # eval_xy_a_zero's pairs at its top order j, where j > |b|
+    for j in range(1, 41):
+        bs = [0.0, -0.0, 5e-324, -1e-300, 1e-9, -1e-4]
+        bs += [float(b) for b in j * rng.uniform(-1.0, 1.0, 100)]
+        cases += [(j + s, 0.5, b) for b in bs for s in (-0.5, 0.5)]
+    # general orders, where the terms grow before they shrink
+    for mu, nu, b in zip(rng.uniform(-10.0, 60.0, 3000), rng.uniform(0.0, 6.0, 3000),
+                         rng.uniform(-300.0, 300.0, 3000)):
+        cases.append((float(mu), float(nu), float(b)))
+    for case in cases:
+        assert (_lommel_outcome(r_lommel, *case)
+                == _lommel_outcome(lommel_relative_stop, *case)), case
 
 
 # ---------------------------------------------------------------- a == 0
@@ -246,7 +276,8 @@ def test_series_sums_exactly_2p_plus_2_terms():
     # at |a| = 1 even the first omitted term is far above rounding, so a
     # loop with one term too few or too many misses the truncated sum
     # sum_{m=0}^{2p+1} (ia/2)^m/m! I_{j+2m}(0, b), turned by e^{ic}, with
-    # I_n(0, b) = 1F1(n+1; n+2; ib)/(n+1); each k sums its own orders
+    # I_n(0, b) = 1F1(n+1; n+2; ib)/(n+1); each k sums its own orders, and
+    # k = 2..4 those of the five-order sum that the zero pad does not reach
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for p in (1, 2, 4):
@@ -256,8 +287,8 @@ def test_series_sums_exactly_2p_plus_2_terms():
                         mpmath.mpc(0, a / 2) ** m / mpmath.factorial(m)
                         * mpmath.hyp1f1(j + 2 * m + 1, j + 2 * m + 2, 1j * b)
                         / (j + 2 * m + 1)
-                        for m in range(2 * p + 2)) for j in range(3)]
-                    for k in (1, 2, 3):
+                        for m in range(2 * p + 2)) for j in range(5)]
+                    for k in (1, 2, 3, 4, 5):
                         X, Y = eval_xy_a_small(a, b, 0.4, k, p)
                         assert len(X) == len(Y) == k
                         for j, ref in enumerate(refs[:k]):
@@ -345,6 +376,26 @@ def test_eval_xy_validation():
     for bad_k in (0, 6, 2.0, True):
         with pytest.raises(ValueError):
             eval_xy(1.0, 1.0, 1.0, bad_k)
+
+
+def test_eval_xy_finite_argument_edges():
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 0.5, 0.3), (0.01, bad, 0.3), (0.01, 0.5, bad)):
+            with pytest.raises(ValueError, match="^eval_xy: a, b, c must be finite"):
+                eval_xy(*args, 5)
+    # the largest magnitudes pass the check wherever the other limits allow
+    # them: b on the series path, a at k = 1 with a small b, c everywhere,
+    # also where a + b + c would overflow
+    big = 1e308
+    for s in (1.0, -1.0):
+        cases = [(s * big, 0.7, 0.3, 1), (s * big, 0.0, s * big, 1)]
+        cases += [(a, s * big, c, k) for a in (0.0, 1e-3) for c in (0.3, s * big)
+                  for k in (1, 5)]
+        cases += [(a, 0.7, s * big, k) for a in (0.0, 1e-3, 0.5) for k in (1, 5)]
+        for a, b, c, k in cases:
+            X, Y = eval_xy(a, b, c, k)
+            assert len(X) == len(Y) == k
+            assert all(math.isfinite(v) for v in X + Y), (a, b, c, k)
 
 
 def test_orders_3_and_4_against_mpmath(monkeypatch):
