@@ -306,9 +306,10 @@ def initial_guess(phi0: float, phi1: float, guess: str = DEFAULT_GUESS) -> float
 def _reject_corner(phi0, phi1):
     """Raise ExcludedAngleError on the corners phi0 = -phi1 = +/-pi."""
     tol = _EXCLUDED_CORNER_TOL
-    # |phi0| > 3 holds at both corners and spares the common pose the rest
-    if abs(phi0) > 3.0 and (abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
-                            or abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol):
+    # |phi0| >= pi - tol holds at both corners and spares the common pose the rest
+    if abs(phi0) >= math.pi - tol and (
+            abs(phi0 - math.pi) <= tol and abs(phi1 + math.pi) <= tol
+            or abs(phi0 + math.pi) <= tol and abs(phi1 - math.pi) <= tol):
         raise ExcludedAngleError(
             "tangent angles opposite and parallel to the chord: no finite-length "
             "interpolant exists (phi0=%.17g, phi1=%.17g)" % (phi0, phi1)

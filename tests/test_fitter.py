@@ -94,11 +94,6 @@ def test_reduce_coincident_endpoints():
 
 
 def test_hermite_data_validation():
-    with pytest.raises(ValueError):
-        HermiteData(0.0, 0.0, math.nan, 1.0, 0.0, 0.0)
-
-
-def test_hermite_data_names_the_field_that_is_not_finite():
     pose = dict(x0=5.0, y0=4.0, theta0=1.0, x1=5.0, y1=6.0, theta1=3.5)
     for name in pose:
         for value in (math.nan, math.inf, -math.inf):
@@ -517,9 +512,8 @@ def test_build_excluded_corner():
         build_clothoid(HermiteData(0.0, 0.0, math.pi, 1.0, 0.0, -math.pi))
 
 
-def test_excluded_corner_tolerance_edges():
-    # phi0 = -phi1 within 1e-12 of +/-pi is a corner; 2e-12 from it is not,
-    # and the coarse |phi0| > 3 pre-test passes both
+def test_excluded_corner_tolerance_edges(monkeypatch):
+    # phi0 = -phi1 within 1e-12 of +/-pi is a corner; 2e-12 from it is not
     for sign in (1.0, -1.0):
         phi = sign * (math.pi - 0.5e-12)
         with pytest.raises(ExcludedAngleError):
@@ -530,6 +524,12 @@ def test_excluded_corner_tolerance_edges():
         fitter._reject_corner(phi, -phi)
         assert math.isfinite(a_max_bound(phi, -phi))
         assert build_clothoid(HermiteData(0.0, 0.0, phi, 1.0, 0.0, -phi)).curve.L > 1e12
+    # the check follows the tolerance wherever it is set
+    monkeypatch.setattr(fitter, "_EXCLUDED_CORNER_TOL", 0.2)
+    for sign in (1.0, -1.0):
+        phi = sign * (math.pi - 0.15)
+        with pytest.raises(ExcludedAngleError):
+            fitter._reject_corner(phi, -phi)
 
 
 def test_build_degenerate():
