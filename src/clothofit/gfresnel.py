@@ -23,11 +23,12 @@ more on the large-|a| path (`eval_xy_a_large`):
   I_j(a, b) = sum_m (ia/2)^m/m! I_{j+2m}(0, b) over the a = 0
   integrals (`eval_xy_a_small`): one loop over its first 2p + 2 terms
   steps the running factor (ia/2)^m/m! and adds each term to one complex
-  accumulator per order j < k, and each order is turned by e^{i c} at
-  the end.  Its order p comes from |a|: the lowest whose first omitted
-  factor (|a|/2)^(2p+2)/(2p+2)! is below LOMMEL_REL_TOL (1e-17), p = 1
-  for |a| < 2.5e-4 and at most p = 4 below EPSILON_A.  a == 0 exactly
-  skips the series and turns the closed form directly.
+  accumulator per order (order 0 alone at k = 1, all five otherwise),
+  and each order is turned by e^{i c} at the end.  Its order p comes
+  from |a|: the lowest whose first omitted factor (|a|/2)^(2p+2)/(2p+2)!
+  is below LOMMEL_REL_TOL (1e-17), p = 1 for |a| < 2.5e-4 and at most
+  p = 4 below EPSILON_A.  a == 0 exactly skips the series and turns the
+  closed form directly.
 * a = 0: closed form (`eval_xy_a_zero`), one complex I_j per order.
   b = 0 returns I_j = 1/(j+1) directly, with no Kummer seed; an exact
   line evaluates there on every solve iterate.  Otherwise order 0 is
@@ -148,7 +149,7 @@ def eval_xy_a_zero(b: float, k: int):
         I_{j-1} = (e^{ib} - ib I_j) / j,
 
     stable because every step has j > |b|.
-    k may be large here (the small-a series needs orders up to k + 4p + 1).
+    k may be large here (the small-a series needs orders up to 4p + 6).
     b must be finite and k a non-negative int; `eval_xy` checks its inputs.
     """
     if b == 0.0:
@@ -218,14 +219,14 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
         Pc_{j+2} = (z^(j+1) sin u_+ - (j+1) Ps_j)/pi - w Pc_{j+1},
         Ps_{j+2} = ((j+1) Pc_j - z^(j+1) cos u_+)/pi - w Ps_{j+1}.
 
-    Orders 0..2 keep their own expressions, so the first three entries do
-    not depend on k.  The formula is exact for any a != 0 but should only
-    be used away from a = 0, where the 1/z^(j+1) factors amplify rounding
-    (z ~ sqrt(|a|)); order j >= 3 rounds to about eps |w|^j / |z|^(j+1),
-    w = b/sqrt(pi |a|).  Next to the switch, with |b| <= 2 pi as on the
-    fitter's iterates there, orders 3 and 4 are within 5e-10 of mpmath;
-    at (a, b) = (0.2, 60) order 4 is off by 1.9e-6.  `eval_xy` handles
-    the switch and checks the inputs.
+    k = 1 computes order 0 alone, and every k >= 2 all five orders, of
+    which it returns the first k.  The formula is exact for any a != 0
+    but should only be used away from a = 0, where the 1/z^(j+1) factors
+    amplify rounding (z ~ sqrt(|a|)); order j >= 3 rounds to about
+    eps |w|^j / |z|^(j+1), w = b/sqrt(pi |a|).  Next to the switch, with
+    |b| <= 2 pi as on the fitter's iterates there, orders 3 and 4 are
+    within 5e-10 of mpmath; at (a, b) = (0.2, 60) order 4 is off by
+    1.9e-6.  `eval_xy` handles the switch and checks the inputs.
     """
     sigma, z, wm, ce, se, cm, sm, sin_m, cos_m = _completed_square(a, b, c)
     wp = wm + z
@@ -244,26 +245,22 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
         dS1 = (cos_m - cos_p) / math.pi
         dc = dC1 - wm * dC0
         ds = dS1 - wm * dS0
+        pc = (wp * sin_p - wm * sin_m - dS0) / math.pi + wm * (wm * dC0 - 2.0 * dC1)
+        ps = (dC0 - wp * cos_p + wm * cos_m) / math.pi + wm * (wm * dS0 - 2.0 * dS1)
         z2 = z * z
-        X.append((ce * dc - sse * ds) / z2)
-        Y.append((se * dc + sce * ds) / z2)
-        if k > 2:
-            pc = (wp * sin_p - wm * sin_m - dS0) / math.pi + wm * (wm * dC0 - 2.0 * dC1)
-            ps = (dC0 - wp * cos_p + wm * cos_m) / math.pi + wm * (wm * dS0 - 2.0 * dS1)
-            z3 = z2 * z
-            X.append((ce * pc - sse * ps) / z3)
-            Y.append((se * pc + sce * ps) / z3)
-            if k > 3:
-                # P_3 and P_4 by the recurrence, from dc, ds (P_1) and pc, ps (P_2)
-                pc3 = (z2 * sin_p - 2.0 * ds) / math.pi - wm * pc
-                ps3 = (2.0 * dc - z2 * cos_p) / math.pi - wm * ps
-                pc4 = (z3 * sin_p - 3.0 * ps) / math.pi - wm * pc3
-                ps4 = (3.0 * pc - z3 * cos_p) / math.pi - wm * ps3
-                z4 = z3 * z
-                z5 = z4 * z
-                X += [(ce * pc3 - sse * ps3) / z4, (ce * pc4 - sse * ps4) / z5][:k - 3]
-                Y += [(se * pc3 + sce * ps3) / z4, (se * pc4 + sce * ps4) / z5][:k - 3]
-    return X, Y
+        z3 = z2 * z
+        # P_3 and P_4 by the recurrence, from dc, ds (P_1) and pc, ps (P_2)
+        pc3 = (z2 * sin_p - 2.0 * ds) / math.pi - wm * pc
+        ps3 = (2.0 * dc - z2 * cos_p) / math.pi - wm * ps
+        pc4 = (z3 * sin_p - 3.0 * ps) / math.pi - wm * pc3
+        ps4 = (3.0 * pc - z3 * cos_p) / math.pi - wm * ps3
+        z4 = z3 * z
+        z5 = z4 * z
+        X += [(ce * dc - sse * ds) / z2, (ce * pc - sse * ps) / z3,
+              (ce * pc3 - sse * ps3) / z4, (ce * pc4 - sse * ps4) / z5]
+        Y += [(se * dc + sce * ds) / z2, (se * pc + sce * ps) / z3,
+              (se * pc3 + sce * ps3) / z4, (se * pc4 + sce * ps4) / z5]
+    return X[:k], Y[:k]
 
 
 def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
@@ -275,24 +272,26 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
 
     over the complex a = 0 values, I_j = X_j + i Y_j: one loop over the
     terms steps the running factor (ia/2)^m/m! and updates one complex
-    accumulator per order, so k = 1 sums only the even orders, and every
-    k >= 2 sums five, reading orders up to 4p + 6 (zeros past its own
-    top order k + 4p + 1, which only feed the orders it drops).  The
-    terms m >= 1 are summed apart and added to I_j(0, b) last, so only
-    that addition rounds at the scale of the result; each order is then
-    turned by e^{ic} and split into X_j and Y_j.
+    accumulator per order, so k = 1 sums order 0 alone, reading the even
+    orders up to 4p + 2, and every k >= 2 sums all five, reading orders
+    up to 4p + 6, and returns the first k.  The terms m >= 1 are summed
+    apart and added to I_j(0, b) last, so only that addition rounds at
+    the scale of the result; each order is then turned by e^{ic} and
+    split into X_j and Y_j.
     Since |I_j(0,b)| <= 1, the truncation error is about the first
     omitted factor (|a|/2)^(2p+2)/(2p+2)!; `eval_xy` picks the smallest p
     that brings it below LOMMEL_REL_TOL.  a == 0 turns the closed form
-    `eval_xy_a_zero(b, k - 1)` without building the higher orders.
+    `eval_xy_a_zero(b, 0)`, or `eval_xy_a_zero(b, 4)` for every k >= 2,
+    without building the higher orders.
     p must be a positive int; `eval_xy` checks the rest.
     """
     turn = complex(math.cos(c), math.sin(c))
+    # the top order returned: order 0 alone, or all five
+    top = 0 if k == 1 else 4
     if a == 0.0:
-        # padded to five orders as the series below is; k = 1 reads only I[0]
-        I = eval_xy_a_zero(b, k - 1) + [0j] * (5 - k)
+        I = eval_xy_a_zero(b, top)
     else:
-        I = eval_xy_a_zero(b, k + 4 * p + 1)
+        I = eval_xy_a_zero(b, top + 4 * p + 2)
         ia = complex(0.0, a)
         t = 1.0
         d0 = d1 = d2 = d3 = d4 = 0j
@@ -303,9 +302,6 @@ def eval_xy_a_small(a: float, b: float, c: float, k: int, p: int):
                 d0 += t * I[n]
             I = [I[0] + d0]
         else:
-            # every k reads up to I[4p + 6], past its top order 4p + k + 1
-            # below k = 5: pad with zeros, and drop the orders they reach
-            I += [0j] * (5 - k)
             for n in range(2, 4 * p + 4, 2):
                 t *= ia / n
                 d0 += t * I[n]
@@ -349,12 +345,10 @@ def eval_xy(a: float, b: float, c: float, k: int):
         |a| >= EPSILON_A the completed square needs |b| <= 1e150, and
         k >= 2 also |b| and |b + a| <= 1e150 sqrt(pi |a|).
     k : int
-        Number of orders wanted (1..5): entries j = 0..k-1.  Orders
-        0..2 are those of a k = 3 call on the large-|a| path.  Elsewhere
-        a larger k seeds the a = 0 orders at a higher top order, which
-        can move them by an ulp: on 1 of 40 000 seeded series draws, and
-        more often at a = 0 itself, as between k = 2 and k = 3.  Orders 3
-        and 4 lose more on the large-|a| path (`eval_xy_a_large`).
+        Number of orders wanted (1..5): entries j = 0..k-1.  k = 1
+        computes order 0 alone; for every k >= 2 the entries are the
+        first k of the k = 5 call, bit for bit.  Orders 3 and 4 lose
+        more on the large-|a| path (`eval_xy_a_large`).
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError("eval_xy: a, b, c must be finite, got %r, %r, %r" % (a, b, c))

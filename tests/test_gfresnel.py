@@ -251,11 +251,12 @@ def test_small_path_deep_in_regime_against_quadrature():
         assert Y[j] == pytest.approx(yq, abs=1e-13)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 5])
 def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
     # orders up to |b| come from the upward recurrence, those above it from
     # the downward recurrence seeded by two Lommel sums at the top order
-    # read: k - 1 at a == 0, and k + 5 at |a| = 1e-5 (one series group)
+    # read: 0 at k = 1 and 4 for every k >= 2 at a == 0, and 4p + 2 = 6
+    # or 4p + 6 = 10 at |a| = 1e-5 (p = 1)
     calls = []
 
     def counting_r_lommel(mu, nu, b):
@@ -264,7 +265,7 @@ def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
 
     monkeypatch.setattr(clothofit.gfresnel, "r_lommel", counting_r_lommel)
     for b in (2.3, 0.5):
-        for a, top in ((0.0, k - 1), (1e-5, k + 5)):
+        for a, top in ((0.0, 0 if k == 1 else 4), (1e-5, 6 if k == 1 else 10)):
             del calls[:]
             eval_xy(a, b, 0.4, k)
             seed = [(top - 0.5, 0.5), (top + 0.5, 0.5)]
@@ -276,8 +277,8 @@ def test_series_sums_exactly_2p_plus_2_terms():
     # at |a| = 1 even the first omitted term is far above rounding, so a
     # loop with one term too few or too many misses the truncated sum
     # sum_{m=0}^{2p+1} (ia/2)^m/m! I_{j+2m}(0, b), turned by e^{ic}, with
-    # I_n(0, b) = 1F1(n+1; n+2; ib)/(n+1); each k sums its own orders, and
-    # k = 2..4 those of the five-order sum that the zero pad does not reach
+    # I_n(0, b) = 1F1(n+1; n+2; ib)/(n+1); k = 1 sums order 0 alone, and
+    # every k >= 2 all five, of which it returns the first k
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for p in (1, 2, 4):
@@ -396,7 +397,8 @@ def test_orders_3_and_4_against_mpmath(monkeypatch):
     # call: orders 3 and 4 within 1e-8 and J2 within 1e-6 relative of
     # 30-digit mpmath, at the points fits visit (generic poses from the
     # default and linear guesses, near-line and near-circle poses), on
-    # both sides of the switch, and at a = 0
+    # both sides of the switch, and at a = 0; there every k = 2..4 call
+    # is that k = 5 call cut to k entries
     pytest.importorskip("mpmath")
     visited = []
     real = fitter.eval_xy
@@ -420,28 +422,20 @@ def test_orders_3_and_4_against_mpmath(monkeypatch):
     assert any(abs(a) < EPSILON_A for a, _, _ in visited)
     for a, b, c in cases:
         X, Y = eval_xy(a, b, c, 5)
-        X4, Y4 = eval_xy(a, b, c, 4)
         ref = moments_mpmath(a, b, c, 5)
-        assert len(X) == len(Y) == 5 and len(X4) == len(Y4) == 4
-        for j, (xs, ys) in ((3, (X, Y)), (4, (X, Y)), (3, (X4, Y4))):
-            assert abs(xs[j] - ref[j].real) <= 1e-8, (a, b, c, j)
-            assert abs(ys[j] - ref[j].imag) <= 1e-8, (a, b, c, j)
+        assert len(X) == len(Y) == 5
+        for j in (3, 4):
+            assert abs(X[j] - ref[j].real) <= 1e-8, (a, b, c, j)
+            assert abs(Y[j] - ref[j].imag) <= 1e-8, (a, b, c, j)
         J2 = complex(X[4] - 2.0 * X[3] + X[2], Y[4] - 2.0 * Y[3] + Y[2])
         J2_ref = complex(ref[4] - 2 * ref[3] + ref[2])
         assert abs(J2 - J2_ref) <= 1e-6 * abs(J2_ref), (a, b, c)
-        # orders 0-2 are the k = 3 call's, bit for bit, on the large-|a| path
-        # and on the series (whose higher top order moved one order by an
-        # ulp on 1 of 40 000 seeded draws, none of these); at a = 0 the
-        # closed form's top order k - 1 seeds the downward recurrence, so
-        # a k = 5 call may move orders 1 and 2 by an ulp, as a k = 3 call
-        # moves order 1 against k = 2
-        X3, Y3 = eval_xy(a, b, c, 3)
-        if a != 0.0:
-            assert (X[:3], Y[:3]) == (X3, Y3), (a, b, c)
-        else:
-            assert (X[0], Y[0]) == (X3[0], Y3[0])
-            for j in (1, 2):
-                assert abs(complex(X[j] - X3[j], Y[j] - Y3[j])) <= 4.5e-16, (b, j)
+        # every k >= 2 returns the first k entries of the k = 5 call, bit
+        # for bit (signed zeros too), on both paths and at a = 0
+        for k in (2, 3, 4):
+            Xk, Yk = eval_xy(a, b, c, k)
+            assert ([v.hex() for v in Xk + Yk]
+                    == [v.hex() for v in X[:k] + Y[:k]]), (a, b, c, k)
 
 
 def test_large_path_phase_limit():
