@@ -19,7 +19,7 @@ stop: once |dA| is at most 2e-6 max(1, |A|), that last step is taken
 from those values without evaluating it.  The default guess, a degree-8
 surface, lands within that stop on 99.1% of a 256x256 grid of the angle
 range and one evaluated step from it on the rest: most fits make one
-evaluation.  The relevant root lies inside [-A_max, A_max]
+evaluation.  The returned root lies inside [-A_max, A_max]
 given by `a_max_bound`.  A step that leaves twice that bracket,
 or a vanishing derivative, ends the solve with a `ConvergenceError`;
 neither has occurred on any angle pair tried.  The excluded corners are
@@ -100,13 +100,23 @@ class HermiteData:
     theta1: float
 
     def __post_init__(self):
-        # one test of all six fields; the loop runs only to name the bad one
-        isfinite = math.isfinite
-        if not (isfinite(self.x0) and isfinite(self.y0) and isfinite(self.theta0)
-                and isfinite(self.x1) and isfinite(self.y1) and isfinite(self.theta1)):
+        # one test of all six fields, their sum from 0.0: a non-finite field
+        # makes it non-finite, and a field that does not add to a float (a
+        # Decimal, which the fit's arithmetic would reject later, unnamed)
+        # raises TypeError.  Only a failed test runs the loop, which names
+        # the bad field; finite fields whose sum overflows pass it
+        try:
+            if math.isfinite(0.0 + self.x0 + self.y0 + self.theta0
+                             + self.x1 + self.y1 + self.theta1):
+                return
+        except TypeError:
+            pass
+        try:
             for name in ("x0", "y0", "theta0", "x1", "y1", "theta1"):
-                if not math.isfinite(getattr(self, name)):
+                if not math.isfinite(getattr(self, name) + 0.0):
                     raise ValueError("HermiteData: %s must be finite" % name)
+        except TypeError:
+            raise ValueError("HermiteData: %s must be a float, int or Fraction" % name) from None
 
 
 @dataclass(frozen=True)
@@ -317,7 +327,13 @@ def _reject_corner(phi0, phi1):
 
 
 def a_max_bound(phi0: float, phi1: float) -> float:
-    """Half-width of the interval that brackets the relevant root of g.
+    """Half-width of [-A_max, A_max], the interval that contains the returned root.
+
+    The tests check, on uniform and on corner-biased angle pairs, that the
+    solve's A lies inside it, with g changing sign across A and h = X_0 > 0
+    there.  It need not isolate that root: scans of g over the interval
+    find a second sign change with h > 0 on 50 of 400 uniform pairs, and
+    on 160 of 600 pairs half of which lie within 1e-1 of the corners.
 
     The paper's A_max = |delta| + 2 theta_max (1 + sqrt(1 + |delta|/theta_max)),
     written without the division as

@@ -37,15 +37,16 @@ more on the large-|a| path (`eval_xy_a_large`):
   1..floor(|b|) follow by the upward recurrence in k, each from the one
   before it, stable there because each step scales the error by
   k/|b| <= 1.  Above |b| the top order n comes from Kummer's series
-  e^{ib}/(n+1) sum_m (-ib)^m/(n+2)_m, summed as two reduced Lommel
-  series (`r_lommel`: its even and its odd terms) whose terms shrink
-  from the first one there (each sum stops at the first term that
-  leaves it unchanged).  The orders between follow by the downward
-  recurrence, stable because each step scales the error by |b|/k < 1;
-  both recurrences write their orders into one list in place.
+  e^{ib}/(n+1) sum_m (-ib)^m/(n+2)_m, summed by `r_lommel(n, b)` in one
+  loop that steps its real (even) and imaginary (odd) terms together;
+  every term there is smaller than the one before, and the loop stops
+  at the first step that leaves both halves unchanged.  The orders
+  between follow by the downward recurrence, stable because each step
+  scales the error by |b|/k < 1; both recurrences write their orders
+  into one list in place.
 
 No other threshold or fallback: LOMMEL_REL_TOL alone sets the series
-order, and the Lommel sums run until their terms no longer change them.
+order, and Kummer's sum runs until its terms no longer change it.
 """
 
 import math
@@ -71,56 +72,43 @@ __all__ = [
 EPSILON_A = 0.15
 # What "negligible" means for a double result of magnitude <= 1: the
 # small-|a| series stops once its first omitted factor falls below it
-# (`_series_order`).  The Lommel sums, after which it is named, no longer
-# read it: they stop at the first term that leaves them unchanged.
+# (`_series_order`).  Kummer's seed (`r_lommel`), whose former Lommel
+# sums it is named after, does not read it: it stops at the first step
+# that leaves its sum unchanged.
 LOMMEL_REL_TOL = 1e-17
 
 
-def r_lommel(mu: float, nu: float, b: float) -> float:
-    """Reduced Lommel series w_{mu,nu}(b) = sum_n (-b^2)^n / alpha_{n+1}.
+def r_lommel(n: int, b: float) -> complex:
+    """Kummer's sum K_n(b) = sum_m (-ib)^m / (n+1)_{m+1}, so that
+    I_n(0, b) = e^{ib} K_n(b): the seed of `eval_xy_a_zero`'s top order n.
 
-    alpha_n(mu, nu) = prod_{m=1..n} ((mu + 2m - 1)^2 - nu^2).  Terms are
-    added up to the first one that leaves the double sum unchanged.  Each
-    term is the one before times
-    -b^2 / ((2n + mu - nu + 1) (2n + mu + nu + 1)); where mu + 1 > |nu|
-    the terms that start to shrink keep shrinking, so every later one
-    stays below half an ulp of the sum: the sum is the one that adding
-    terms until one is at most 1e-17 of it gives, with fewer terms.  The
-    2n is a float counter added to mu - nu + 1 and mu + nu + 1, exact
-    arithmetic for the half-integer pairs it is called with:
-    `eval_xy_a_zero` calls it twice, with (mu, nu) = (j - 1/2, 1/2) and
-    (j + 1/2, 1/2), for the even and odd halves of Kummer's series at the
-    top order j it builds, and only when j exceeds |b|, where mu ~ j makes
-    every term smaller than the one before; at larger |b| the alternating
-    terms grow first and the sum cancels.
+    Its even terms are real and its odd terms imaginary, so one loop
+    steps both halves with one counter d = n + 2, n + 4, ...: the real
+    half from 1/(n+1), each term the one before times -b^2/(d (d+1)), and
+    the imaginary half from -b/((n+1)(n+2)), each term the one before
+    times -b^2/((d+1)(d+2)).  It stops at the first step that leaves both
+    sums unchanged.  With |b| < n every term is smaller than the one
+    before it, so the sum cannot overflow, and the terms past the stop
+    are smaller still: the sum is the one that adding terms until each is
+    at most 1e-17 of its half gives, with fewer terms.
 
-    Requires (mu + 2m - 1)^2 != nu^2 for all m >= 1; the pairs used by
-    `eval_xy_a_zero` satisfy this because j >= 1 there.  Raises
-    ValueError at a singular first pair and when the sum is not finite:
-    far above mu the terms overflow before they shrink (b = 1e3 at
-    mu = nu = 1/2).  A sum that stays finite there can still have
-    cancelled to noise (b = 300 at mu = nu = 1/2); that is not detected.
+    Raises ValueError unless n is an int >= 1 and |b| < n (NaN and inf
+    fail it), the only range `eval_xy_a_zero` calls it in.  It keeps the
+    name of the reduced Lommel series w_{mu,nu} that its halves are:
+    K_n(b) = n w_{n-1/2,1/2}(b) - i b w_{n+1/2,1/2}(b).
     """
-    minus = mu - nu + 1.0
-    plus = mu + nu + 1.0
-    den = plus * minus
-    if den == 0.0:
-        raise ValueError("r_lommel: singular order pair (mu=%g, nu=%g)" % (mu, nu))
-    term = total = 1.0 / den
+    if type(n) is not int or not (n >= 1 and abs(b) < n):
+        raise ValueError("r_lommel: needs an int n >= 1 and |b| < n, got %r, %r" % (n, b))
     nb2 = -(b * b)
-    t = 2.0
-    prev = 0.0
-    # until a term leaves the sum unchanged; two comparisons, not one !=,
-    # so that a NaN sum ends the loop too
-    while prev < total or total < prev:
-        prev = total
-        term *= nb2 / ((t + minus) * (t + plus))
-        total += term
-        t += 2.0
-    if not math.isfinite(total):
-        raise ValueError("r_lommel: the sum is not finite at (mu, nu, b) = (%r, %r, %r)"
-                         % (mu, nu, b))
-    return total
+    re = te = 1.0 / (n + 1)
+    im = to = -b / ((n + 1) * (n + 2))
+    d = n + 2.0
+    while True:
+        te *= nb2 / (d * (d + 1.0))
+        to *= nb2 / ((d + 1.0) * (d + 2.0))
+        if re + te == re and im + to == im:
+            return complex(re, im)
+        re, im, d = re + te, im + to, d + 2.0
 
 
 def eval_xy_a_zero(b: float, k: int):
@@ -138,12 +126,10 @@ def eval_xy_a_zero(b: float, k: int):
     stable while j <= |b|.  If k > |b|, Kummer's series gives the top
     order j = k,
 
-        I_j = e^{ib}/(j+1) sum_m (-ib)^m/(j+2)_m
-            = e^{ib} [ j w_{j-1/2,1/2}(b) - i b w_{j+1/2,1/2}(b) ],
+        I_j = e^{ib}/(j+1) sum_m (-ib)^m/(j+2)_m = e^{ib} r_lommel(j, b),
 
-    its even and odd terms being the two reduced Lommel sums, since
-    alpha_{m+1}(j-1/2, 1/2) = j (j+1) (j+2)_{2m} and
-    alpha_{m+1}(j+1/2, 1/2) = (j+1) (j+2) (j+3)_{2m}.  The orders down
+    one call, whose one loop sums the real even terms and the imaginary
+    odd terms together.  The orders down
     to floor(|b|) + 1 follow from the downward recurrence
 
         I_{j-1} = (e^{ib} - ib I_j) / j,
@@ -163,10 +149,9 @@ def eval_xy_a_zero(b: float, k: int):
     # each recurrence step scales the error by j/|b| <= 1
     m = min(k, int(abs(b)))
     for j in range(1, m + 1):
-        v = (e - j * v) / ib
-        I[j] = v
+        v = I[j] = (e - j * v) / ib
     if m < k:
-        v = I[k] = e * complex(k * r_lommel(k - 0.5, 0.5, b), -b * r_lommel(k + 0.5, 0.5, b))
+        v = I[k] = e * r_lommel(k, b)
         # each step down scales the error by |b|/j < 1
         for j in range(k, m + 1, -1):
             v = I[j - 1] = (e - ib * v) / j

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 adaptive (scipy) and 30-digit Gauss-Legendre (mpmath) quadrature of the
-defining integrals, 40-digit mpmath Fresnel integrals, long partial sums with
-explicitly built coefficient products, the Lommel sums under their
-former relative stop rule, the (unstable) upward recurrence for the
+defining integrals, 40-digit mpmath Fresnel integrals, the reduced Lommel
+series (the two halves of Kummer's sum) as long partial sums with
+explicitly built coefficient products, Kummer's sum under the former
+relative stop rule, the (unstable) upward recurrence for the
 zero-quadratic-phase integrals, and plain bisection for roots.
 The exceptions are g_eval and h_eval: k = 1 evaluations of g and h
 through `eval_xy`, where the fitter reads both from one k = 5 evaluation.
@@ -53,28 +54,24 @@ def lommel_partial_sum(mu, nu, b, n_terms=50):
     return total
 
 
-def lommel_relative_stop(mu, nu, b, rel_tol=1e-17):
-    """Reduced Lommel series by `r_lommel`'s recurrence, summed until a
-    term is at most rel_tol of the partial sum: the stop rule `r_lommel`
-    had before it stopped at the first term that leaves the sum unchanged.
-    Raises `r_lommel`'s ValueErrors, with the same messages."""
-    minus = mu - nu + 1.0
-    plus = mu + nu + 1.0
-    den = plus * minus
-    if den == 0.0:
-        raise ValueError("r_lommel: singular order pair (mu=%g, nu=%g)" % (mu, nu))
-    term = 1.0 / den
-    total = term
+def lommel_relative_stop(n, b, rel_tol=1e-17):
+    """Kummer's sum K_n(b) = sum_m (-ib)^m / (n+1)_{m+1} by `r_lommel`'s
+    recurrences, each half (the real even terms, the imaginary odd ones)
+    summed on its own until a term is at most rel_tol of its partial sum:
+    the stop rule the two Lommel sums had before they stopped at the first
+    term that leaves the sum unchanged.  For n >= 1 and |b| < n."""
     nb2 = -(b * b)
-    t = 2.0
-    while abs(term) > rel_tol * abs(total):
-        term *= nb2 / ((t + minus) * (t + plus))
-        total += term
-        t += 2.0
-    if not math.isfinite(total):
-        raise ValueError("r_lommel: the sum is not finite at (mu, nu, b) = (%r, %r, %r)"
-                         % (mu, nu, b))
-    return total
+    halves = []
+    # the real half steps by -b^2/(d (d+1)), the imaginary by
+    # -b^2/((d+1)(d+2)), d = n + 2, n + 4, ...
+    for first, d in ((1.0 / (n + 1), n + 2.0), (-b / ((n + 1) * (n + 2)), n + 3.0)):
+        term = total = first
+        while abs(term) > rel_tol * abs(total):
+            term *= nb2 / (d * (d + 1.0))
+            total += term
+            d += 2.0
+        halves.append(total)
+    return complex(*halves)
 
 
 def xy_zero_recurrence(b, k):

@@ -3,6 +3,8 @@ import gc
 import math
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -103,6 +105,23 @@ def test_hermite_data_validation():
     big = 1.7e308
     for values in ((big,) * 6, (-big,) * 6, (big, -big, big, -big, -big, big)):
         assert dataclasses.astuple(HermiteData(*values)) == values
+    # a Decimal does not mix with the fit's float arithmetic: each field is
+    # named, also when all six are Decimals
+    for name in pose:
+        with pytest.raises(ValueError,
+                           match="^HermiteData: %s must be a float, int or Fraction$" % name):
+            HermiteData(**dict(pose, **{name: Decimal(1)}))
+    with pytest.raises(ValueError, match="^HermiteData: x0 must be a float, int or Fraction$"):
+        HermiteData(*[Decimal(v) for v in range(6)])
+    # the first bad field is named, whichever way it is bad
+    with pytest.raises(ValueError, match="^HermiteData: y0 must be finite$"):
+        HermiteData(5.0, math.nan, 1.0, Decimal(5), 6.0, 3.5)
+    # ints and Fractions fit, and are stored as they are
+    values = (Fraction(5), 4, Fraction(1, 3), 5, 6, 3.5)
+    data = HermiteData(*values)
+    assert dataclasses.astuple(data) == values
+    assert type(data.x0) is Fraction and type(data.y0) is int
+    assert build_clothoid(data).endpoint_error < 1e-12
 
 
 def test_reduced_problem_invariants():
@@ -263,12 +282,27 @@ def test_a_max_examples():
 
 
 def test_returned_root_is_inside_bracket():
+    # the paper's root interval [-A_max, A_max] contains the returned A,
+    # which is a root of g (g changes sign across it) with h = X_0 > 0,
+    # a curve of positive length: on 300 uniform pairs and on 300 within
+    # 1e-6..1e-1 of the corners, half near phi0 = -phi1 = +-pi (the
+    # excluded corner) and half near phi0 = phi1 = +-pi
     rng = np.random.default_rng(13)
-    for _ in range(300):
-        phi0 = float(rng.uniform(-0.9999 * math.pi, 0.9999 * math.pi))
-        phi1 = float(rng.uniform(-0.9999 * math.pi, 0.9999 * math.pi))
-        A, _ = solve_A(make_rp(phi0, phi1))
-        assert abs(A) <= a_max_bound(phi0, phi1) + 1e-9
+    pairs = [(float(rng.uniform(-0.9999 * math.pi, 0.9999 * math.pi)),
+              float(rng.uniform(-0.9999 * math.pi, 0.9999 * math.pi))) for _ in range(300)]
+    for i in range(300):
+        s = 1.0 if rng.random() < 0.5 else -1.0
+        e0, e1 = 10.0 ** rng.uniform(-6.0, -1.0, 2)
+        phi0 = s * (math.pi - float(e0))
+        phi1 = s * (math.pi - float(e1))
+        pairs.append((phi0, -phi1 if i % 2 else phi1))
+    for phi0, phi1 in pairs:
+        rp = make_rp(phi0, phi1)
+        A, _ = solve_A(rp)
+        assert abs(A) <= a_max_bound(phi0, phi1) + 1e-9, (phi0, phi1)
+        assert h_eval(A, rp) > 0.0, (phi0, phi1)
+        w = 1e-7 * max(1.0, abs(A))
+        assert g_eval(A - w, rp) * g_eval(A + w, rp) < 0.0, (phi0, phi1)
 
 
 # ------------------------------------------------------------ solve

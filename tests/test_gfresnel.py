@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,66 +32,71 @@ def test_series_order_at_the_switch():
 # ---------------------------------------------------------------- Lommel
 
 def test_lommel_single_term():
-    assert r_lommel(2.5, 0.5, 0.0) == pytest.approx(1.0 / 12.0, rel=1e-15)
+    # at b = 0 only the first term, 1/(n+1), is left, exactly rounded
+    for n in range(1, 41):
+        for b in (0.0, -0.0):
+            assert r_lommel(n, b) == complex(1.0 / (n + 1), 0.0), (n, b)
 
 
 def test_lommel_against_long_sum():
-    assert r_lommel(1.5, 1.5, 1.0) == pytest.approx(
-        lommel_partial_sum(1.5, 1.5, 1.0, 50), rel=1e-14)
-    assert r_lommel(3.5, 0.5, 2.5) == pytest.approx(
-        lommel_partial_sum(3.5, 0.5, 2.5, 50), rel=1e-13)
+    # K_n(b) = n w_{n-1/2,1/2}(b) - i b w_{n+1/2,1/2}(b): its even and odd
+    # terms are the two reduced Lommel series, summed here term by term
+    for n, b in ((1, 0.9), (2, -1.0), (3, 2.5), (10, -7.3), (25, 24.0)):
+        ref = complex(n * lommel_partial_sum(n - 0.5, 0.5, b, 80),
+                      -b * lommel_partial_sum(n + 0.5, 0.5, b, 80))
+        assert r_lommel(n, b) == pytest.approx(ref, rel=1e-14), (n, b)
+
+
+def test_lommel_against_mpmath():
+    # K_n(b) = 1F1(1; n+2; -ib)/(n+1) to 30 digits, for every order up to
+    # 40 and |b| up to just below n, where the terms shrink most slowly
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    with mpmath.workdps(30):
+        for n in range(1, 41):
+            bs = [(1.0 - 2.0 ** -40) * n, -math.nextafter(n, 0.0), 1e-3]
+            bs += [float(b) for b in n * rng.uniform(-1.0, 1.0, 8)]
+            for b in bs:
+                K = r_lommel(n, b)
+                ref = mpmath.hyp1f1(1, n + 2, mpmath.mpc(0, -b)) / (n + 1)
+                assert abs(K.real - ref.real) <= 2.5e-16, (n, b)
+                assert abs(K.imag - ref.imag) <= 2.5e-16, (n, b)
 
 
 def test_lommel_end_to_end_through_zero_path():
-    # at b = 2.5 order 3 is the first above |b|: the (5/2, 1/2) and
-    # (7/2, 1/2) sums seed it
+    # at b = 2.5 order 3 is the first above |b|: r_lommel(3, 2.5) seeds it
     I = eval_xy_a_zero(2.5, 3)
     xq, yq = xy_reference(0.0, 2.5, 0.0, 3)
     assert I[3].real == pytest.approx(xq, abs=1e-12)
     assert I[3].imag == pytest.approx(yq, abs=1e-12)
 
 
-def test_lommel_singular_pair_rejected():
-    with pytest.raises(ValueError):
-        r_lommel(0.5, 1.5, 1.0)
+@pytest.mark.parametrize("n, b", [(0, 0.0), (-1, 0.5), (2.0, 1.0), (True, 0.5), (3, 3.0),
+                                  (3, -3.0), (1, 1e3), (11, 2000.0), (3, math.inf),
+                                  (3, -math.inf), (3, math.nan)])
+def test_lommel_rejects_outside_its_range(n, b):
+    # one check: n an int >= 1 and |b| < n, which NaN and inf fail; inside
+    # it every term is smaller than the one before, so the sum is finite
+    with pytest.raises(ValueError, match=r"^r_lommel: needs an int n >= 1 and \|b\| < n, "
+                       r"got %s, %s$" % (re.escape(repr(n)), re.escape(repr(b)))):
+        r_lommel(n, b)
 
 
-@pytest.mark.parametrize("mu, nu, b", [(0.5, 0.5, 1e3), (10.5, 0.5, 2000.0),
-                                        (2.5, 0.5, math.inf), (2.5, 0.5, math.nan)])
-def test_lommel_rejects_a_sum_that_is_not_finite(mu, nu, b):
-    # far above mu the terms overflow before they shrink
-    with pytest.raises(ValueError, match=r"not finite at \(mu, nu, b\) = \(%r, %r, %r\)"
-                       % (mu, nu, b)):
-        r_lommel(mu, nu, b)
-
-
-def _lommel_outcome(sum_fn, mu, nu, b):
-    try:
-        return sum_fn(mu, nu, b).hex()
-    except ValueError as error:
-        return str(error)
+def _hex_pair(z):
+    return z.real.hex(), z.imag.hex()
 
 
 def test_lommel_stops_where_the_relative_rule_did():
-    # r_lommel stops at the first term that leaves the sum unchanged; the
-    # former rule added terms until one fell to 1e-17 of the sum.  Every
-    # term past the stop is below half an ulp of the sum, so both return
-    # the same double, or raise the same ValueError
+    # r_lommel stops at the first step that leaves both halves unchanged;
+    # the former rule added terms until each fell to 1e-17 of its sum.
+    # The terms keep shrinking past the stop, and both return the same
+    # doubles, signed zeros included
     rng = np.random.default_rng(30)
-    cases = [(0.5, 0.5, 300.0), (0.5, 0.5, 1e3), (10.5, 0.5, 2000.0),
-             (2.5, 0.5, math.inf), (2.5, 0.5, math.nan)]
-    # eval_xy_a_zero's pairs at its top order j, where j > |b|
-    for j in range(1, 41):
-        bs = [0.0, -0.0, 5e-324, -1e-300, 1e-9, -1e-4]
-        bs += [float(b) for b in j * rng.uniform(-1.0, 1.0, 100)]
-        cases += [(j + s, 0.5, b) for b in bs for s in (-0.5, 0.5)]
-    # general orders, where the terms grow before they shrink
-    for mu, nu, b in zip(rng.uniform(-10.0, 60.0, 3000), rng.uniform(0.0, 6.0, 3000),
-                         rng.uniform(-300.0, 300.0, 3000)):
-        cases.append((float(mu), float(nu), float(b)))
-    for case in cases:
-        assert (_lommel_outcome(r_lommel, *case)
-                == _lommel_outcome(lommel_relative_stop, *case)), case
+    for n in range(1, 41):
+        bs = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-9, -1e-4]
+        bs += [float(b) for b in n * rng.uniform(-1.0, 1.0, 100)]
+        for b in bs:
+            assert _hex_pair(r_lommel(n, b)) == _hex_pair(lommel_relative_stop(n, b)), (n, b)
 
 
 # ---------------------------------------------------------------- a == 0
@@ -104,9 +110,9 @@ def test_zero_path_b_zero(monkeypatch):
     calls = []
     real_r_lommel = clothofit.gfresnel.r_lommel
 
-    def recording(mu, nu, b):
-        calls.append((mu, nu, b))
-        return real_r_lommel(mu, nu, b)
+    def recording(n, b):
+        calls.append((n, b))
+        return real_r_lommel(n, b)
 
     monkeypatch.setattr(clothofit.gfresnel, "r_lommel", recording)
     for b in (0.0, -0.0):
@@ -254,23 +260,21 @@ def test_small_path_deep_in_regime_against_quadrature():
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_series_builds_only_the_orders_it_needs(monkeypatch, k):
     # orders up to |b| come from the upward recurrence, those above it from
-    # the downward recurrence seeded by two Lommel sums at the top order
+    # the downward recurrence seeded by one Kummer sum at the top order
     # read: 0 at k = 1 and 4 for every k >= 2 at a == 0, and 4p + 2 = 6
     # or 4p + 6 = 10 at |a| = 1e-5 (p = 1)
     calls = []
 
-    def counting_r_lommel(mu, nu, b):
-        calls.append((mu, nu))
-        return r_lommel(mu, nu, b)
+    def counting_r_lommel(n, b):
+        calls.append(n)
+        return r_lommel(n, b)
 
     monkeypatch.setattr(clothofit.gfresnel, "r_lommel", counting_r_lommel)
     for b in (2.3, 0.5):
         for a, top in ((0.0, 0 if k == 1 else 4), (1e-5, 6 if k == 1 else 10)):
             del calls[:]
             eval_xy(a, b, 0.4, k)
-            seed = [(top - 0.5, 0.5), (top + 0.5, 0.5)]
-            expected = seed if top > int(abs(b)) else []
-            assert sorted(calls) == sorted(expected), (a, b)
+            assert calls == ([top] if top > int(abs(b)) else []), (a, b)
 
 
 def test_series_sums_exactly_2p_plus_2_terms():
