@@ -9,51 +9,70 @@ curvature kappa, the curvature rate kappa_prime and the length L:
 kappa_prime = 0 gives a circular arc, kappa = kappa_prime = 0 a straight
 segment; both evaluate through the same code path.
 
-`point_at(s)` takes one of two paths, by the curve's own
-A = kappa_prime L^2:
+`point_at(s)` takes one of three paths, by the curve's own
+A = kappa_prime L^2 and b = kappa L:
 
 * EPSILON_A <= |A| < inf: every s != L comes from the curve's completed
   square, the one `gfresnel._completed_square` that `eval_xy` shares,
-  taken at (A, kappa L, theta0), built once on first use and kept on the
+  taken at (A, b, theta0), built once on first use and kept on the
   instance in the plain attribute `_square` (not a dataclass field, so
   equality, hash, repr and `dataclasses.replace` ignore it; a curve
   without it reads the class's None, and no instance dict is read or
-  made), then one Fresnel kernel call per point.  Once the square is
-  built, an s in [-L, L) goes straight to it without the checks on s,
-  which cannot fail there;
-* |A| < EPSILON_A, or A overflowing to inf (where the square would read
-  z = inf): `eval_xy(kappa_prime s^2, kappa s, theta0, 1)` for every s,
-  its small-|a| series wherever |kappa_prime s^2| < EPSILON_A, which
-  keeps near-line and near-circle curves fully accurate.
+  made), then one Fresnel kernel call per point;
+* |A| < EPSILON_A and |b| <= _TAYLOR_TURN (2), a near line: every s in
+  [-L, L) comes from the curve's row polynomial, the Taylor coefficients
+  of F(s)/s in t = s/L, F(s) = (x(s) - x0) + i (y(s) - y0), built once on
+  first use and kept in the plain attribute `_taylor` as the square is,
+  then one Horner sum per point, times s;
+* every other s, and every s on the other curves (|A| < EPSILON_A with
+  |b| > 2, or A overflowing to inf, where the square would read z = inf):
+  `eval_xy(kappa_prime s^2, kappa s, theta0, 1)`, its small-|a| series
+  wherever |kappa_prime s^2| < EPSILON_A, which keeps near-line and
+  near-circle curves fully accurate.
 
-The curve's own end, s = L, takes `eval_xy(A, kappa L, theta0, 1)` on
-either path, on purpose: these are the integrals the fitter's solve
-drove to its target, so `endpoint_residual` checks the fit
-independently of the square, and a fit never builds the square.
+Once a cache is built, an s in [-L, L) goes straight to it without the
+checks on s, which cannot fail there.  The curve's own end, s = L, takes
+`eval_xy(A, b, theta0, 1)` on every curve, on purpose: these are the
+integrals the fitter's solve drove to its target, so `endpoint_residual`
+checks the fit independently of either cache, and a fit builds neither.
 
 Error contract: with eta = -kappa^2/(2 kappa_prime) and eps = 2^-52,
 each coordinate of point_at(s) is within
 
     c eps (max(L, |s|) (1 + |eta|) + max(|x0|, |y0|)),    c = 8,
 
-of the exact point; where `eval_xy` takes its series (|kappa_prime s^2| <
-EPSILON_A on the second path) within the same bound with eta replaced
-by 0.  Against 40-digit mpmath (`tests/oracles.py`) over 400 seeded
-curves with |kappa L| <= 60, EPSILON_A <= |kappa_prime L^2| <= 1e3 and
-|s| <= 10 L the worst c measured is 1.8 on the completed square and 1.1
-at s = L, and 1.5 on the series over as many near-line twins.  Rounding
-eta costs eps |eta| of phase over a displacement of length |s| <= L, and
-differencing C and S at t(s) and t(0) costs about eps
-sqrt(pi/|kappa_prime|) <= 4.6 eps L.
+of the exact point; on the row polynomial, and where `eval_xy` takes
+its series (|kappa_prime s^2| < EPSILON_A on the third path), within the
+same bound with eta replaced by 0.  Against 40-digit mpmath
+(`tests/oracles.py`) over 400 seeded curves with |kappa L| <= 60,
+EPSILON_A <= |kappa_prime L^2| <= 1e3 and |s| <= 10 L the worst c
+measured is 1.8 on the completed square and 1.1 at s = L, and 1.5 on the
+series over as many near-line twins.  Rounding eta costs eps |eta| of
+phase over a displacement of length |s| <= L, and differencing C and S
+at t(s) and t(0) costs about eps sqrt(pi/|kappa_prime|) <= 4.6 eps L.
+On the row polynomial the worst c against 30-digit mpmath quadrature is
+0.90 over 800 seeded near-line curves with |kappa L| <= 2 (half of them
+at |kappa L| = 2, a third at |kappa_prime L^2| just under EPSILON_A),
+|x0|, |y0| <= 1e3, and s at -L, near L and across [-L, L)
+(`_TAYLOR_TURN` has the figures past the bound).
 """
 
 import math
 from dataclasses import dataclass
 
 from .fresnel import _fresnel_core
-from .gfresnel import EPSILON_A, _completed_square, eval_xy
+from .gfresnel import EPSILON_A, LOMMEL_REL_TOL, _completed_square, eval_xy
 
 __all__ = ["ClothoidCurve"]
+
+# The largest |kappa L| whose near-line curve takes its rows from its row
+# polynomial (`_build_taylor`).  The Horner sum's terms grow like
+# |kappa L|^n/n! before they shrink, and its rounding with them: against
+# 30-digit mpmath quadrature, over seeded near lines with |kappa L| up to the
+# value (half of them at it) and s across [-L, L), the worst c of point_at's
+# contract measured 0.90 at 2 (800 curves), 1.4 at 3, 3.4 at 4 and 10.6 at 6
+# (300 each), against the contract's c = 8.
+_TAYLOR_TURN = 2.0
 
 
 @dataclass(frozen=True)
@@ -82,52 +101,71 @@ class ClothoidCurve:
             raise ValueError("ClothoidCurve: L must be positive, got %r" % (self.L,))
 
     def point_at(self, s: float):
-        """Position at arc length s.
+        """Position at arc length s, by one of three paths (module docstring).
 
         On a curve with EPSILON_A <= |kappa_prime L^2| < inf every s != L
         comes from the curve's completed square (built on first use and
         kept in the plain attribute `_square`, which reads None until then;
         no instance dict is read): one Fresnel kernel call at
-        t(s) = w + (z/L) s, differenced against t(0) = w.  Once the square
-        is built, an s in [-L, L) skips the checks on s: |kappa_prime s^2|
-        and |kappa s| are at most the curve's own, which the square has
-        passed.  Every other point, the curve's end s = L included, is
-        x0 + s X_0(kappa_prime s^2, kappa s, theta0) plus the matching sine
-        integral from `eval_xy`, whose small-|a| series keeps near-line and
-        near-circle curves fully accurate.  point_at(L) is thus the end the fitter
-        solved for, and a fit never builds the square.
+        t(s) = w + (z/L) s, differenced against t(0) = w.  On a near line,
+        |kappa_prime L^2| < EPSILON_A and |kappa L| <= _TAYLOR_TURN, every s
+        in [-L, L) comes from the curve's row polynomial (built on first use
+        and kept in `_taylor` likewise): s times one Horner sum in s/L.
+        Once a cache is built, an s in [-L, L) skips the checks on s:
+        |kappa_prime s^2| and |kappa s| are at most the curve's own, which
+        the cache has passed.  Every other point, the curve's end s = L
+        included, is x0 + s X_0(kappa_prime s^2, kappa s, theta0) plus the
+        matching sine integral from `eval_xy`, whose small-|a| series keeps
+        near-line and near-circle curves fully accurate.  point_at(L) is
+        thus the end the fitter solved for, and a fit builds neither cache.
+        The same s gives the same bits whatever was called before it.
 
         s outside [0, L] extrapolates along the same spiral (the defining
         integrals are entire) while kappa_prime s^2 and kappa s stay
         finite; an s that overflows either raises a ValueError naming s
-        (|s| past ~1.3e154 at kappa_prime = 1) on both paths.  The
+        (|s| past ~1.3e154 at kappa_prime = 1) on every path.  The
         completed square's phase limit (`eval_xy`) applies too: |kappa L|
         <= 1e150 on the curve's square, and |kappa s| <= 1e150 where
         `eval_xy` completes its own.  point_at(0) is (x0, y0) exactly.
         Each coordinate is within c eps (max(L, |s|) (1 + |eta|) +
         max(|x0|, |y0|)) of the exact point, eta = -kappa^2/(2
-        kappa_prime), c = 8; eta counts as 0 on the series (module
-        docstring).
+        kappa_prime), c = 8; eta counts as 0 on the row polynomial and on
+        the series (module docstring).
         """
         L = self.L
-        # a built square means EPSILON_A <= |kappa_prime L^2| < inf and |kappa L|
-        # <= 1e150, so on [-L, L) kappa_prime s^2 and kappa s are finite and
-        # the checks below have nothing to find; the end s = L always takes them
-        square = self._square if -L <= s < L else None
+        # a built cache means |kappa_prime L^2| < inf and |kappa L| <= 1e150, so
+        # on [-L, L) kappa_prime s^2 and kappa s are finite and the checks below
+        # have nothing to find; the end s = L always takes them
+        inside = -L <= s < L
+        square = self._square if inside else None
         if square is None:
-            if not math.isfinite(s):
-                raise ValueError("point_at: s must be finite, got %r" % (s,))
-            kappa_prime = self.kappa_prime
-            a = kappa_prime * s * s
-            b = self.kappa * s
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r"
-                                 % (s,))
-            # s == L first: a fit's point_at(L) pays one comparison for the square
-            if s == L or not EPSILON_A <= abs(kappa_prime * L * L) < math.inf:
-                X, Y = eval_xy(a, b, self.theta0, 1)
-                return self.x0 + s * X[0], self.y0 + s * Y[0]
-            square = self._build_square()
+            taylor = self._taylor if inside else None
+            if taylor is None:
+                if not math.isfinite(s):
+                    raise ValueError("point_at: s must be finite, got %r" % (s,))
+                kappa_prime = self.kappa_prime
+                a = kappa_prime * s * s
+                b = self.kappa * s
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r"
+                                     % (s,))
+                A = kappa_prime * L * L
+                # s != L first: a fit's point_at(L) pays two comparisons for the caches
+                if s != L and EPSILON_A <= abs(A) < math.inf:
+                    # past [-L, L) the square may be built already
+                    square = self._square or self._build_square()
+                elif inside and abs(A) < EPSILON_A and abs(self.kappa * L) <= _TAYLOR_TURN:
+                    taylor = self._build_taylor()
+                else:
+                    X, Y = eval_xy(a, b, self.theta0, 1)
+                    return self.x0 + s * X[0], self.y0 + s * Y[0]
+            if taylor is not None:
+                t = s / L
+                px = py = 0.0
+                for dx, dy in taylor:
+                    px = px * t + dx
+                    py = py * t + dy
+                return self.x0 + s * px, self.y0 + s * py
         sigma, z_per_L, w, c0, s0, ux, uy = square
         c, sv, _, _ = _fresnel_core(w + z_per_L * s)
         dc = c - c0
@@ -152,6 +190,45 @@ class ClothoidCurve:
         object.__setattr__(self, "_square", square)
         return square
 
+    # None until `_build_taylor` keeps the row polynomial on the instance
+    _taylor = None
+
+    def _build_taylor(self):
+        """Build, keep and return the curve's row polynomial, for
+        |kappa_prime L^2| < EPSILON_A and |kappa L| <= _TAYLOR_TURN.
+
+        With t = s/L, b = kappa L and A = kappa_prime L^2, the curve's
+        e^{i(theta0 + b t + (A/2) t^2)} = sum_n c_n t^n has c_0 = e^{i theta0}
+        and (n + 1) c_{n+1} = i (b c_n + A c_{n-1}), so F(s) = (x(s) - x0) +
+        i (y(s) - y0) = s sum_n c_n/(n + 1) t^n.  The coefficients
+        c_n/(n + 1) are kept highest degree first, as (real, imaginary)
+        pairs for two real Horner sums in t, in the plain attribute
+        `_taylor`, set once here past the frozen dataclass's guard.  The
+        loop keeps c_n until it meets the first n at which c_n and c_{n+1}
+        are both at most LOMMEL_REL_TOL: past there every coefficient is at
+        most 0.72 of the larger of the two before it (|b| + |A| < 2.15
+        against n >= 3), so the omitted tail adds at most 4 LOMMEL_REL_TOL,
+        0.2 eps, to F(s)/s for |t| <= 1."""
+        L = self.L
+        ib = complex(0.0, self.kappa * L)
+        ia = complex(0.0, self.kappa_prime * L * L)
+        c_prev, c = 0j, complex(math.cos(self.theta0), math.sin(self.theta0))
+        coefficients = []
+        n = 1
+        while True:
+            c_next = (ib * c + ia * c_prev) / n
+            if abs(c) <= LOMMEL_REL_TOL and abs(c_next) <= LOMMEL_REL_TOL:
+                break
+            d = c / n
+            coefficients.append((d.real, d.imag))
+            c_prev, c, n = c, c_next, n + 1
+        # from the list, not a generator: a tuple grown as it is built leaves
+        # the heap fragmented, and the process larger, curve after curve
+        coefficients.reverse()
+        taylor = tuple(coefficients)
+        object.__setattr__(self, "_taylor", taylor)
+        return taylor
+
     def angle_at(self, s: float) -> float:
         """Tangent angle theta0 + kappa s + kappa_prime s^2 / 2."""
         return self.theta0 + s * (self.kappa + 0.5 * self.kappa_prime * s)
@@ -168,8 +245,10 @@ class ClothoidCurve:
         curvature_at(L).  Each row after the first is one `point_at` call,
         so a row takes the path and meets the error contract of `point_at`
         at its s: on a curve with EPSILON_A <= |kappa_prime L^2| < inf
-        every row but the last shares the curve's completed square, and
-        the last row is `eval_xy`'s, the end the fitter solved for.
+        every row but the last shares the curve's completed square, on a
+        near line with |kappa L| <= _TAYLOR_TURN its row polynomial, and on
+        any other curve each row is `eval_xy`'s.  The last row is always
+        `eval_xy`'s, the end the fitter solved for.
         """
         if not isinstance(n, int) or n < 2:
             raise ValueError("sample: n must be an int >= 2, got %r" % (n,))

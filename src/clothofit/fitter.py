@@ -101,20 +101,24 @@ class HermiteData:
 
     def __post_init__(self):
         # one test of all six fields, their sum from 0.0: a non-finite field
-        # makes it non-finite, and a field that does not add to a float (a
+        # makes it non-finite, a field that does not add to a float (a
         # Decimal, which the fit's arithmetic would reject later, unnamed)
-        # raises TypeError.  Only a failed test runs the loop, which names
-        # the bad field; finite fields whose sum overflows pass it
+        # raises TypeError, and an int or Fraction past the float range
+        # OverflowError.  Only a failed test runs the loop, which names the
+        # bad field, the last kind as not finite; finite fields whose sum
+        # overflows pass it
         try:
             if math.isfinite(0.0 + self.x0 + self.y0 + self.theta0
                              + self.x1 + self.y1 + self.theta1):
                 return
-        except TypeError:
+        except (TypeError, OverflowError):
             pass
         try:
             for name in ("x0", "y0", "theta0", "x1", "y1", "theta1"):
                 if not math.isfinite(getattr(self, name) + 0.0):
                     raise ValueError("HermiteData: %s must be finite" % name)
+        except OverflowError:
+            raise ValueError("HermiteData: %s must be finite" % name) from None
         except TypeError:
             raise ValueError("HermiteData: %s must be a float, int or Fraction" % name) from None
 

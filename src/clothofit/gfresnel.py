@@ -72,9 +72,10 @@ __all__ = [
 EPSILON_A = 0.15
 # What "negligible" means for a double result of magnitude <= 1: the
 # small-|a| series stops once its first omitted factor falls below it
-# (`_series_order`).  Kummer's seed (`r_lommel`), whose former Lommel
-# sums it is named after, does not read it: it stops at the first step
-# that leaves its sum unchanged.
+# (`_series_order`), and a near-line curve's row polynomial once two of
+# its coefficients in a row do (`ClothoidCurve._build_taylor`).  Kummer's
+# seed (`r_lommel`), whose former Lommel sums it is named after, does not
+# read it: it stops at the first step that leaves its sum unchanged.
 LOMMEL_REL_TOL = 1e-17
 
 

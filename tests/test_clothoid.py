@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from clothofit import ClothoidCurve, HermiteData, build_clothoid, clothoid
-from clothofit.gfresnel import EPSILON_A
+from clothofit.clothoid import _TAYLOR_TURN as TAYLOR_TURN
+from clothofit.gfresnel import EPSILON_A, LOMMEL_REL_TOL
 
 from oracles import (clothoid_position_fresnel_mpmath, clothoid_position_mpmath,
                      clothoid_position_reference)
@@ -122,7 +123,8 @@ def test_sample_endpoints_match_point_at():
         # |kappa_prime L^2| up to 5 on both sides of the switch at EPSILON_A
         cases.append((ClothoidCurve(0.3, -1.2, 0.7, float(rng.uniform(-2.0, 2.0)) / L,
                                     float(rng.uniform(-5.0, 5.0)) / (L * L), L), n))
-    # a near-line curve and a line take eval_xy on every row
+    # a near-line curve and a line take their row polynomial on every row but
+    # the last
     near_line = ClothoidCurve(0.3, -1.2, 0.7, 0.2, 0.05, 1.5)
     assert abs(near_line.kappa_prime * near_line.L ** 2) < EPSILON_A
     cases += [(near_line, 50), (LINE, 37)]
@@ -254,7 +256,10 @@ def test_point_at_on_the_completed_square_against_mpmath():
 
 def _series_curves():
     """Seeded curves on the series, |kappa_prime L^2| < EPSILON_A: near lines
-    (|kappa L| <= 0.5) and near circles (|kappa L| up to 6)."""
+    (|kappa L| <= 0.5) and near circles (|kappa L| up to 6), then the row
+    polynomial's edges, |kappa L| = _TAYLOR_TURN with |kappa_prime L^2| just
+    under EPSILON_A in all four sign pairs, and two curves just past the
+    bound, at |kappa L| = 6."""
     rng = np.random.default_rng(2501)
     curves = []
     for i in range(8):
@@ -264,16 +269,28 @@ def _series_curves():
         x0, y0 = (float(v) for v in rng.uniform(-1e3, 1e3, 2) * rng.choice((0.0, 1.0), 2))
         curves.append(ClothoidCurve(x0, y0, float(rng.uniform(-math.pi, math.pi)),
                                     b / L, a / (L * L), L))
+    # L a power of two, so that kappa L and kappa_prime L^2 are exact
+    a = math.nextafter(EPSILON_A, 0.0)
+    for i, L in enumerate((4.0, 0.25, 2.0, 0.5)):
+        x0, y0 = (float(v) for v in rng.uniform(-1e3, 1e3, 2))
+        curves.append(ClothoidCurve(x0, y0, float(rng.uniform(-math.pi, math.pi)),
+                                    (-1.0) ** i * TAYLOR_TURN / L,
+                                    (-1.0) ** (i // 2) * a / (L * L), L))
+    for sign in (1.0, -1.0):
+        curves.append(ClothoidCurve(0.0, 0.0, float(rng.uniform(-math.pi, math.pi)),
+                                    sign * 6.0, sign * 0.9 * EPSILON_A, 1.0))
     return curves
 
 
 def test_series_rows_against_mpmath():
-    # near-line and near-circle curves take eval_xy's small-|a| series for
-    # every row: sampled rows and points out to |s| = 10 L, each while
+    # near-line and near-circle curves take eval_xy's small-|a| series, or
+    # with |kappa L| <= _TAYLOR_TURN the row polynomial on [-L, L): sampled
+    # rows, points across [-L, L) and points out to |s| = 10 L, each while
     # |kappa_prime s^2| < EPSILON_A, must meet the docstring's contract with
     # eta counted as 0
     pytest.importorskip("mpmath")
     rng = np.random.default_rng(2502)
+    on_polynomial = 0
     for curve in _series_curves():
         L = curve.L
         n = int(rng.integers(50, 400))
@@ -281,14 +298,47 @@ def test_series_rows_against_mpmath():
         step = L / (n - 1)
         cases = [(i * step if i < n - 1 else L, rows[i][:2])
                  for i in [0, n - 1, *map(int, rng.integers(1, n - 1, 16))]]
+        across = [-L, math.nextafter(L, 0.0), *map(float, rng.uniform(-L, L, 8))]
         reach = min(10.0 * L, 0.999 * math.sqrt(EPSILON_A / abs(curve.kappa_prime)))
-        cases += [(s, curve.point_at(s)) for s in map(float, rng.uniform(-reach, reach, 6))]
+        cases += [(s, curve.point_at(s))
+                  for s in across + list(map(float, rng.uniform(-reach, reach, 6)))]
+        on_polynomial += _caches(curve) == ["_taylor"]
+        assert _caches(curve) == (["_taylor"] if abs(curve.kappa * L) <= TAYLOR_TURN else [])
         for s, (x, y) in cases:
             assert abs(curve.kappa_prime * s * s) < EPSILON_A
             bound = CONTRACT_C * EPS * (max(L, abs(s)) + max(abs(curve.x0), abs(curve.y0)))
             xr, yr = clothoid_position_mpmath(curve.x0, curve.y0, curve.theta0,
                                               curve.kappa, curve.kappa_prime, s)
             assert abs(x - xr) <= bound and abs(y - yr) <= bound, (curve, s)
+    assert on_polynomial >= 8
+
+
+def test_row_polynomial_keeps_the_terms_its_tolerance_asks_for():
+    # the coefficients c_n/(n + 1) of F(s)/s in t = s/L, against the same
+    # recurrence in 40-digit mpmath: each kept one is right, the loop stops at
+    # the first n with c_n and c_{n+1} both at most LOMMEL_REL_TOL, and the
+    # omitted tail is at most 4 LOMMEL_REL_TOL, as `_build_taylor` states
+    mpmath = pytest.importorskip("mpmath")
+    for curve in _series_curves():
+        L = curve.L
+        b, a = curve.kappa * L, curve.kappa_prime * L * L
+        if abs(b) > TAYLOR_TURN:
+            continue
+        curve.point_at(0.5 * L)
+        taylor = curve._taylor[::-1]
+        with mpmath.workdps(40):
+            c = [mpmath.mpf(0), mpmath.expj(curve.theta0)]
+            for n in range(1, len(taylor) + 60):
+                c.append(1j * (b * c[-1] + a * c[-2]) / n)
+            c = c[1:]
+            first = next(n for n in range(1, len(c)) if max(abs(c[n]), abs(c[n + 1]))
+                         <= LOMMEL_REL_TOL)
+            assert len(taylor) == first, (curve, len(taylor), first)
+            for n, (dx, dy) in enumerate(taylor):
+                d = c[n] / (n + 1)
+                assert abs(dx - d.real) <= 4 * EPS and abs(dy - d.imag) <= 4 * EPS, (curve, n)
+            tail = sum(abs(c[n]) / (n + 1) for n in range(first, len(c)))
+            assert tail <= 4 * LOMMEL_REL_TOL, (curve, tail)
 
 
 def test_mpmath_references_agree_and_quadrature_stops_at_its_limit():
@@ -316,7 +366,9 @@ def test_rows_take_the_square_and_the_end_takes_eval_xy(monkeypatch):
     # on a curve with EPSILON_A <= |kappa_prime L^2| < inf every row but the
     # end s = L comes from the curve's square; the end is eval_xy's, the
     # integrals a fit solved for, and a fit's point_at(L) never builds the
-    # square.  A near-line curve keeps eval_xy for every row
+    # square.  A near-line curve with |kappa L| <= _TAYLOR_TURN takes its rows
+    # from its row polynomial and its end from eval_xy; one past the bound
+    # keeps eval_xy for every row and builds no cache
     calls = []
     real = clothoid.eval_xy
 
@@ -329,6 +381,10 @@ def test_rows_take_the_square_and_the_end_takes_eval_xy(monkeypatch):
     curve = ClothoidCurve(**fields)
     rows = curve.sample(50)
     assert calls == [(-10.0, 1.8, 0.7, 1)]
+    # points past [-L, L) take the same square, not a new one each
+    square = curve._square
+    curve.point_at(5.0), curve.point_at(-3.0)
+    assert curve._square is square and len(calls) == 1
     end = ClothoidCurve(**fields)
     calls.clear()
     assert end.point_at(2.0) == rows[-1][:2]
@@ -336,33 +392,49 @@ def test_rows_take_the_square_and_the_end_takes_eval_xy(monkeypatch):
     near_line = ClothoidCurve(**dict(fields, kappa_prime=0.03))
     calls.clear()
     near_line.sample(50)
-    assert len(calls) == 49 and "_square" not in vars(near_line)
+    assert calls == [(0.12, 1.8, 0.7, 1)]
+    assert _caches(near_line) == ["_taylor"]
+    past_the_bound = ClothoidCurve(**dict(fields, kappa=3.0, kappa_prime=0.03))
+    calls.clear()
+    past_the_bound.sample(50)
+    assert len(calls) == 49 and not _caches(past_the_bound)
+
+
+def _caches(curve):
+    """Names of the row caches the curve keeps."""
+    return [name for name in ("_square", "_taylor") if name in vars(curve)]
 
 
 def test_square_cache_is_invisible():
-    fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=-2.5, L=2.0)
-    first, sampled, twin = (ClothoidCurve(**fields) for _ in range(3))
-    points = (0.0, 1e-3, -0.05, 0.2, 1.5, 2.0)   # square below s = L, eval_xy at L
-    before = [first.point_at(s) for s in points]
-    rows = sampled.sample(41)
-    assert "_square" in vars(sampled) and "_square" not in vars(twin)
-    assert sampled == twin and hash(sampled) == hash(twin) and repr(sampled) == repr(twin)
-    assert dataclasses.replace(sampled) == twin
-    assert dataclasses.replace(sampled, L=3.0) == ClothoidCurve(**dict(fields, L=3.0))
-    assert pickle.loads(pickle.dumps(sampled)) == twin
-    # no dependence on call order: point first, rows first, or neither
-    assert [sampled.point_at(s) for s in points] == before
-    assert [first.point_at(s) for s in points] == before
-    assert [twin.point_at(s) for s in points] == before
-    assert first.sample(41) == rows == twin.sample(41)
-    assert [pickle.loads(pickle.dumps(sampled)).point_at(s) for s in points] == before
+    # a curve on its completed square, and a near-line curve on its row
+    # polynomial
+    square = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=-2.5, L=2.0)
+    for fields, cache in ((square, "_square"), (dict(square, kappa_prime=0.03), "_taylor")):
+        first, sampled, twin = (ClothoidCurve(**fields) for _ in range(3))
+        points = (0.0, 1e-3, -0.05, -2.0, 0.2, 1.5, 2.0)   # the cache below s = L, eval_xy at L
+        before = [first.point_at(s) for s in points]
+        assert _caches(first) == [cache]
+        rows = sampled.sample(41)
+        assert _caches(sampled) == [cache] and not _caches(twin)
+        assert sampled == twin and hash(sampled) == hash(twin) and repr(sampled) == repr(twin)
+        assert dataclasses.replace(sampled) == twin
+        assert not _caches(dataclasses.replace(sampled))
+        assert dataclasses.replace(sampled, L=3.0) == ClothoidCurve(**dict(fields, L=3.0))
+        assert pickle.loads(pickle.dumps(sampled)) == twin
+        # no dependence on call order: points first, rows first, or neither
+        assert [sampled.point_at(s) for s in points] == before
+        assert [first.point_at(s) for s in points] == before
+        assert [twin.point_at(s) for s in points] == before
+        assert first.sample(41) == rows == twin.sample(41)
+        assert [pickle.loads(pickle.dumps(sampled)).point_at(s) for s in points] == before
 
 
 def test_point_at_leaves_a_near_line_curve_no_larger():
-    # the square is read from a plain attribute, so point_at on a curve that
-    # never builds one allocates nothing that outlives the call (reading
+    # the caches are read from plain attributes, so point_at on a curve that
+    # builds neither (a near-line curve past the row polynomial's bound,
+    # kappa L = 6) allocates nothing that outlives the call (reading
     # __dict__, or calling vars(), would give each curve an instance dict)
-    fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=0.03, L=2.0)
+    fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=3.0, kappa_prime=0.03, L=2.0)
     curves = [ClothoidCurve(**fields) for _ in range(2000)]
     ClothoidCurve(**fields).point_at(1.0)   # the first call may fill caches
     gc.collect()
@@ -379,11 +451,12 @@ def test_point_at_leaves_a_near_line_curve_no_larger():
 
 
 def test_fits_never_build_the_square():
-    # the fit's point_at(L) is the curve's end, which eval_xy takes
+    # the fit's point_at(L) is the curve's end, which eval_xy takes: a fit
+    # builds neither the square nor the row polynomial
     for data in (HermiteData(0.0, 0.0, 0.3, 4.0, 1.0, -0.25),
                  HermiteData(0.0, 0.0, 0.01 * 0.5, 100.0, 0.0, -0.02 * 0.5)):
         curve = build_clothoid(data).curve
-        assert "_square" not in vars(curve)
+        assert not _caches(curve)
 
 
 def test_square_scales_to_the_ends_of_the_double_range():
@@ -409,4 +482,4 @@ def test_overflowing_curve_stays_off_the_square():
     assert math.isclose(y, 1e300 * s * s * s / 6.0, rel_tol=1e-14)
     with pytest.raises(ValueError):
         curve.point_at(1e5)   # kappa_prime s^2 overflows
-    assert "_square" not in vars(curve)
+    assert not _caches(curve)

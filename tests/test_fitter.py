@@ -113,6 +113,12 @@ def test_hermite_data_validation():
             HermiteData(**dict(pose, **{name: Decimal(1)}))
     with pytest.raises(ValueError, match="^HermiteData: x0 must be a float, int or Fraction$"):
         HermiteData(*[Decimal(v) for v in range(6)])
+    # an int or a Fraction past the float range is named as not finite, in
+    # the first field as in the last
+    for name in ("x0", "theta1"):
+        for value in (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
+            with pytest.raises(ValueError, match="^HermiteData: %s must be finite$" % name):
+                HermiteData(**dict(pose, **{name: value}))
     # the first bad field is named, whichever way it is bad
     with pytest.raises(ValueError, match="^HermiteData: y0 must be finite$"):
         HermiteData(5.0, math.nan, 1.0, Decimal(5), 6.0, 3.5)

@@ -14,18 +14,27 @@ of `HermiteData(*pose)`, followed on spline_sampling by
 Each round times every pose once on both sides, which take turns chunk
 by chunk of CHUNK poses, with the garbage collector paused; the side
 that starts alternates from round to round, and one untimed round warms
-both up first.  For each workload the tool prints each side's median
-microseconds per operation over the rounds, and the median and
-(inclusive) quartiles of the per-round ratio head/base (below 1: head is
-faster).
+both up first.  Each operation is timed on its own.  For each workload
+the tool prints each side's median over the rounds of the mean
+microseconds per operation, with the median and (inclusive) quartiles of
+the per-round ratio head/base (below 1: head is faster); then the same
+for the workload's tail percentile (`tail_pct`, the one perfbench reports
+as op_latency_tail_us; nearest rank, as perfbench/run.py takes it) of
+each round's operation times.
 
-Two copies of the same code (`--base .`), at the default 30 rounds of
-640 poses on a shared 2-vCPU host under Python 3.11, read median ratios
-between 0.98 and 1.02 with quartiles within 0.97..1.03, from run to run
-of all three workloads; a ratio inside that band says nothing.
-This is a quick look beside a change, not a gate: perfbench/run.py and
-the BENCH files it writes remain the measurement that speed claims rest
-on.
+Two copies of the same code (`--base .`), in five runs at the default 30
+rounds of 640 poses on a shared 2-vCPU host under Python 3.11, read:
+
+* the mean: median ratios between 0.99 and 1.02, quartiles within
+  0.97..1.04, on all three workloads;
+* spline_sampling's p98: medians 0.99..1.01, quartiles within 0.97..1.04;
+* near_regime's p99: medians 0.96..1.02, quartiles within 0.85..1.14;
+* generic_fits' p99.9, which is each round's slowest of its 640
+  operations: medians 0.89..1.12, quartiles within 0.70..1.45.
+
+A ratio inside its band says nothing.  This is a quick look beside a
+change, not a gate: perfbench/run.py and the BENCH files it writes
+remain the measurement that speed claims rest on.
 """
 
 import argparse
@@ -40,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from perfbench.run import percentile  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 # Poses a side times before the other takes its turn.
@@ -70,25 +80,30 @@ def make_op(package, sample_n):
 
 
 def time_round(ops, chunks, first):
-    """Microseconds per operation of each side over one pass of the poses.
+    """Microseconds of each operation on each side over one pass of the poses.
 
     The sides take turns chunk by chunk, `first` starting, so that a
     change in the host's load falls on both alike."""
-    ns = [0, 0]
+    ns = ([], [])
     order = (first, 1 - first)
+    clock = time.perf_counter_ns
     gc.collect()
     gc.disable()
     for chunk in chunks:
         for side in order:
-            op = ops[side]
-            start = time.perf_counter_ns()
+            op, times = ops[side], ns[side]
             for pose in chunk:
+                start = clock()
                 op(pose)
-            ns[side] += time.perf_counter_ns() - start
+                times.append(clock() - start)
         order = order[::-1]
     gc.enable()
-    n_poses = sum(len(chunk) for chunk in chunks)
-    return [t / 1e3 / n_poses for t in ns]
+    return [[t / 1e3 for t in times] for times in ns]
+
+
+def _median_and_quartiles(ratios):
+    q1, q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return "%.4f [%.4f, %.4f]" % (q2, q1, q3)
 
 
 def compare(name, head, base, rounds):
@@ -97,17 +112,18 @@ def compare(name, head, base, rounds):
     chunks = [poses[i:i + CHUNK] for i in range(0, len(poses), CHUNK)]
     sides = [make_op(head, workload.sample_n), make_op(base, workload.sample_n)]
     time_round(sides, chunks, 0)
-    head_us, base_us, ratios = [], [], []
+    # per round and side: mean and tail microseconds per operation
+    means, tails = ([], []), ([], [])
     for i in range(rounds):
-        us = time_round(sides, chunks, i % 2)
-        head_us.append(us[0])
-        base_us.append(us[1])
-        ratios.append(us[0] / us[1])
-    q1, q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    print("%s: head %.2f us/op, base %.2f us/op, ratio head/base %.4f [%.4f, %.4f] "
-          "over %d rounds of %d ops"
-          % (name, statistics.median(head_us), statistics.median(base_us), q2, q1, q3,
-             rounds, OPS))
+        for side, us in enumerate(time_round(sides, chunks, i % 2)):
+            means[side].append(statistics.fmean(us))
+            tails[side].append(percentile(sorted(us), workload.tail_pct))
+    print("%s: head %.2f us/op, base %.2f us/op, ratio head/base %s; "
+          "p%g head %.2f us, base %.2f us, ratio %s over %d rounds of %d ops"
+          % (name, statistics.median(means[0]), statistics.median(means[1]),
+             _median_and_quartiles([h / b for h, b in zip(*means)]), workload.tail_pct,
+             statistics.median(tails[0]), statistics.median(tails[1]),
+             _median_and_quartiles([h / b for h, b in zip(*tails)]), rounds, OPS))
 
 
 def main(argv=None):
