@@ -10,31 +10,33 @@ kappa_prime = 0 gives a circular arc, kappa = kappa_prime = 0 a straight
 segment; both evaluate through the same code path.
 
 `point_at(s)` takes one of three paths, by the curve's own
-A = kappa_prime L^2 and b = kappa L:
+A = kappa_prime L^2 and b = kappa L.  The first two read the curve's
+rows: one cache per curve, of the kind A and b pick, built once on first
+use by `_build_rows` and kept on the instance in the plain attribute
+`_rows` (not a dataclass field, so equality, hash, repr and
+`dataclasses.replace` ignore it; a curve without it reads the class's
+None, and no instance dict is read or made):
 
 * EPSILON_A <= |A| < inf: every s != L comes from the curve's completed
   square, the one `gfresnel._completed_square` that `eval_xy` shares,
-  taken at (A, b, theta0), built once on first use and kept on the
-  instance in the plain attribute `_square` (not a dataclass field, so
-  equality, hash, repr and `dataclasses.replace` ignore it; a curve
-  without it reads the class's None, and no instance dict is read or
-  made), then one Fresnel kernel call per point;
+  taken at (A, b, theta0), then one Fresnel kernel call per point;
 * |A| < EPSILON_A and |b| <= _TAYLOR_TURN (2), a near line: every s in
   [-L, L) comes from the curve's row polynomial, the Taylor coefficients
-  of F(s)/s in t = s/L, F(s) = (x(s) - x0) + i (y(s) - y0), built once on
-  first use and kept in the plain attribute `_taylor` as the square is,
-  then one Horner sum per point, times s;
+  of F(s)/s in t = s/L, F(s) = (x(s) - x0) + i (y(s) - y0), then one
+  Horner sum per point, times s;
 * every other s, and every s on the other curves (|A| < EPSILON_A with
   |b| > 2, or A overflowing to inf, where the square would read z = inf):
   `eval_xy(kappa_prime s^2, kappa s, theta0, 1)`, its small-|a| series
   wherever |kappa_prime s^2| < EPSILON_A, which keeps near-line and
   near-circle curves fully accurate.
 
-Once a cache is built, an s in [-L, L) goes straight to it without the
-checks on s, which cannot fail there.  The curve's own end, s = L, takes
-`eval_xy(A, b, theta0, 1)` on every curve, on purpose: these are the
-integrals the fitter's solve drove to its target, so `endpoint_residual`
-checks the fit independently of either cache, and a fit builds neither.
+Once the rows are built, an s in [-L, L) goes straight to them without
+the checks on s, which cannot fail there.  The curve's own end, s = L,
+takes `eval_xy(A, b, theta0, 1)` on every curve, on purpose: these are
+the integrals the fitter's solve drove to its target, so
+`endpoint_residual` checks the fit independently of the rows, and a fit
+builds none.  A curve pickles and copies as its six fields, without its
+rows.
 
 Error contract: with eta = -kappa^2/(2 kappa_prime) and eps = 2^-52,
 each coordinate of point_at(s) is within
@@ -66,7 +68,7 @@ from .gfresnel import EPSILON_A, LOMMEL_REL_TOL, _completed_square, eval_xy
 __all__ = ["ClothoidCurve"]
 
 # The largest |kappa L| whose near-line curve takes its rows from its row
-# polynomial (`_build_taylor`).  The Horner sum's terms grow like
+# polynomial (`_build_rows`).  The Horner sum's terms grow like
 # |kappa L|^n/n! before they shrink, and its rounding with them: against
 # 30-digit mpmath quadrature, over seeded near lines with |kappa L| up to the
 # value (half of them at it) and s across [-L, L), the worst c of point_at's
@@ -103,22 +105,23 @@ class ClothoidCurve:
     def point_at(self, s: float):
         """Position at arc length s, by one of three paths (module docstring).
 
-        On a curve with EPSILON_A <= |kappa_prime L^2| < inf every s != L
-        comes from the curve's completed square (built on first use and
-        kept in the plain attribute `_square`, which reads None until then;
-        no instance dict is read): one Fresnel kernel call at
-        t(s) = w + (z/L) s, differenced against t(0) = w.  On a near line,
-        |kappa_prime L^2| < EPSILON_A and |kappa L| <= _TAYLOR_TURN, every s
-        in [-L, L) comes from the curve's row polynomial (built on first use
-        and kept in `_taylor` likewise): s times one Horner sum in s/L.
-        Once a cache is built, an s in [-L, L) skips the checks on s:
+        The curve's rows, built on first use by `_build_rows` and kept in
+        the plain attribute `_rows` (None until then; no instance dict is
+        read), are one of two kinds.  On a curve with EPSILON_A <=
+        |kappa_prime L^2| < inf they are its completed square, and every
+        s != L is one Fresnel kernel call at t(s) = w + (z/L) s,
+        differenced against t(0) = w.  On a near line, |kappa_prime L^2| <
+        EPSILON_A and |kappa L| <= _TAYLOR_TURN, they are its row
+        polynomial, and every s in [-L, L) is s times one Horner sum in s/L.
+        One lookup and one test of its first entry pick the kind.  Once the
+        rows are built, an s in [-L, L) skips the checks on s:
         |kappa_prime s^2| and |kappa s| are at most the curve's own, which
-        the cache has passed.  Every other point, the curve's end s = L
+        the rows have passed.  Every other point, the curve's end s = L
         included, is x0 + s X_0(kappa_prime s^2, kappa s, theta0) plus the
         matching sine integral from `eval_xy`, whose small-|a| series keeps
         near-line and near-circle curves fully accurate.  point_at(L) is
-        thus the end the fitter solved for, and a fit builds neither cache.
-        The same s gives the same bits whatever was called before it.
+        thus the end the fitter solved for, and a fit builds no rows.  The
+        same s gives the same bits whatever was called before it.
 
         s outside [0, L] extrapolates along the same spiral (the defining
         integrals are entire) while kappa_prime s^2 and kappa s stay
@@ -133,101 +136,100 @@ class ClothoidCurve:
         the series (module docstring).
         """
         L = self.L
-        # a built cache means |kappa_prime L^2| < inf and |kappa L| <= 1e150, so
-        # on [-L, L) kappa_prime s^2 and kappa s are finite and the checks below
+        # built rows mean |kappa_prime L^2| < inf and |kappa L| <= 1e150, so on
+        # [-L, L) kappa_prime s^2 and kappa s are finite and the checks below
         # have nothing to find; the end s = L always takes them
         inside = -L <= s < L
-        square = self._square if inside else None
-        if square is None:
-            taylor = self._taylor if inside else None
-            if taylor is None:
-                if not math.isfinite(s):
-                    raise ValueError("point_at: s must be finite, got %r" % (s,))
-                kappa_prime = self.kappa_prime
-                a = kappa_prime * s * s
-                b = self.kappa * s
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r"
-                                     % (s,))
-                A = kappa_prime * L * L
-                # s != L first: a fit's point_at(L) pays two comparisons for the caches
-                if s != L and EPSILON_A <= abs(A) < math.inf:
-                    # past [-L, L) the square may be built already
-                    square = self._square or self._build_square()
-                elif inside and abs(A) < EPSILON_A and abs(self.kappa * L) <= _TAYLOR_TURN:
-                    taylor = self._build_taylor()
-                else:
-                    X, Y = eval_xy(a, b, self.theta0, 1)
-                    return self.x0 + s * X[0], self.y0 + s * Y[0]
-            if taylor is not None:
-                t = s / L
-                px = py = 0.0
-                for dx, dy in taylor:
-                    px = px * t + dx
-                    py = py * t + dy
-                return self.x0 + s * px, self.y0 + s * py
-        sigma, z_per_L, w, c0, s0, ux, uy = square
+        rows = self._rows if inside else None
+        if rows is None:
+            if not math.isfinite(s):
+                raise ValueError("point_at: s must be finite, got %r" % (s,))
+            kappa_prime = self.kappa_prime
+            a = kappa_prime * s * s
+            b = self.kappa * s
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r"
+                                 % (s,))
+            A = kappa_prime * L * L
+            # s != L first: a fit's point_at(L) pays two comparisons for the rows
+            if (s != L and EPSILON_A <= abs(A) < math.inf
+                    or inside and abs(A) < EPSILON_A and abs(self.kappa * L) <= _TAYLOR_TURN):
+                # past [-L, L) the square may be built already
+                rows = self._rows or self._build_rows()
+            else:
+                X, Y = eval_xy(a, b, self.theta0, 1)
+                return self.x0 + s * X[0], self.y0 + s * Y[0]
+        if rows[0] is None:
+            t = s / L
+            px = py = 0.0
+            for dx, dy in rows[1]:
+                px = px * t + dx
+                py = py * t + dy
+            return self.x0 + s * px, self.y0 + s * py
+        sigma, z_per_L, w, c0, s0, ux, uy = rows
         c, sv, _, _ = _fresnel_core(w + z_per_L * s)
         dc = c - c0
         ds = sigma * (sv - s0)
         return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
 
-    # None until `_build_square` keeps the square on the instance;
+    # None until `_build_rows` keeps the curve's rows on the instance;
     # unannotated, so not a dataclass field
-    _square = None
+    _rows = None
 
-    def _build_square(self):
-        """Build, keep and return the curve's completed square:
-        `_completed_square` at (kappa_prime L^2, kappa L, theta0), in units
-        of L so that every factor stays finite over the range of curves the
-        fitter builds.  It holds sigma, z/L, w, C(w), S(w) and its turn
-        scaled by L/z, as two reals, and is kept in the plain attribute
-        `_square`, set once here past the frozen dataclass's guard."""
-        sigma, z, w, ce, se, c0, s0, _, _ = _completed_square(
-            self.kappa_prime * self.L * self.L, self.kappa * self.L, self.theta0)
-        scale = self.L / z
-        square = (sigma, z / self.L, w, c0, s0, scale * ce, scale * se)
-        object.__setattr__(self, "_square", square)
-        return square
+    def _build_rows(self):
+        """Build, keep and return the curve's rows, of the kind its own
+        A = kappa_prime L^2 and b = kappa L pick, in the plain attribute
+        `_rows`, set once here past the frozen dataclass's guard.
+        `point_at` calls it only on the two kinds of curve below.
 
-    # None until `_build_taylor` keeps the row polynomial on the instance
-    _taylor = None
+        For EPSILON_A <= |A| < inf, the completed square: `_completed_square`
+        at (A, b, theta0), in units of L so that every factor stays finite
+        over the range of curves the fitter builds, kept as sigma = +-1.0,
+        z/L, w, C(w), S(w) and its turn scaled by L/z, as two reals.
 
-    def _build_taylor(self):
-        """Build, keep and return the curve's row polynomial, for
-        |kappa_prime L^2| < EPSILON_A and |kappa L| <= _TAYLOR_TURN.
-
-        With t = s/L, b = kappa L and A = kappa_prime L^2, the curve's
+        For |A| < EPSILON_A and |b| <= _TAYLOR_TURN, the row polynomial,
+        kept as (None, coefficients).  With t = s/L the curve's
         e^{i(theta0 + b t + (A/2) t^2)} = sum_n c_n t^n has c_0 = e^{i theta0}
         and (n + 1) c_{n+1} = i (b c_n + A c_{n-1}), so F(s) = (x(s) - x0) +
         i (y(s) - y0) = s sum_n c_n/(n + 1) t^n.  The coefficients
         c_n/(n + 1) are kept highest degree first, as (real, imaginary)
-        pairs for two real Horner sums in t, in the plain attribute
-        `_taylor`, set once here past the frozen dataclass's guard.  The
-        loop keeps c_n until it meets the first n at which c_n and c_{n+1}
-        are both at most LOMMEL_REL_TOL: past there every coefficient is at
-        most 0.72 of the larger of the two before it (|b| + |A| < 2.15
-        against n >= 3), so the omitted tail adds at most 4 LOMMEL_REL_TOL,
-        0.2 eps, to F(s)/s for |t| <= 1."""
+        pairs for two real Horner sums in t.  The loop keeps c_n until it
+        meets the first n at which c_n and c_{n+1} are both at most
+        LOMMEL_REL_TOL: past there every coefficient is at most 0.72 of the
+        larger of the two before it (|b| + |A| < 2.15 against n >= 3), so
+        the omitted tail adds at most 4 LOMMEL_REL_TOL, 0.2 eps, to F(s)/s
+        for |t| <= 1."""
         L = self.L
-        ib = complex(0.0, self.kappa * L)
-        ia = complex(0.0, self.kappa_prime * L * L)
-        c_prev, c = 0j, complex(math.cos(self.theta0), math.sin(self.theta0))
-        coefficients = []
-        n = 1
-        while True:
-            c_next = (ib * c + ia * c_prev) / n
-            if abs(c) <= LOMMEL_REL_TOL and abs(c_next) <= LOMMEL_REL_TOL:
-                break
-            d = c / n
-            coefficients.append((d.real, d.imag))
-            c_prev, c, n = c, c_next, n + 1
-        # from the list, not a generator: a tuple grown as it is built leaves
-        # the heap fragmented, and the process larger, curve after curve
-        coefficients.reverse()
-        taylor = tuple(coefficients)
-        object.__setattr__(self, "_taylor", taylor)
-        return taylor
+        A = self.kappa_prime * L * L
+        b = self.kappa * L
+        if abs(A) >= EPSILON_A:
+            sigma, z, w, ce, se, c0, s0, _, _ = _completed_square(A, b, self.theta0)
+            scale = L / z
+            rows = (sigma, z / L, w, c0, s0, scale * ce, scale * se)
+        else:
+            ib, ia = complex(0.0, b), complex(0.0, A)
+            c_prev, c = 0j, complex(math.cos(self.theta0), math.sin(self.theta0))
+            coefficients = []
+            n = 1
+            while True:
+                c_next = (ib * c + ia * c_prev) / n
+                if abs(c) <= LOMMEL_REL_TOL and abs(c_next) <= LOMMEL_REL_TOL:
+                    break
+                d = c / n
+                coefficients.append((d.real, d.imag))
+                c_prev, c, n = c, c_next, n + 1
+            # from the list, not a generator: a tuple grown as it is built
+            # leaves the heap fragmented, and the process larger, curve after
+            # curve
+            coefficients.reverse()
+            rows = (None, tuple(coefficients))
+        object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def __reduce__(self):
+        """Pickle and copy a curve as its six fields: no rows, and the
+        constructor's check runs again on the way back."""
+        return type(self), (self.x0, self.y0, self.theta0, self.kappa, self.kappa_prime, self.L)
 
     def angle_at(self, s: float) -> float:
         """Tangent angle theta0 + kappa s + kappa_prime s^2 / 2."""
@@ -244,11 +246,12 @@ class ClothoidCurve:
         s = L exactly, so it equals point_at(L), angle_at(L) and
         curvature_at(L).  Each row after the first is one `point_at` call,
         so a row takes the path and meets the error contract of `point_at`
-        at its s: on a curve with EPSILON_A <= |kappa_prime L^2| < inf
-        every row but the last shares the curve's completed square, on a
-        near line with |kappa L| <= _TAYLOR_TURN its row polynomial, and on
-        any other curve each row is `eval_xy`'s.  The last row is always
-        `eval_xy`'s, the end the fitter solved for.
+        at its s: every row but the last reads the curve's one row cache,
+        its completed square on a curve with EPSILON_A <=
+        |kappa_prime L^2| < inf or its row polynomial on a near line with
+        |kappa L| <= _TAYLOR_TURN, and on any other curve each row is
+        `eval_xy`'s.  The last row is always `eval_xy`'s, the end the
+        fitter solved for.
         """
         if not isinstance(n, int) or n < 2:
             raise ValueError("sample: n must be an int >= 2, got %r" % (n,))

@@ -56,12 +56,9 @@ __all__ = [
     "HermiteData",
     "ReducedProblem",
     "FitResult",
-    "QUINTIC_GUESS_COEFFICIENTS",
-    "SURFACE_GUESS_COEFFICIENTS",
     "GUESS_VARIANTS",
     "DEFAULT_GUESS",
     "reduce_problem",
-    "g_prime",
     "initial_guess",
     "a_max_bound",
     "solve_A",
@@ -100,22 +97,26 @@ class HermiteData:
     theta1: float
 
     def __post_init__(self):
-        # one test of all six fields, their sum from 0.0: a non-finite field
-        # makes it non-finite, a field that does not add to a float (a
-        # Decimal, which the fit's arithmetic would reject later, unnamed)
-        # raises TypeError, and an int or Fraction past the float range
-        # OverflowError.  Only a failed test runs the loop, which names the
-        # bad field, the last kind as not finite; finite fields whose sum
-        # overflows pass it
+        # one test of all six fields, their sum from 0.0, which must be a
+        # finite float: a non-finite field makes it non-finite, a field that
+        # does not add to a float raises TypeError (a Decimal, which the
+        # fit's arithmetic would reject later, unnamed) or keeps the sum in
+        # its own type (a numpy.float32, in which the fit would run), and an
+        # int or Fraction past the float range raises OverflowError.  Only a
+        # failed test runs the loop, which names the bad field, the last kind
+        # as not finite; finite fields whose sum overflows pass it
         try:
-            if math.isfinite(0.0 + self.x0 + self.y0 + self.theta0
-                             + self.x1 + self.y1 + self.theta1):
+            total = 0.0 + self.x0 + self.y0 + self.theta0 + self.x1 + self.y1 + self.theta1
+            if isinstance(total, float) and math.isfinite(total):
                 return
         except (TypeError, OverflowError):
             pass
         try:
             for name in ("x0", "y0", "theta0", "x1", "y1", "theta1"):
-                if not math.isfinite(getattr(self, name) + 0.0):
+                value = getattr(self, name) + 0.0
+                if not isinstance(value, float):
+                    raise TypeError
+                if not math.isfinite(value):
                     raise ValueError("HermiteData: %s must be finite" % name)
         except OverflowError:
             raise ValueError("HermiteData: %s must be finite" % name) from None
@@ -470,7 +471,10 @@ def build_clothoid(data: HermiteData, guess: str = DEFAULT_GUESS) -> FitResult:
     FitResult
         Curve (start pose, kappa, kappa_prime, L > 0) and diagnostics.
         Lines and circles fall out of the same computation with
-        kappa_prime = 0; no case split is involved.
+        kappa_prime = 0; no case split is involved.  The root A lies in
+        [-A_max, A_max] of `a_max_bound`, g changes sign across it and
+        h = X_0 > 0 there, and it moves continuously over the angle
+        square; it need not be the only such root.
 
     The corners are rejected before the first evaluation; the root
     bracket is formed only if a step lands beyond 2 max(|delta|,

@@ -54,10 +54,7 @@ import math
 from .fresnel import _PHASE_LIMIT, _fresnel_core
 
 __all__ = [
-    "EPSILON_A",
-    "LOMMEL_REL_TOL",
     "eval_xy",
-    "eval_xy_a_large",
     "eval_xy_a_small",
     "eval_xy_a_zero",
     "r_lommel",
@@ -73,7 +70,7 @@ EPSILON_A = 0.15
 # What "negligible" means for a double result of magnitude <= 1: the
 # small-|a| series stops once its first omitted factor falls below it
 # (`_series_order`), and a near-line curve's row polynomial once two of
-# its coefficients in a row do (`ClothoidCurve._build_taylor`).  Kummer's
+# its coefficients in a row do (`ClothoidCurve._build_rows`).  Kummer's
 # seed (`r_lommel`), whose former Lommel sums it is named after, does not
 # read it: it stops at the first step that leaves its sum unchanged.
 LOMMEL_REL_TOL = 1e-17

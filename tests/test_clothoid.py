@@ -1,4 +1,5 @@
 import cmath
+import copy
 import dataclasses
 import gc
 import math
@@ -302,8 +303,8 @@ def test_series_rows_against_mpmath():
         reach = min(10.0 * L, 0.999 * math.sqrt(EPSILON_A / abs(curve.kappa_prime)))
         cases += [(s, curve.point_at(s))
                   for s in across + list(map(float, rng.uniform(-reach, reach, 6)))]
-        on_polynomial += _caches(curve) == ["_taylor"]
-        assert _caches(curve) == (["_taylor"] if abs(curve.kappa * L) <= TAYLOR_TURN else [])
+        on_polynomial += _caches(curve) == "polynomial"
+        assert _caches(curve) == ("polynomial" if abs(curve.kappa * L) <= TAYLOR_TURN else None)
         for s, (x, y) in cases:
             assert abs(curve.kappa_prime * s * s) < EPSILON_A
             bound = CONTRACT_C * EPS * (max(L, abs(s)) + max(abs(curve.x0), abs(curve.y0)))
@@ -317,7 +318,7 @@ def test_row_polynomial_keeps_the_terms_its_tolerance_asks_for():
     # the coefficients c_n/(n + 1) of F(s)/s in t = s/L, against the same
     # recurrence in 40-digit mpmath: each kept one is right, the loop stops at
     # the first n with c_n and c_{n+1} both at most LOMMEL_REL_TOL, and the
-    # omitted tail is at most 4 LOMMEL_REL_TOL, as `_build_taylor` states
+    # omitted tail is at most 4 LOMMEL_REL_TOL, as `_build_rows` states
     mpmath = pytest.importorskip("mpmath")
     for curve in _series_curves():
         L = curve.L
@@ -325,7 +326,7 @@ def test_row_polynomial_keeps_the_terms_its_tolerance_asks_for():
         if abs(b) > TAYLOR_TURN:
             continue
         curve.point_at(0.5 * L)
-        taylor = curve._taylor[::-1]
+        taylor = curve._rows[1][::-1]
         with mpmath.workdps(40):
             c = [mpmath.mpf(0), mpmath.expj(curve.theta0)]
             for n in range(1, len(taylor) + 60):
@@ -380,47 +381,57 @@ def test_rows_take_the_square_and_the_end_takes_eval_xy(monkeypatch):
     fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=-2.5, L=2.0)
     curve = ClothoidCurve(**fields)
     rows = curve.sample(50)
-    assert calls == [(-10.0, 1.8, 0.7, 1)]
+    assert calls == [(-10.0, 1.8, 0.7, 1)] and _caches(curve) == "square"
     # points past [-L, L) take the same square, not a new one each
-    square = curve._square
+    square = curve._rows
     curve.point_at(5.0), curve.point_at(-3.0)
-    assert curve._square is square and len(calls) == 1
+    assert curve._rows is square and len(calls) == 1
     end = ClothoidCurve(**fields)
     calls.clear()
     assert end.point_at(2.0) == rows[-1][:2]
-    assert len(calls) == 1 and "_square" not in vars(end)
+    assert len(calls) == 1 and _caches(end) is None
     near_line = ClothoidCurve(**dict(fields, kappa_prime=0.03))
     calls.clear()
     near_line.sample(50)
     assert calls == [(0.12, 1.8, 0.7, 1)]
-    assert _caches(near_line) == ["_taylor"]
+    assert _caches(near_line) == "polynomial"
     past_the_bound = ClothoidCurve(**dict(fields, kappa=3.0, kappa_prime=0.03))
     calls.clear()
     past_the_bound.sample(50)
-    assert len(calls) == 49 and not _caches(past_the_bound)
+    assert len(calls) == 49 and _caches(past_the_bound) is None
 
 
 def _caches(curve):
-    """Names of the row caches the curve keeps."""
-    return [name for name in ("_square", "_taylor") if name in vars(curve)]
+    """The kind of rows the curve keeps: "square" (its first entry sigma =
+    +-1.0), "polynomial" (its first entry None), or None before any."""
+    rows = vars(curve).get("_rows")
+    if rows is None:
+        return None
+    assert rows[0] is None or rows[0] in (1.0, -1.0), rows
+    return "polynomial" if rows[0] is None else "square"
 
 
 def test_square_cache_is_invisible():
     # a curve on its completed square, and a near-line curve on its row
     # polynomial
     square = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=0.9, kappa_prime=-2.5, L=2.0)
-    for fields, cache in ((square, "_square"), (dict(square, kappa_prime=0.03), "_taylor")):
+    for fields, cache in ((square, "square"), (dict(square, kappa_prime=0.03), "polynomial")):
         first, sampled, twin = (ClothoidCurve(**fields) for _ in range(3))
         points = (0.0, 1e-3, -0.05, -2.0, 0.2, 1.5, 2.0)   # the cache below s = L, eval_xy at L
         before = [first.point_at(s) for s in points]
-        assert _caches(first) == [cache]
+        assert _caches(first) == cache
         rows = sampled.sample(41)
-        assert _caches(sampled) == [cache] and not _caches(twin)
+        assert _caches(sampled) == cache and _caches(twin) is None
         assert sampled == twin and hash(sampled) == hash(twin) and repr(sampled) == repr(twin)
         assert dataclasses.replace(sampled) == twin
-        assert not _caches(dataclasses.replace(sampled))
+        assert _caches(dataclasses.replace(sampled)) is None
         assert dataclasses.replace(sampled, L=3.0) == ClothoidCurve(**dict(fields, L=3.0))
-        assert pickle.loads(pickle.dumps(sampled)) == twin
+        # a curve pickles and copies as its six fields: equal bytes whether
+        # or not it has rows, and a copy or an unpickled curve keeps none
+        assert pickle.dumps(sampled) == pickle.dumps(twin) == pickle.dumps(first)
+        for copied in (pickle.loads(pickle.dumps(sampled)), copy.copy(sampled),
+                       copy.deepcopy(sampled)):
+            assert copied == twin and _caches(copied) is None
         # no dependence on call order: points first, rows first, or neither
         assert [sampled.point_at(s) for s in points] == before
         assert [first.point_at(s) for s in points] == before
@@ -456,7 +467,7 @@ def test_fits_never_build_the_square():
     for data in (HermiteData(0.0, 0.0, 0.3, 4.0, 1.0, -0.25),
                  HermiteData(0.0, 0.0, 0.01 * 0.5, 100.0, 0.0, -0.02 * 0.5)):
         curve = build_clothoid(data).curve
-        assert not _caches(curve)
+        assert _caches(curve) is None
 
 
 def test_square_scales_to_the_ends_of_the_double_range():
@@ -482,4 +493,4 @@ def test_overflowing_curve_stays_off_the_square():
     assert math.isclose(y, 1e300 * s * s * s / 6.0, rel_tol=1e-14)
     with pytest.raises(ValueError):
         curve.point_at(1e5)   # kappa_prime s^2 overflows
-    assert not _caches(curve)
+    assert _caches(curve) is None

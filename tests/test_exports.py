@@ -13,9 +13,21 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 _NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
 
 
+def _modules():
+    return [importlib.import_module("clothofit." + m.name)
+            for m in pkgutil.iter_modules(clothofit.__path__)]
+
+
 def test_every_export_is_named_in_the_readme():
+    # the package's exports and every module's: a module's name may be
+    # backticked bare, called or qualified by its module, `cli.main`
     text = README.read_text(encoding="utf-8")
     missing = [name for name in clothofit.__all__ if "`%s`" % name not in text]
+    names = {m.group(1) for m in map(_NAME.fullmatch, re.findall(r"`([^`\n]+)`", text)) if m}
+    for module in _modules():
+        short = module.__name__.rpartition(".")[2]
+        missing += ["%s.%s" % (short, name) for name in module.__all__
+                    if name not in names and "%s.%s" % (short, name) not in names]
     assert not missing, missing
 
 
@@ -23,10 +35,8 @@ def test_every_name_in_the_readme_exists():
     # the other direction: a README name must be the package, or an
     # attribute of it, of one of its modules, of an exported class or of
     # builtins
-    modules = [importlib.import_module("clothofit." + m.name)
-               for m in pkgutil.iter_modules(clothofit.__path__)]
     classes = [v for v in map(clothofit.__dict__.get, clothofit.__all__) if isinstance(v, type)]
-    namespaces = [clothofit, *modules, *classes, builtins]
+    namespaces = [clothofit, *_modules(), *classes, builtins]
 
     def resolves(name):
         head, *rest = name.split(".")
