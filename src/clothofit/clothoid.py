@@ -9,34 +9,35 @@ curvature kappa, the curvature rate kappa_prime and the length L:
 kappa_prime = 0 gives a circular arc, kappa = kappa_prime = 0 a straight
 segment; both evaluate through the same code path.
 
-`point_at(s)` takes one of three paths, by the curve's own
-A = kappa_prime L^2 and b = kappa L.  The first two read the curve's
-rows: one cache per curve, of the kind A and b pick, built once on first
-use by `_build_rows` and kept on the instance in the plain attribute
-`_rows` (not a dataclass field, so equality, hash, repr and
-`dataclasses.replace` ignore it; a curve without it reads the class's
-None, and no instance dict is read or made):
+`point_at(s)` follows one rule: an s in [-L, L) reads the curve's rows
+when it has them, and every other s, the curve's end s = L and the
+points past [-L, L) included, takes `eval_xy(kappa_prime s^2, kappa s,
+theta0, 1)`, as does every s on a curve without rows.  `_build_rows`
+alone picks the kind of rows, by the curve's own A = kappa_prime L^2 and
+b = kappa L; it builds them once on first use and keeps them on the
+instance in the plain attribute `_rows` (not a dataclass field, so
+equality, hash, repr and `dataclasses.replace` ignore it; a curve
+without it reads the class's None, and no instance dict is read or
+made):
 
-* EPSILON_A <= |A| < inf: every s != L comes from the curve's completed
-  square, the one `gfresnel._completed_square` that `eval_xy` shares,
-  taken at (A, b, theta0), then one Fresnel kernel call per point;
-* |A| < EPSILON_A and |b| <= _TAYLOR_TURN (2), a near line: every s in
-  [-L, L) comes from the curve's row polynomial, the Taylor coefficients
-  of F(s)/s in t = s/L, F(s) = (x(s) - x0) + i (y(s) - y0), then one
-  Horner sum per point, times s;
-* every other s, and every s on the other curves (|A| < EPSILON_A with
-  |b| > 2, or A overflowing to inf, where the square would read z = inf):
-  `eval_xy(kappa_prime s^2, kappa s, theta0, 1)`, its small-|a| series
-  wherever |kappa_prime s^2| < EPSILON_A, which keeps near-line and
-  near-circle curves fully accurate.
+* EPSILON_A <= |A| < inf: the curve's completed square, the one
+  `gfresnel._completed_square` that `eval_xy` shares, taken at (A, b,
+  theta0), then one Fresnel kernel call per point;
+* |A| < EPSILON_A and |b| <= _TAYLOR_TURN (2), a near line: the curve's
+  row polynomial, the Taylor coefficients of F(s)/s in t = s/L,
+  F(s) = (x(s) - x0) + i (y(s) - y0), then one Horner sum per point,
+  times s;
+* any other curve (|A| < EPSILON_A with |b| > 2, or A overflowing to
+  inf, where the square would read z = inf): no rows, and nothing kept.
 
-Once the rows are built, an s in [-L, L) goes straight to them without
-the checks on s, which cannot fail there.  The curve's own end, s = L,
-takes `eval_xy(A, b, theta0, 1)` on every curve, on purpose: these are
-the integrals the fitter's solve drove to its target, so
-`endpoint_residual` checks the fit independently of the rows, and a fit
-builds none.  A curve pickles and copies as its six fields, without its
-rows.
+`eval_xy` takes its small-|a| series wherever |kappa_prime s^2| <
+EPSILON_A, which keeps near-line and near-circle curves fully accurate.
+An s in [-L, L) on the rows skips the checks on s, which cannot fail
+there.  The end s = L is `eval_xy(A, b, theta0, 1)` on every curve, on
+purpose: these are the integrals the fitter's solve drove to its target,
+so `endpoint_residual` checks the fit independently of the rows, and a
+fit builds none.  A curve pickles and copies as its six fields, without
+its rows.
 
 Error contract: with eta = -kappa^2/(2 kappa_prime) and eps = 2^-52,
 each coordinate of point_at(s) is within
@@ -44,14 +45,15 @@ each coordinate of point_at(s) is within
     c eps (max(L, |s|) (1 + |eta|) + max(|x0|, |y0|)),    c = 8,
 
 of the exact point; on the row polynomial, and where `eval_xy` takes
-its series (|kappa_prime s^2| < EPSILON_A on the third path), within the
-same bound with eta replaced by 0.  Against 40-digit mpmath
-(`tests/oracles.py`) over 400 seeded curves with |kappa L| <= 60,
-EPSILON_A <= |kappa_prime L^2| <= 1e3 and |s| <= 10 L the worst c
-measured is 1.8 on the completed square and 1.1 at s = L, and 1.5 on the
-series over as many near-line twins.  Rounding eta costs eps |eta| of
-phase over a displacement of length |s| <= L, and differencing C and S
-at t(s) and t(0) costs about eps sqrt(pi/|kappa_prime|) <= 4.6 eps L.
+its series (|kappa_prime s^2| < EPSILON_A), within the same bound with
+eta replaced by 0.  Against 40-digit mpmath (`tests/oracles.py`) over
+400 seeded curves with |kappa L| <= 60 and EPSILON_A <= |kappa_prime
+L^2| <= 1e3 the worst c measured is 1.6 on the completed square across
+[-L, L), 1.6 at s = L and 1.4 on `eval_xy` past [-L, L) out to |s| =
+10 L, and 1.5 on the series over as many near-line twins.  On the
+square, rounding eta costs eps |eta| of phase over a displacement of
+length |s| <= L, and differencing C and S at t(s) and t(0) costs about
+eps sqrt(pi/|kappa_prime|) <= 4.6 eps L.
 On the row polynomial the worst c against 30-digit mpmath quadrature is
 0.90 over 800 seeded near-line curves with |kappa L| <= 2 (half of them
 at |kappa L| = 2, a third at |kappa_prime L^2| just under EPSILON_A),
@@ -62,6 +64,7 @@ at |kappa L| = 2, a third at |kappa_prime L^2| just under EPSILON_A),
 import math
 from dataclasses import dataclass
 
+from .errors import _check_fields
 from .fresnel import _fresnel_core
 from .gfresnel import EPSILON_A, LOMMEL_REL_TOL, _completed_square, eval_xy
 
@@ -96,32 +99,28 @@ class ClothoidCurve:
     L: float
 
     def __post_init__(self):
-        for name in ("x0", "y0", "theta0", "kappa", "kappa_prime", "L"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("ClothoidCurve: %s must be finite" % name)
+        _check_fields(self)
         if not self.L > 0.0:
             raise ValueError("ClothoidCurve: L must be positive, got %r" % (self.L,))
 
     def point_at(self, s: float):
-        """Position at arc length s, by one of three paths (module docstring).
+        """Position at arc length s, by the module docstring's one rule.
 
-        The curve's rows, built on first use by `_build_rows` and kept in
-        the plain attribute `_rows` (None until then; no instance dict is
-        read), are one of two kinds.  On a curve with EPSILON_A <=
-        |kappa_prime L^2| < inf they are its completed square, and every
-        s != L is one Fresnel kernel call at t(s) = w + (z/L) s,
-        differenced against t(0) = w.  On a near line, |kappa_prime L^2| <
-        EPSILON_A and |kappa L| <= _TAYLOR_TURN, they are its row
-        polynomial, and every s in [-L, L) is s times one Horner sum in s/L.
-        One lookup and one test of its first entry pick the kind.  Once the
-        rows are built, an s in [-L, L) skips the checks on s:
-        |kappa_prime s^2| and |kappa s| are at most the curve's own, which
-        the rows have passed.  Every other point, the curve's end s = L
-        included, is x0 + s X_0(kappa_prime s^2, kappa s, theta0) plus the
-        matching sine integral from `eval_xy`, whose small-|a| series keeps
-        near-line and near-circle curves fully accurate.  point_at(L) is
-        thus the end the fitter solved for, and a fit builds no rows.  The
-        same s gives the same bits whatever was called before it.
+        An s in [-L, L) takes `rows = self._rows or self._build_rows()`:
+        the rows once kept, or the kind `_build_rows` picks, builds and
+        keeps on first use (no instance dict is read).  On the completed
+        square an s is one Fresnel kernel call at t(s) = w + (z/L) s,
+        differenced against t(0) = w; on the row polynomial it is s times
+        one Horner sum in s/L; one test of the rows' first entry picks
+        which.  Such an s skips the checks on s: |kappa_prime s^2| and
+        |kappa s| are at most the curve's own, which the rows have passed.
+        Every other s, the curve's end s = L and the points past [-L, L)
+        included, and every s on a curve without rows, is checked and is
+        x0 + s X_0(kappa_prime s^2, kappa s, theta0) plus the matching sine
+        integral from `eval_xy`, whose small-|a| series keeps near-line and
+        near-circle curves fully accurate.  point_at(L) is thus the end the
+        fitter solved for, and a fit builds no rows.  The same s gives the
+        same bits whatever was called before it.
 
         s outside [0, L] extrapolates along the same spiral (the defining
         integrals are entire) while kappa_prime s^2 and kappa s stay
@@ -136,51 +135,43 @@ class ClothoidCurve:
         the series (module docstring).
         """
         L = self.L
-        # built rows mean |kappa_prime L^2| < inf and |kappa L| <= 1e150, so on
-        # [-L, L) kappa_prime s^2 and kappa s are finite and the checks below
-        # have nothing to find; the end s = L always takes them
-        inside = -L <= s < L
-        rows = self._rows if inside else None
-        if rows is None:
-            if not math.isfinite(s):
-                raise ValueError("point_at: s must be finite, got %r" % (s,))
-            kappa_prime = self.kappa_prime
-            a = kappa_prime * s * s
-            b = self.kappa * s
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r"
-                                 % (s,))
-            A = kappa_prime * L * L
-            # s != L first: a fit's point_at(L) pays two comparisons for the rows
-            if (s != L and EPSILON_A <= abs(A) < math.inf
-                    or inside and abs(A) < EPSILON_A and abs(self.kappa * L) <= _TAYLOR_TURN):
-                # past [-L, L) the square may be built already
-                rows = self._rows or self._build_rows()
-            else:
-                X, Y = eval_xy(a, b, self.theta0, 1)
-                return self.x0 + s * X[0], self.y0 + s * Y[0]
-        if rows[0] is None:
-            t = s / L
-            px = py = 0.0
-            for dx, dy in rows[1]:
-                px = px * t + dx
-                py = py * t + dy
-            return self.x0 + s * px, self.y0 + s * py
-        sigma, z_per_L, w, c0, s0, ux, uy = rows
-        c, sv, _, _ = _fresnel_core(w + z_per_L * s)
-        dc = c - c0
-        ds = sigma * (sv - s0)
-        return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
+        if -L <= s < L:
+            rows = self._rows or self._build_rows()
+            if rows is not None:
+                if rows[0] is None:
+                    t = s / L
+                    px = py = 0.0
+                    for dx, dy in rows[1]:
+                        px = px * t + dx
+                        py = py * t + dy
+                    return self.x0 + s * px, self.y0 + s * py
+                sigma, z_per_L, w, c0, s0, ux, uy = rows
+                c, sv, _, _ = _fresnel_core(w + z_per_L * s)
+                dc = c - c0
+                ds = sigma * (sv - s0)
+                return self.x0 + (ux * dc - uy * ds), self.y0 + (uy * dc + ux * ds)
+        if not math.isfinite(s):
+            raise ValueError("point_at: s must be finite, got %r" % (s,))
+        a = self.kappa_prime * s * s
+        b = self.kappa * s
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("point_at: kappa_prime s^2 or kappa s overflows at s = %r" % (s,))
+        X, Y = eval_xy(a, b, self.theta0, 1)
+        return self.x0 + s * X[0], self.y0 + s * Y[0]
 
     # None until `_build_rows` keeps the curve's rows on the instance;
     # unannotated, so not a dataclass field
     _rows = None
 
     def _build_rows(self):
-        """Build, keep and return the curve's rows, of the kind its own
-        A = kappa_prime L^2 and b = kappa L pick, in the plain attribute
-        `_rows`, set once here past the frozen dataclass's guard.
-        `point_at` calls it only on the two kinds of curve below.
+        """The one place that picks the curve's kind, by its own
+        A = kappa_prime L^2 and b = kappa L: build, keep and return its
+        rows, in the plain attribute `_rows`, set once here past the frozen
+        dataclass's guard, or return None and keep nothing on any other
+        curve (|A| < EPSILON_A with |b| > _TAYLOR_TURN, or A = inf).
+        `point_at` calls it for an s in [-L, L) while no rows are kept, so
+        on a curve without rows it runs, and allocates nothing, at each
+        such s.
 
         For EPSILON_A <= |A| < inf, the completed square: `_completed_square`
         at (A, b, theta0), in units of L so that every factor stays finite
@@ -202,11 +193,11 @@ class ClothoidCurve:
         L = self.L
         A = self.kappa_prime * L * L
         b = self.kappa * L
-        if abs(A) >= EPSILON_A:
+        if EPSILON_A <= abs(A) < math.inf:
             sigma, z, w, ce, se, c0, s0, _, _ = _completed_square(A, b, self.theta0)
             scale = L / z
             rows = (sigma, z / L, w, c0, s0, scale * ce, scale * se)
-        else:
+        elif abs(A) < EPSILON_A and abs(b) <= _TAYLOR_TURN:
             ib, ia = complex(0.0, b), complex(0.0, A)
             c_prev, c = 0j, complex(math.cos(self.theta0), math.sin(self.theta0))
             coefficients = []
@@ -223,6 +214,8 @@ class ClothoidCurve:
             # curve
             coefficients.reverse()
             rows = (None, tuple(coefficients))
+        else:
+            return None
         object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -245,13 +238,11 @@ class ClothoidCurve:
         The first row is the exact start pose and the last row is at
         s = L exactly, so it equals point_at(L), angle_at(L) and
         curvature_at(L).  Each row after the first is one `point_at` call,
-        so a row takes the path and meets the error contract of `point_at`
-        at its s: every row but the last reads the curve's one row cache,
-        its completed square on a curve with EPSILON_A <=
-        |kappa_prime L^2| < inf or its row polynomial on a near line with
-        |kappa L| <= _TAYLOR_TURN, and on any other curve each row is
-        `eval_xy`'s.  The last row is always `eval_xy`'s, the end the
-        fitter solved for.
+        so a row follows `point_at`'s one rule and meets its error
+        contract: every row but the last lies in [-L, L) and reads the
+        curve's rows, of the kind `_build_rows` picks, or `eval_xy` on a
+        curve without rows; the last row is always `eval_xy`'s, the end
+        the fitter solved for.
         """
         if not isinstance(n, int) or n < 2:
             raise ValueError("sample: n must be an int >= 2, got %r" % (n,))

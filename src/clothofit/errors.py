@@ -4,7 +4,12 @@ The CLI maps these onto distinct exit codes, so keep the hierarchy flat
 and stable: DegenerateInputError (3), ExcludedAngleError (4),
 ConvergenceError and its SingularDerivativeError subclass (5), and any
 other FitError, such as InternalConsistencyError (6).
+
+`_check_fields` is the one check of a record's numeric fields: the
+ValueError that `HermiteData` and `ClothoidCurve` raise for a bad field.
 """
+
+import math
 
 __all__ = [
     "FitError",
@@ -60,3 +65,29 @@ class InternalConsistencyError(FitError):
 
     This indicates a spurious root rather than bad user input.
     """
+
+
+def _check_fields(record):
+    """Raise a ValueError naming the first field of the dataclass `record`
+    that is not finite, or that does not add to a float.
+
+    Each field plus 0.0 must be a finite Python float (a subclass such as
+    numpy.float64 counts).  A non-finite field, or an int or Fraction past
+    the float range (OverflowError), is named as not finite.  A field that
+    raises TypeError (a Decimal), or that keeps the sum in its own type (a
+    numpy.float32, in which the arithmetic would run), is named as not a
+    float, int or Fraction.  The message starts with the record's class
+    name.  Returns None when every field passes; stored values are never
+    changed."""
+    try:
+        for name in record.__dataclass_fields__:
+            value = getattr(record, name) + 0.0
+            if not isinstance(value, float):
+                raise TypeError
+            if not math.isfinite(value):
+                raise OverflowError
+    except OverflowError:
+        raise ValueError("%s: %s must be finite" % (type(record).__name__, name)) from None
+    except TypeError:
+        raise ValueError("%s: %s must be a float, int or Fraction"
+                         % (type(record).__name__, name)) from None

@@ -23,9 +23,8 @@ evaluation.  The returned root lies inside [-A_max, A_max]
 given by `a_max_bound`.  A step that leaves twice that bracket,
 or a vanishing derivative, ends the solve with a `ConvergenceError`;
 neither has occurred on any angle pair tried.  The excluded corners are
-rejected before the first evaluation, but the bracket itself is formed
-only for a step that lands beyond 2 max(|delta|, 1): A_max >= |delta|,
-so a step inside that range cannot leave it.
+rejected before the first evaluation, and every evaluated step is held
+to the bracket.
 
 The public constructors and functions check their input.  The fit
 path checks each value once: `HermiteData` is the one check of the pose,
@@ -49,6 +48,7 @@ from .errors import (
     ExcludedAngleError,
     InternalConsistencyError,
     SingularDerivativeError,
+    _check_fields,
 )
 from .gfresnel import eval_xy
 
@@ -103,25 +103,15 @@ class HermiteData:
         # fit's arithmetic would reject later, unnamed) or keeps the sum in
         # its own type (a numpy.float32, in which the fit would run), and an
         # int or Fraction past the float range raises OverflowError.  Only a
-        # failed test runs the loop, which names the bad field, the last kind
-        # as not finite; finite fields whose sum overflows pass it
+        # failed test runs `_check_fields`, which names the bad field, the
+        # last kind as not finite; finite fields whose sum overflows pass it
         try:
             total = 0.0 + self.x0 + self.y0 + self.theta0 + self.x1 + self.y1 + self.theta1
             if isinstance(total, float) and math.isfinite(total):
                 return
         except (TypeError, OverflowError):
             pass
-        try:
-            for name in ("x0", "y0", "theta0", "x1", "y1", "theta1"):
-                value = getattr(self, name) + 0.0
-                if not isinstance(value, float):
-                    raise TypeError
-                if not math.isfinite(value):
-                    raise ValueError("HermiteData: %s must be finite" % name)
-        except OverflowError:
-            raise ValueError("HermiteData: %s must be finite" % name) from None
-        except TypeError:
-            raise ValueError("HermiteData: %s must be a float, int or Fraction" % name) from None
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -372,9 +362,9 @@ def _solve(phi0, phi1, guess):
     it: A - dA is returned with h - dA h' + dA^2/2 h'', its length to
     second order, so the fit needs no further evaluation.  `iterations`
     counts the evaluated steps (the solve makes iterations + 1
-    evaluations) and |g| is read at the last evaluated iterate.  A step
-    escapes beyond 2 max(A_max, 1); `a_max_bound` is called only for a
-    step beyond 2 max(|delta|, 1) <= 2 max(A_max, 1).
+    evaluations) and |g| is read at the last evaluated iterate.  Each
+    evaluated step reads A_max from `a_max_bound` and escapes if it lands
+    beyond 2 max(A_max, 1).
     """
     A = initial_guess(phi0, phi1, guess)
     _reject_corner(phi0, phi1)
@@ -401,14 +391,12 @@ def _solve(phi0, phi1, guess):
                 % (_MAX_ITER, abs(g)),
                 A=A, iterations=iterations, residual=abs(g),
             )
-        if abs(A - dA) > 2.0 * max(abs(delta), 1.0):
-            escape = 2.0 * max(a_max_bound(phi0, phi1), 1.0)
-            if abs(A - dA) > escape:
-                raise ConvergenceError(
-                    "the step from A=%.17g left the root bracket |A| <= %.17g"
-                    % (A, escape),
-                    A=A, iterations=iterations, residual=abs(g),
-                )
+        escape = 2.0 * max(a_max_bound(phi0, phi1), 1.0)
+        if abs(A - dA) > escape:
+            raise ConvergenceError(
+                "the step from A=%.17g left the root bracket |A| <= %.17g" % (A, escape),
+                A=A, iterations=iterations, residual=abs(g),
+            )
         A -= dA
         iterations += 1
     h = X[0]
@@ -474,14 +462,16 @@ def build_clothoid(data: HermiteData, guess: str = DEFAULT_GUESS) -> FitResult:
         kappa_prime = 0; no case split is involved.  The root A lies in
         [-A_max, A_max] of `a_max_bound`, g changes sign across it and
         h = X_0 > 0 there, and it moves continuously over the angle
-        square; it need not be the only such root.
+        square; it need not be the only such root, but it has the largest
+        h = r/L among them, the shortest curve (tested within a relative
+        1e-6).
 
-    The corners are rejected before the first evaluation; the root
-    bracket is formed only if a step lands beyond 2 max(|delta|,
-    1).  The fit skips the checks it has already made: it works on the
-    chord-frame floats without a `ReducedProblem`, and builds the curve
-    from values it has found finite, with L > 0, without running the
-    `ClothoidCurve` constructor.  That constructor, `reduce_problem` and
+    The corners are rejected before the first evaluation, and every
+    evaluated step is held to the root bracket.  The fit skips the
+    checks it has already made: it works on the chord-frame floats
+    without a `ReducedProblem`, and builds the curve from values it has
+    found finite, with L > 0, without running the `ClothoidCurve`
+    constructor.  That constructor, `reduce_problem` and
     `solve_A` keep every check; `FitResult`, which has none, is built by
     its own constructor.
     """

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -40,13 +41,22 @@ def test_validation():
     with pytest.raises(ValueError):
         LINE.point_at(math.nan)
     # a finite s whose kappa_prime s^2 or kappa s overflows has no point, on
-    # the curve's square (the first curve) as in eval_xy (the second); the
-    # error names s, not the arguments it would have become
+    # a curve with a square (the first) as on one without rows (the second):
+    # past [-L, L) both are checked before eval_xy, and the error names s,
+    # not the arguments it would have become
     for curve in (ClothoidCurve(0.0, 0.0, 0.0, 0.0, 1.0, 1.0),
                   ClothoidCurve(0.0, 0.0, 0.0, 1e200, 0.0, 1.0)):
         for s in (1e200, -1e200):
             with pytest.raises(ValueError, match=r"point_at: .* s = -?1e\+200$"):
                 curve.point_at(s)
+    # a field that does not fit in a float is named, as HermiteData names
+    # it: a numpy.float32 (its points would be float32), a Decimal (it would
+    # fail unnamed in point_at) and an int past the float range
+    for name, value, rule in (("x0", np.float32(0.3), "a float, int or Fraction"),
+                              ("kappa", Decimal(1), "a float, int or Fraction"),
+                              ("L", 10 ** 400, "finite")):
+        with pytest.raises(ValueError, match="^ClothoidCurve: %s must be %s$" % (name, rule)):
+            ClothoidCurve(**dict(dataclasses.asdict(LINE), **{name: value}))
     # the count and the type are refused with one message: np.int64(50)
     # is a count of 50, but not an int
     for n in (1, np.int64(50), 2.0):
@@ -223,11 +233,11 @@ def _square_curves():
 
 
 def test_point_at_on_the_completed_square_against_mpmath():
-    # every s != L on a curve with |kappa_prime L^2| >= EPSILON_A comes from
-    # the curve's completed square: rows on both sides of |kappa_prime s^2|
-    # = EPSILON_A (s = +-h) out to |s| = 10 L must meet the docstring's
-    # contract, and a square with sigma = sign kappa_prime flipped, or with
-    # eta's sign flipped, must not
+    # every s in [-L, L) on a curve with |kappa_prime L^2| >= EPSILON_A comes
+    # from the curve's completed square, and every other s from eval_xy:
+    # points on both sides of |kappa_prime s^2| = EPSILON_A (s = +-h) out to
+    # |s| = 10 L must meet the docstring's contract, and a square with sigma
+    # = sign kappa_prime flipped, or with eta's sign flipped, must not
     pytest.importorskip("mpmath")
     for curve in _square_curves():
         assert curve.point_at(0.0) == (curve.x0, curve.y0)
@@ -369,7 +379,8 @@ def test_rows_take_the_square_and_the_end_takes_eval_xy(monkeypatch):
     # integrals a fit solved for, and a fit's point_at(L) never builds the
     # square.  A near-line curve with |kappa L| <= _TAYLOR_TURN takes its rows
     # from its row polynomial and its end from eval_xy; one past the bound
-    # keeps eval_xy for every row and builds no cache
+    # keeps eval_xy for every row and builds no cache.  A point past [-L, L)
+    # is eval_xy's on every curve
     calls = []
     real = clothoid.eval_xy
 
@@ -382,10 +393,21 @@ def test_rows_take_the_square_and_the_end_takes_eval_xy(monkeypatch):
     curve = ClothoidCurve(**fields)
     rows = curve.sample(50)
     assert calls == [(-10.0, 1.8, 0.7, 1)] and _caches(curve) == "square"
-    # points past [-L, L) take the same square, not a new one each
+    # a point past [-L, L) is one eval_xy call, leaves the square as it was,
+    # and equals a fresh curve's point, which builds no rows, bit for bit
     square = curve._rows
-    curve.point_at(5.0), curve.point_at(-3.0)
-    assert curve._rows is square and len(calls) == 1
+    for s in (5.0, -3.0):
+        calls.clear()
+        point = curve.point_at(s)
+        assert calls == [(-2.5 * s * s, 0.9 * s, 0.7, 1)] and curve._rows is square
+        fresh = ClothoidCurve(**fields)
+        assert fresh.point_at(s) == point and _caches(fresh) is None
+    # s in [-L, 0) reads the rows too: s = -L on a fresh curve builds its
+    # square and makes no eval_xy call
+    start = ClothoidCurve(**fields)
+    calls.clear()
+    assert start.point_at(-2.0) == curve.point_at(-2.0)
+    assert calls == [] and _caches(start) == "square"
     end = ClothoidCurve(**fields)
     calls.clear()
     assert end.point_at(2.0) == rows[-1][:2]
@@ -441,10 +463,11 @@ def test_square_cache_is_invisible():
 
 
 def test_point_at_leaves_a_near_line_curve_no_larger():
-    # the caches are read from plain attributes, so point_at on a curve that
-    # builds neither (a near-line curve past the row polynomial's bound,
-    # kappa L = 6) allocates nothing that outlives the call (reading
-    # __dict__, or calling vars(), would give each curve an instance dict)
+    # the rows are read from a plain attribute, so point_at on a curve that
+    # has none (a near-line curve past the row polynomial's bound, kappa L =
+    # 6), where `_build_rows` runs on each call and keeps nothing, allocates
+    # nothing that outlives the call (reading __dict__, or calling vars(),
+    # would give each curve an instance dict)
     fields = dict(x0=0.3, y0=-1.2, theta0=0.7, kappa=3.0, kappa_prime=0.03, L=2.0)
     curves = [ClothoidCurve(**fields) for _ in range(2000)]
     ClothoidCurve(**fields).point_at(1.0)   # the first call may fill caches

@@ -1,4 +1,5 @@
-"""SHA-256 digests of seeded fits and sampled rows, of CLI outputs and of evaluations.
+"""SHA-256 digests of seeded fits and sampled rows, of CLI outputs, of evaluations
+and of points off the sampled range.
 
     python tools/fit_digest.py
 
@@ -43,6 +44,11 @@ k = 1, each solve iterate k = 5.  So the line reaches Kummer's seed
 below that order; it calls nothing but `eval_xy`, so this tool runs
 unchanged on a checkout whose seed has another signature.  Prints the
 digest, then the number of evaluations.
+
+A fourth line hashes `point_at` at s = -L, -L/2, 1.5 L and 4 L, in
+OFF_SAMPLE units of L, on every curve the first line fits: points that
+`sample` never reads, before the start and past the end.  Prints the
+digest, then the number of points.
 """
 
 import contextlib
@@ -69,6 +75,7 @@ SEED = 20131
 COUNT = 15000
 NEAR_COUNT = 3200
 EVAL_COUNT = 4000
+OFF_SAMPLE = (-1.0, -0.5, 1.5, 4.0)
 
 POSE = ["--x0", "-1e-3", "--y0", "0", "--theta0", "0.3",
         "--x1", "4", "--y1", "1", "--theta1", "-2.5E-1"]
@@ -121,8 +128,10 @@ def poses():
 
 
 def digest():
-    """(hex digest, fits, rows) over the four families."""
+    """(hex digest, fits, rows, points' hex digest, points) over the four
+    families."""
     h = hashlib.sha256()
+    h_points = hashlib.sha256()
     fits = rows = 0
     for pose in poses():
         try:
@@ -139,7 +148,9 @@ def digest():
         h.update((" ".join(float(v).hex() for v in values) + "\n").encode())
         fits += 1
         rows += len(sampled)
-    return h.hexdigest(), fits, rows
+        points = [v for f in OFF_SAMPLE for v in c.point_at(f * c.L)]
+        h_points.update((" ".join(v.hex() for v in points) + "\n").encode())
+    return h.hexdigest(), fits, rows, h_points.hexdigest(), fits * len(OFF_SAMPLE)
 
 
 def _run_cli(argv):
@@ -198,6 +209,8 @@ def eval_digest():
 
 
 if __name__ == "__main__":
-    print("%s  %d fits, %d rows" % digest())
+    fits_hex, fits, rows, points_hex, points = digest()
+    print("%s  %d fits, %d rows" % (fits_hex, fits, rows))
     print("%s  %d cli invocations" % cli_digest())
     print("%s  %d evaluations" % eval_digest())
+    print("%s  %d points" % (points_hex, points))
