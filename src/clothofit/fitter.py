@@ -19,10 +19,11 @@ stop: once |dA| is at most 2e-6 max(1, |A|), that last step is taken
 from those values without evaluating it.  The default guess, a degree-8
 surface, lands within that stop on 99.1% of a 256x256 grid of the angle
 range and one evaluated step from it on the rest: most fits make one
-evaluation.  The returned root lies inside [-A_max, A_max]
-given by `a_max_bound`.  A step that leaves twice that bracket,
-or a vanishing derivative, ends the solve with a `ConvergenceError`;
-neither has occurred on any angle pair tried.  The excluded corners are
+evaluation.  The returned root is the one root of g with h > 0 in the
+paper's interval sign(phi0 + phi1) [0, A_max], A_max from `a_max_bound`.
+A step that leaves twice [-A_max, A_max], or a vanishing derivative,
+ends the solve with a `ConvergenceError`; neither has occurred on any
+angle pair tried.  The excluded corners are
 rejected before the first evaluation, and every evaluated step is held
 to the bracket.
 
@@ -322,13 +323,17 @@ def _reject_corner(phi0, phi1):
 
 
 def a_max_bound(phi0: float, phi1: float) -> float:
-    """Half-width of [-A_max, A_max], the interval that contains the returned root.
+    """A_max of the paper's interval sign(phi0 + phi1) [0, A_max], which
+    isolates the returned root.
 
-    The tests check, on uniform and on corner-biased angle pairs, that the
-    solve's A lies inside it, with g changing sign across A and h = X_0 > 0
-    there.  It need not isolate that root: scans of g over the interval
-    find a second sign change with h > 0 on 50 of 400 uniform pairs, and
-    on 160 of 600 pairs half of which lie within 1e-1 of the corners.
+    The tests check, on uniform and on corner-biased angle pairs, that g
+    has exactly one sign change with h = X_0 > 0 on that half-interval and
+    that the solve returns it.  Where |phi0 + phi1| <= 1e-15 the root is
+    within rounding of A = 0 (|A| <= 2e-15 tested) and its sign is
+    rounding; at phi0 + phi1 = 0 the solve returns A = 0.0.  The mirror
+    half, -sign(phi0 + phi1) [0, A_max], can hold a second root with
+    h > 0: scans find one on 50 of 400 uniform pairs, and on 160 of 600
+    pairs half of which lie within 1e-1 of the corners.
 
     The paper's A_max = |delta| + 2 theta_max (1 + sqrt(1 + |delta|/theta_max)),
     written without the division as
@@ -459,12 +464,13 @@ def build_clothoid(data: HermiteData, guess: str = DEFAULT_GUESS) -> FitResult:
     FitResult
         Curve (start pose, kappa, kappa_prime, L > 0) and diagnostics.
         Lines and circles fall out of the same computation with
-        kappa_prime = 0; no case split is involved.  The root A lies in
-        [-A_max, A_max] of `a_max_bound`, g changes sign across it and
-        h = X_0 > 0 there, and it moves continuously over the angle
-        square; it need not be the only such root, but it has the largest
-        h = r/L among them, the shortest curve (tested within a relative
-        1e-6).
+        kappa_prime = 0; no case split is involved.  The root A is the
+        one sign change of g with h = X_0 > 0 in the paper's interval
+        sign(phi0 + phi1) [0, A_max] of `a_max_bound` (within rounding of
+        0 where |phi0 + phi1| <= 1e-15), and it moves continuously over
+        the angle square.  Among the roots with h > 0 in [-A_max, A_max]
+        it has the largest h = r/L, the shortest curve (tested within a
+        relative 1e-6).
 
     The corners are rejected before the first evaluation, and every
     evaluated step is held to the root bracket.  The fit skips the

@@ -59,6 +59,7 @@ def test_accuracy_against_scipy():
     # an independent implementation, so agreement pins both.
     ts = np.concatenate([
         np.linspace(1e-3, 10.0, 797),
+        [1.0, 1.0000000001, 0.9999999999],   # switch between the series pieces
         [1.6, 1.6000000001, 1.5999999999],   # series/asymptotic switch
     ])
     for t in ts:
@@ -70,11 +71,12 @@ def test_accuracy_against_scipy():
 
 def test_accuracy_against_mpmath():
     # 30-digit oracle at kernel precision, weighted to both sides of the
-    # series/asymptotic switch at 1.6
+    # switch between the series pieces at 1 and of the series/asymptotic
+    # switch at 1.6
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     rng = np.random.default_rng(1305)
-    ts = np.concatenate([10.0 ** rng.uniform(-3.0, 1.0, 200),
+    ts = np.concatenate([10.0 ** rng.uniform(-3.0, 1.0, 200), rng.uniform(0.9, 1.1, 100),
                          rng.uniform(1.4, 1.6, 100), rng.uniform(1.6, 1.8, 100)])
     for t in ts:
         t = float(t)
@@ -108,15 +110,18 @@ def test_kernel_phase_against_mpmath():
         assert core(t)[2:] == (None, None), t
 
 
-def test_series_tables_regenerate_from_mpmath():
-    # the stored pairs are the Chebyshev interpolants at 12 first-kind
-    # nodes on w = u^2 in [0, ((pi/2) 1.6^2)^2] of the Maclaurin series of
-    # C/t and S/(t u), solved in 50 digits and rounded to doubles
-    mpmath = pytest.importorskip("mpmath")
-    table = importlib.import_module("clothofit.fresnel")._CS_SS
-    n = len(table)
+# the series pieces: each table, the number of its Chebyshev nodes and the
+# |t| range it serves
+SERIES_PIECES = (("_CS_SS_UNIT", 8, 0.0, "1"), ("_CS_SS", 12, 1.0, "1.6"))
+
+
+def _check_series_table(mpmath, table, n, t_max):
+    """The stored pairs are the Chebyshev interpolants at n first-kind nodes
+    on w = u^2 in [0, ((pi/2) t_max^2)^2] of the Maclaurin series of C/t and
+    S/(t u), solved in 50 digits and rounded to doubles, within 2 ulp."""
+    assert len(table) == n
     with mpmath.workdps(50):
-        w_max = (mpmath.pi / 2 * mpmath.mpf("1.6") ** 2) ** 2
+        w_max = (mpmath.pi / 2 * mpmath.mpf(t_max) ** 2) ** 2
         ws = [w_max / 2 * (1 + mpmath.cos(mpmath.pi * (j + 0.5) / n)) for j in range(n)]
         vandermonde = mpmath.matrix([[w ** i for i in range(n)] for w in ws])
         for col, odd in ((0, 0), (1, 1)):
@@ -128,7 +133,15 @@ def test_series_tables_regenerate_from_mpmath():
             for i in range(n):
                 ref = float(coef[i])
                 stored = table[n - 1 - i][col]
-                assert abs(stored - ref) <= 2 * math.ulp(ref), (col, i, stored, ref)
+                assert abs(stored - ref) <= 2 * math.ulp(ref), (t_max, col, i, stored, ref)
+
+
+def test_series_tables_regenerate_from_mpmath():
+    # both pieces: 8 nodes up to t = 1, 12 up to t = 1.6
+    mpmath = pytest.importorskip("mpmath")
+    kernel = importlib.import_module("clothofit.fresnel")
+    for name, n, _, t_max in SERIES_PIECES:
+        _check_series_table(mpmath, getattr(kernel, name), n, t_max)
 
 
 def test_series_branch_dense_against_mpmath():
@@ -143,29 +156,41 @@ def test_series_branch_dense_against_mpmath():
 
 
 def test_continuity_across_the_series_switch():
-    below = fresnel(1.6)
-    above = fresnel(math.nextafter(1.6, 2.0))
-    for lo, hi in zip(below, above):
-        assert abs(hi - lo) <= 4 * math.ulp(lo), (below, above)
+    # the step from t to the next double across each switch, less the
+    # integrals' own change cos u dt and sin u dt over it: at t = 1, where
+    # S' = 1, that change alone is 4 ulp of S
+    for t in (1.0, 1.6):
+        dt = math.nextafter(t, 2.0) - t
+        u = 0.5 * math.pi * t * t
+        below = fresnel(t)
+        above = fresnel(t + dt)
+        for lo, hi, slope in zip(below, above, (math.cos(u), math.sin(u))):
+            assert abs(hi - lo - slope * dt) <= 4 * math.ulp(lo), (t, below, above)
 
 
 def test_series_branch_matches_a_horner_loop_over_the_table():
-    # the unrolled sums must equal a plain Horner loop over _CS_SS, the
-    # table test_series_tables_regenerate_from_mpmath checks, bit for bit
+    # on each piece, lo < |t| <= hi, the unrolled sums must equal a plain
+    # Horner loop over that piece's table, the one
+    # test_series_tables_regenerate_from_mpmath checks, bit for bit
     kernel = importlib.import_module("clothofit.fresnel")
     rng = np.random.default_rng(1601)
-    for t in rng.uniform(-1.6, 1.6, 2000):
-        x = abs(float(t))
-        u = 0.5 * math.pi * x * x
-        w = u * u
-        cc = sv = 0.0
-        for p, q in kernel._CS_SS:
-            cc = cc * w + p
-            sv = sv * w + q
-        ref = (cc * x, sv * (x * u))
-        if t < 0.0:
-            ref = (-ref[0], -ref[1])
-        assert fresnel(float(t)) == ref, t
+    for name, _, lo, hi in SERIES_PIECES:
+        hi = float(hi)
+        ts = rng.uniform(lo, hi, 2000) * rng.choice([-1.0, 1.0], 2000)
+        for t in np.concatenate([ts, [hi, -hi]]).tolist():
+            x = abs(t)
+            if not lo < x <= hi:
+                continue
+            u = 0.5 * math.pi * x * x
+            w = u * u
+            cc = sv = 0.0
+            for p, q in getattr(kernel, name):
+                cc = cc * w + p
+                sv = sv * w + q
+            ref = (cc * x, sv * (x * u))
+            if t < 0.0:
+                ref = (-ref[0], -ref[1])
+            assert fresnel(t) == ref, (name, t)
 
 
 def test_asymptotic_branch_matches_separate_horner_sums():
