@@ -5,18 +5,21 @@ The pi/2-normalized convention is used throughout:
     C(t) = int_0^t cos(pi/2 u^2) du,      S(t) = int_0^t sin(pi/2 u^2) du.
 
 With u = (pi/2) t^2 and w = u^2, C/t and S/(t u) are polynomials in w
-for |t| <= 1.6, in two pieces, each summed by one unrolled Horner
+for |t| <= 1.6, in three pieces, each summed by one unrolled Horner
 expression per column of its table:
 
-* |t| <= 1, where most calls land: degree 7, `_CS_SS_UNIT`, the
-  Chebyshev interpolant at 8 first-kind nodes on w in [0, (pi/2)^2];
+* |t| <= 0.6, where most of a sampled curve's calls land: degree 5,
+  `_CS_SS_SMALL`, the Chebyshev interpolant at 6 first-kind nodes on
+  w in [0, ((pi/2) 0.6^2)^2];
+* 0.6 < |t| <= 1: degree 7, `_CS_SS_UNIT`, the interpolant at 8 nodes
+  on w in [0, (pi/2)^2];
 * 1 < |t| <= 1.6: degree 11, `_CS_SS`, the interpolant at 12 nodes on
   w in [0, ((pi/2) 1.6^2)^2].
 
 Each interpolates the Maclaurin series, solved in 50-digit mpmath,
 converted to monomials and rounded to doubles.  Against 30-digit mpmath
 over t = 0.001..1.6 in steps of 0.001 both integrals stay within 3.8e-16
-relative on the first piece and 8e-16 on the second.  Beyond, the
+relative on the first two pieces and 8e-16 on the third.  Beyond, the
 asymptotic form
 
     C(t) = 1/2 + f(t) sin u - g(t) cos u
@@ -25,11 +28,15 @@ asymptotic form
 takes f and g as rationals in 1/(pi t^2)^2 (Cephes fresnl coefficients),
 whose four polynomials are unrolled the same way.  Both branches are
 within 2e-15 relative of 30-digit mpmath on [1e-3, 10].  The kernel
-`_fresnel_core` returns sin u and cos u beside C and S, the phase
-carried in two doubles up to |t| = 1e150: `gfresnel`'s large-|a| path
-reads both ends of its completed square straight from it, forms its
-orders 1 and 2 from them and turns the result by the square's phase and
-the offset c at once.
+`_fresnel_core(t, phase)` returns sin u and cos u beside C and S, the
+phase carried in two doubles up to |t| = 1e150, and None for both past
+it.  On the series branch it computes them only on request (`phase`
+true) and returns None for both otherwise, with C and S the same bits
+either way: only `gfresnel`'s large-|a| path at k >= 2 asks, reading
+both ends of its completed square straight from the kernel to form its
+orders 1 and 2 and turning the result by the square's phase and the
+offset c at once.  A curve's square rows, every k = 1 evaluation and
+`fresnel` itself read C and S alone.
 """
 
 import math
@@ -37,7 +44,9 @@ import math
 __all__ = ["fresnel"]
 
 _SERIES_CUTOFF = 1.6
-# Up to this |t| the series sums the shorter _CS_SS_UNIT.
+# The series sums _CS_SS_SMALL up to the first |t|, _CS_SS_UNIT up to the
+# second and _CS_SS up to _SERIES_CUTOFF.
+_SMALL_CUTOFF = 0.6
 _UNIT_CUTOFF = 1.0
 # The two-double phase (pi/2) t^2 overflows for |t| > ~1.16e150; past
 # this both integrals are 1/2 within 1/(pi t) < 1e-150.
@@ -65,7 +74,7 @@ _CS_SS = (
     (-0.09999999999999998, -0.023809523809523808),
     (1.0, 0.3333333333333333),
 )
-# The same pairs for |t| <= 1, degree 7.
+# The same pairs built for |t| <= 1, degree 7, summed for 0.6 < |t| <= 1.
 _CS_SS_UNIT = (
     (-3.8149007919097956e-13, -2.388754324285278e-14),
     (8.345099849550286e-11, 5.944679465674861e-12),
@@ -75,6 +84,15 @@ _CS_SS_UNIT = (
     (0.004629629629603572, 0.0007575757575743082),
     (-0.09999999999999694, -0.023809523809523638),
     (0.9999999999999999, 0.3333333333333333),
+)
+# The same pairs for |t| <= 0.6, degree 5.
+_CS_SS_SMALL = (
+    (-1.304264964914303e-08, -1.0835303996288288e-09),
+    (1.4588881887088392e-06, 1.450364763047991e-07),
+    (-0.00010683760207904095, -1.322751288840735e-05),
+    (0.004629629629273068, 0.0007575757575503476),
+    (-0.09999999999999022, -0.023809523809523114),
+    (1.0, 0.3333333333333333),
 )
 
 # Cephes rational fits for the auxiliary functions, highest degree first.
@@ -117,6 +135,8 @@ _GD = (
  (_C5, _S5), (_C4, _S4), (_C3, _S3), (_C2, _S2), (_C1, _S1), (_C0, _S0)) = _CS_SS
 ((_UC7, _US7), (_UC6, _US6), (_UC5, _US5), (_UC4, _US4),
  (_UC3, _US3), (_UC2, _US2), (_UC1, _US1), (_UC0, _US0)) = _CS_SS_UNIT
+((_SC5, _SS5), (_SC4, _SS4), (_SC3, _SS3),
+ (_SC2, _SS2), (_SC1, _SS1), (_SC0, _SS0)) = _CS_SS_SMALL
 _FN9, _FN8, _FN7, _FN6, _FN5, _FN4, _FN3, _FN2, _FN1, _FN0 = _FN
 _FD9, _FD8, _FD7, _FD6, _FD5, _FD4, _FD3, _FD2, _FD1, _FD0 = _FD[1:]
 _GN10, _GN9, _GN8, _GN7, _GN6, _GN5, _GN4, _GN3, _GN2, _GN1, _GN0 = _GN
@@ -154,15 +174,23 @@ def _phase_sincos(x):
     return sh * ct + ch * st, ch * ct - sh * st
 
 
-def _fresnel_core(t):
+def _fresnel_core(t, phase=False):
     """C(t), S(t), sin u, cos u with u = (pi/2) t^2, for unchecked finite t.
-    Past _PHASE_LIMIT, where the phase overflows, sin u and cos u are None."""
+
+    The series branch computes sin u and cos u only when `phase` is true
+    and returns None for both otherwise; C and S are the same bits either
+    way.  The asymptotic branch needs the pair for C and S and returns it
+    regardless.  Past _PHASE_LIMIT, where the phase overflows, sin u and
+    cos u are None."""
     x = abs(t)
     if x <= _SERIES_CUTOFF:
         u = 0.5 * math.pi * x * x
         w = u * u
         # S's last factor is (x * u): (...) * x * u rounds differently
-        if x <= _UNIT_CUTOFF:
+        if x <= _SMALL_CUTOFF:
+            cc = (_SC0 + w * (_SC1 + w * (_SC2 + w * (_SC3 + w * (_SC4 + w * _SC5))))) * x
+            sv = (_SS0 + w * (_SS1 + w * (_SS2 + w * (_SS3 + w * (_SS4 + w * _SS5))))) * (x * u)
+        elif x <= _UNIT_CUTOFF:
             cc = (_UC0 + w * (_UC1 + w * (_UC2 + w * (_UC3 + w * (
                 _UC4 + w * (_UC5 + w * (_UC6 + w * _UC7))))))) * x
             sv = (_US0 + w * (_US1 + w * (_US2 + w * (_US3 + w * (
@@ -172,7 +200,7 @@ def _fresnel_core(t):
                 _C6 + w * (_C7 + w * (_C8 + w * (_C9 + w * (_C10 + w * _C11))))))))))) * x
             sv = (_S0 + w * (_S1 + w * (_S2 + w * (_S3 + w * (_S4 + w * (_S5 + w * (
                 _S6 + w * (_S7 + w * (_S8 + w * (_S9 + w * (_S10 + w * _S11))))))))))) * (x * u)
-        s, c = math.sin(u), math.cos(u)
+        s, c = (math.sin(u), math.cos(u)) if phase else (None, None)
     elif x > _PHASE_LIMIT:
         h = math.copysign(0.5, t)
         return h, h, None, None

@@ -156,7 +156,7 @@ def eval_xy_a_zero(b: float, k: int):
     return I
 
 
-def _completed_square(a: float, b: float, c: float):
+def _completed_square(a: float, b: float, c: float, phase: bool = False):
     """Complete the square of the phase (a/2) tau^2 + b tau + c, a != 0.
 
     With sigma = sign a, z = sigma sqrt(|a|/pi), w = b/sqrt(pi |a|) and
@@ -169,8 +169,11 @@ def _completed_square(a: float, b: float, c: float):
     dC = C(w + z T) - C(w) and dS likewise: `eval_xy_a_large` takes
     T = 1, a curve's `point_at` T = s/L at (kappa_prime L^2, kappa L,
     theta0).  Returns sigma, z, w, the turn e^{i eta} e^{i c} as two
-    reals, and `_fresnel_core(w)`: C(w), S(w), sin u, cos u.  Exact for
-    any a != 0; the phase needs |b| <= 1e150.
+    reals, and `_fresnel_core(w, phase)`: C(w), S(w), sin u, cos u, the
+    last two None on the kernel's series branch unless `phase` is true.
+    Only `eval_xy_a_large` at k >= 2 asks for them; a curve's rows and
+    k = 1 read C(w) and S(w) alone.  Exact for any a != 0; the phase
+    needs |b| <= 1e150.
     """
     if a == 0.0:
         raise ValueError("completed square: a = 0 belongs to the series path")
@@ -184,7 +187,7 @@ def _completed_square(a: float, b: float, c: float):
     eta = -b * b / (2.0 * a)
     ce0, se0 = math.cos(eta), math.sin(eta)
     cc, sc = math.cos(c), math.sin(c)
-    return (sigma, z, w, ce0 * cc - se0 * sc, se0 * cc + ce0 * sc) + _fresnel_core(w)
+    return (sigma, z, w, ce0 * cc - se0 * sc, se0 * cc + ce0 * sc) + _fresnel_core(w, phase)
 
 
 def eval_xy_a_large(a: float, b: float, c: float, k: int):
@@ -193,7 +196,8 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
     The completed square (`_completed_square`) maps the integrals onto
     momenta differences between omega_minus = w and omega_plus = w + z,
     turned by e^{i eta} e^{i c}.  One Fresnel kernel call per end gives
-    C, S, sin and cos there, from which orders 1 and 2 follow:
+    C and S there, and for k >= 2 also sin and cos (k = 1 does not ask
+    for them), from which orders 1 and 2 follow:
     dC_1 = (sin u_+ - sin u_-)/pi, dS_1 = (cos u_- - cos u_+)/pi.
     Orders 3 and 4 follow, with no further kernel call, from the shifted
     momenta P_j = int_w^{w+z} (u - w)^j cos or sin((pi/2) u^2) du, which
@@ -211,9 +215,11 @@ def eval_xy_a_large(a: float, b: float, c: float, k: int):
     within 5e-10 of mpmath; at (a, b) = (0.2, 60) order 4 is off by
     1.9e-6.  `eval_xy` handles the switch and checks the inputs.
     """
-    sigma, z, wm, ce, se, cm, sm, sin_m, cos_m = _completed_square(a, b, c)
+    # orders 1..4 read sin u and cos u at both ends; order 0 alone does not
+    phase = k > 1
+    sigma, z, wm, ce, se, cm, sm, sin_m, cos_m = _completed_square(a, b, c, phase)
     wp = wm + z
-    cp, sp, sin_p, cos_p = _fresnel_core(wp)
+    cp, sp, sin_p, cos_p = _fresnel_core(wp, phase)
     sce = sigma * ce
     sse = sigma * se
     dC0 = cp - cm

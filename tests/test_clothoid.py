@@ -211,11 +211,13 @@ def test_point_at_large_turning_against_quadrature():
     assert abs(y - yq) <= 1e-12 * curve.L
 
 
-def _square_curves():
-    """Seeded curves far from a line, |kappa_prime L^2| >= EPSILON_A."""
-    rng = np.random.default_rng(1301)
+def _square_curves(seed=1301, count=24):
+    """Seeded curves far from a line, |kappa_prime L^2| >= EPSILON_A: the
+    first four near circles, then |kappa L| <= 3 on odd i and <= 60 on
+    even i."""
+    rng = np.random.default_rng(seed)
     curves = []
-    for i in range(24):
+    for i in range(count):
         L = float(10.0 ** rng.uniform(-1.0, 1.0))
         if i < 4:
             # near circles: |kappa/kappa_prime| = |kappa L|/|kappa_prime L^2| L >= 300 L

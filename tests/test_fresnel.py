@@ -59,7 +59,8 @@ def test_accuracy_against_scipy():
     # an independent implementation, so agreement pins both.
     ts = np.concatenate([
         np.linspace(1e-3, 10.0, 797),
-        [1.0, 1.0000000001, 0.9999999999],   # switch between the series pieces
+        [0.6, 0.6000000001, 0.5999999999],   # switches between the series pieces
+        [1.0, 1.0000000001, 0.9999999999],
         [1.6, 1.6000000001, 1.5999999999],   # series/asymptotic switch
     ])
     for t in ts:
@@ -71,13 +72,14 @@ def test_accuracy_against_scipy():
 
 def test_accuracy_against_mpmath():
     # 30-digit oracle at kernel precision, weighted to both sides of the
-    # switch between the series pieces at 1 and of the series/asymptotic
-    # switch at 1.6
+    # switches between the series pieces at 0.6 and 1 and of the
+    # series/asymptotic switch at 1.6
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     rng = np.random.default_rng(1305)
     ts = np.concatenate([10.0 ** rng.uniform(-3.0, 1.0, 200), rng.uniform(0.9, 1.1, 100),
-                         rng.uniform(1.4, 1.6, 100), rng.uniform(1.6, 1.8, 100)])
+                         rng.uniform(1.4, 1.6, 100), rng.uniform(1.6, 1.8, 100),
+                         rng.uniform(0.5, 0.7, 100)])
     for t in ts:
         t = float(t)
         tm = mpmath.mpf(t)
@@ -100,19 +102,43 @@ def test_kernel_phase_against_mpmath():
         for t in np.concatenate([ts, -ts]):
             t = float(t)
             u = mpmath.pi / 2 * mpmath.mpf(t) ** 2
-            _, _, sin_u, cos_u = core(t)
+            _, _, sin_u, cos_u = core(t, True)
             assert abs(sin_u - mpmath.sin(u)) <= 1e-15, t
             assert abs(cos_u - mpmath.cos(u)) <= 1e-15, t
     # the phase fits in two doubles up to |t| = 1e150 and is None past it
     for t in (1e150, -1e150):
-        assert all(math.isfinite(v) for v in core(t))
+        assert all(math.isfinite(v) for v in core(t, True))
     for t in (math.nextafter(1e150, math.inf), -math.nextafter(1e150, math.inf), 1e200):
-        assert core(t)[2:] == (None, None), t
+        assert core(t, True)[2:] == (None, None), t
+
+
+def test_phase_request_leaves_c_and_s_alone():
+    # sin u and cos u are computed on the series branch only when asked
+    # for, and are None there otherwise; C and S are the same bits either
+    # way, through all three switches, on the asymptotic branch and past
+    # the phase limit, for both signs
+    core = importlib.import_module("clothofit.fresnel")._fresnel_core
+    rng = np.random.default_rng(3701)
+    ts = [0.0, 0.6, 1.0, 1.6, 1e150, 1e200]
+    for switch in (0.6, 1.0, 1.6, 1e150):
+        lo = hi = switch
+        for _ in range(20):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            ts += [lo, hi]
+    ts += rng.uniform(0.0, 1.8, 3000).tolist() + (10.0 ** rng.uniform(0.2, 200.0, 500)).tolist()
+    for t in ts + [-t for t in ts]:
+        quiet, read = core(t), core(t, True)
+        assert quiet[:2] == read[:2], t
+        if abs(t) <= 1.6:
+            assert quiet[2:] == (None, None) and None not in read, t
+        else:
+            assert quiet[2:] == read[2:], t
 
 
 # the series pieces: each table, the number of its Chebyshev nodes and the
 # |t| range it serves
-SERIES_PIECES = (("_CS_SS_UNIT", 8, 0.0, "1"), ("_CS_SS", 12, 1.0, "1.6"))
+SERIES_PIECES = (("_CS_SS_SMALL", 6, 0.0, "0.6"), ("_CS_SS_UNIT", 8, 0.6, "1"),
+                 ("_CS_SS", 12, 1.0, "1.6"))
 
 
 def _check_series_table(mpmath, table, n, t_max):
@@ -137,7 +163,7 @@ def _check_series_table(mpmath, table, n, t_max):
 
 
 def test_series_tables_regenerate_from_mpmath():
-    # both pieces: 8 nodes up to t = 1, 12 up to t = 1.6
+    # all three pieces: 6 nodes up to t = 0.6, 8 up to t = 1, 12 up to t = 1.6
     mpmath = pytest.importorskip("mpmath")
     kernel = importlib.import_module("clothofit.fresnel")
     for name, n, _, t_max in SERIES_PIECES:
@@ -159,7 +185,7 @@ def test_continuity_across_the_series_switch():
     # the step from t to the next double across each switch, less the
     # integrals' own change cos u dt and sin u dt over it: at t = 1, where
     # S' = 1, that change alone is 4 ulp of S
-    for t in (1.0, 1.6):
+    for t in (0.6, 1.0, 1.6):
         dt = math.nextafter(t, 2.0) - t
         u = 0.5 * math.pi * t * t
         below = fresnel(t)

@@ -401,8 +401,9 @@ def test_orders_3_and_4_against_mpmath(monkeypatch):
     # call: orders 3 and 4 within 1e-8 and J2 within 1e-6 relative of
     # 30-digit mpmath, at the points fits visit (generic poses from the
     # default and linear guesses, near-line and near-circle poses), on
-    # both sides of the switch, and at a = 0; there every k = 2..4 call
-    # is that k = 5 call cut to k entries
+    # both sides of the switch, and at a = 0; there every k = 2..4 call,
+    # and on the large-|a| path every k = 1 call, is that k = 5 call cut
+    # to k entries
     pytest.importorskip("mpmath")
     visited = []
     real = fitter.eval_xy
@@ -435,8 +436,10 @@ def test_orders_3_and_4_against_mpmath(monkeypatch):
         J2_ref = complex(ref[4] - 2 * ref[3] + ref[2])
         assert abs(J2 - J2_ref) <= 1e-6 * abs(J2_ref), (a, b, c)
         # every k >= 2 returns the first k entries of the k = 5 call, bit
-        # for bit (signed zeros too), on both paths and at a = 0
-        for k in (2, 3, 4):
+        # for bit (signed zeros too), on both paths and at a = 0; on the
+        # large-|a| path k = 1 does too, though it asks the kernel for no
+        # sin u and cos u
+        for k in ((1, 2, 3, 4) if abs(a) >= EPSILON_A else (2, 3, 4)):
             Xk, Yk = eval_xy(a, b, c, k)
             assert ([v.hex() for v in Xk + Yk]
                     == [v.hex() for v in X[:k] + Y[:k]]), (a, b, c, k)
