@@ -46,15 +46,13 @@ each coordinate of point_at(s) is within
 
 of the exact point; on the row polynomial, and where `eval_xy` takes
 its series (|kappa_prime s^2| < EPSILON_A), within the same bound with
-eta replaced by 0.  Against 40-digit mpmath (`tests/oracles.py`) over
-the curves of `tests/test_clothoid.py`'s `_square_curves` (|kappa L| <=
-60, EPSILON_A <= |kappa_prime L^2| <= 1e3) at seed 1301, its 24, and at
-seeds 1302 and 1303, 400 each, the worst c measured is 1.64 on the
-completed square across [-L, L), 1.38 at s = L and 1.60 on `eval_xy`
-past [-L, L) out to |s| = 10 L, all at seed 1302; another seeded sample
-of a like design has read 2.12 on the square.  Over 400 near-line twins
-the series read 1.5.  On the
-square, rounding eta costs eps |eta| of phase over a displacement of
+eta replaced by 0.  Against 40-digit mpmath (`tools/point_at_c.py`)
+over the curves of `tests/test_clothoid.py`'s `_square_curves` (|kappa
+L| <= 60, EPSILON_A <= |kappa_prime L^2| <= 1e3) at seed 1301, its 24,
+and at seeds 1302 to 1308, 400 each, the worst c measured is 2.15 on the
+completed square across [-L, L) (seed 1308), 1.62 at s = L (seed 1304)
+and 1.67 on `eval_xy` past [-L, L) out to |s| = 10 L (seed 1307).
+Over 400 near-line twins the series read 1.5.  On the square, rounding eta costs eps |eta| of phase over a displacement of
 length |s| <= L, and differencing C and S at t(s) and t(0) costs about
 eps sqrt(pi/|kappa_prime|) <= 4.6 eps L.
 On the row polynomial the worst c against 30-digit mpmath quadrature is

@@ -214,7 +214,7 @@ def test_point_at_large_turning_against_quadrature():
 def _square_curves(seed=1301, count=24):
     """Seeded curves far from a line, |kappa_prime L^2| >= EPSILON_A: the
     first four near circles, then |kappa L| <= 3 on odd i and <= 60 on
-    even i."""
+    even i.  tools/point_at_c.py measures c over other seeds and counts."""
     rng = np.random.default_rng(seed)
     curves = []
     for i in range(count):
