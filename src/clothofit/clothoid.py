@@ -50,8 +50,8 @@ eta replaced by 0.  Against 40-digit mpmath (`tools/point_at_c.py`)
 over the curves of `tests/test_clothoid.py`'s `_square_curves` (|kappa
 L| <= 60, EPSILON_A <= |kappa_prime L^2| <= 1e3) at seed 1301, its 24,
 and at seeds 1302 to 1308, 400 each, the worst c measured is 2.15 on the
-completed square across [-L, L) (seed 1308), 1.62 at s = L (seed 1304)
-and 1.67 on `eval_xy` past [-L, L) out to |s| = 10 L (seed 1307).
+completed square across [-L, L) (seed 1308), 1.38 at s = L and 1.60 on
+`eval_xy` past [-L, L) out to |s| = 10 L (both seed 1302).
 Over 400 near-line twins the series read 1.5.  On the square, rounding eta costs eps |eta| of phase over a displacement of
 length |s| <= L, and differencing C and S at t(s) and t(0) costs about
 eps sqrt(pi/|kappa_prime|) <= 4.6 eps L.

@@ -5,8 +5,9 @@ and stable: DegenerateInputError (3), ExcludedAngleError (4),
 ConvergenceError and its SingularDerivativeError subclass (5), and any
 other FitError, such as InternalConsistencyError (6).
 
-`_check_fields` is the one check of a record's numeric fields: the
-ValueError that `HermiteData` and `ClothoidCurve` raise for a bad field.
+`_finite_float` holds the one rule, and its messages, for a number given
+as a float, int or Fraction: `fresnel` applies it to its argument, and
+`_check_fields` to each field of `HermiteData` and `ClothoidCurve`.
 """
 
 import math
@@ -67,27 +68,34 @@ class InternalConsistencyError(FitError):
     """
 
 
-def _check_fields(record):
-    """Raise a ValueError naming the first field of the dataclass `record`
-    that is not finite, or that does not add to a float.
+def _finite_float(value, owner, name):
+    """value + 0.0 as a finite Python float, or a ValueError that starts
+    "<owner>: <name> must be ...".
 
-    Each field plus 0.0 must be a finite Python float (a subclass such as
-    numpy.float64 counts).  A non-finite field, or an int or Fraction past
-    the float range (OverflowError), is named as not finite.  A field that
-    raises TypeError (a Decimal), or that keeps the sum in its own type (a
+    The sum must be a Python float (a subclass such as numpy.float64
+    counts).  A non-finite value, or an int or Fraction past the float
+    range (OverflowError), is named as not finite.  A value that raises
+    TypeError (a Decimal), or that keeps the sum in its own type (a
     numpy.float32, in which the arithmetic would run), is named as not a
-    float, int or Fraction.  The message starts with the record's class
-    name.  Returns None when every field passes; stored values are never
-    changed."""
+    float, int or Fraction."""
     try:
-        for name in record.__dataclass_fields__:
-            value = getattr(record, name) + 0.0
-            if not isinstance(value, float):
-                raise TypeError
-            if not math.isfinite(value):
-                raise OverflowError
+        value = value + 0.0
+        if not isinstance(value, float):
+            raise TypeError
+        if not math.isfinite(value):
+            raise OverflowError
     except OverflowError:
-        raise ValueError("%s: %s must be finite" % (type(record).__name__, name)) from None
+        raise ValueError("%s: %s must be finite" % (owner, name)) from None
     except TypeError:
-        raise ValueError("%s: %s must be a float, int or Fraction"
-                         % (type(record).__name__, name)) from None
+        raise ValueError("%s: %s must be a float, int or Fraction" % (owner, name)) from None
+    return value
+
+
+def _check_fields(record):
+    """Raise `_finite_float`'s ValueError for the first field of the
+    dataclass `record` that fails it, with the record's class name as the
+    owner.  Returns None when every field passes; stored values are never
+    changed."""
+    owner = type(record).__name__
+    for name in record.__dataclass_fields__:
+        _finite_float(getattr(record, name), owner, name)

@@ -5,22 +5,22 @@ The pi/2-normalized convention is used throughout:
     C(t) = int_0^t cos(pi/2 u^2) du,      S(t) = int_0^t sin(pi/2 u^2) du.
 
 With u = (pi/2) t^2 and w = u^2, C/t and S/(t u) are polynomials in w
-for |t| <= 1.6, in three pieces, each summed by one unrolled Horner
+for |t| <= 1.6, in two pieces, each summed by one unrolled Horner
 expression per column of its table:
 
 * |t| <= 0.6, where most of a sampled curve's calls land: degree 5,
   `_CS_SS_SMALL`, the Chebyshev interpolant at 6 first-kind nodes on
   w in [0, ((pi/2) 0.6^2)^2];
-* 0.6 < |t| <= 1: degree 7, `_CS_SS_UNIT`, the interpolant at 8 nodes
-  on w in [0, (pi/2)^2];
-* 1 < |t| <= 1.6: degree 11, `_CS_SS`, the interpolant at 12 nodes on
-  w in [0, ((pi/2) 1.6^2)^2].
+* 0.6 < |t| <= 1.6: degree 11, `_CS_SS`, the interpolant at 12 nodes
+  on w in [0, ((pi/2) 1.6^2)^2].
 
 Each interpolates the Maclaurin series, solved in 50-digit mpmath,
 converted to monomials and rounded to doubles.  Against 30-digit mpmath
 over t = 0.001..1.6 in steps of 0.001 both integrals stay within 3.8e-16
-relative on the first two pieces and 8e-16 on the third.  Beyond, the
-asymptotic form
+relative on the first piece and 8e-16 on the second (3.5e-16 of it on
+0.6 < |t| <= 1); over the 201 doubles on each side of a switch and at
+1e-6 and 1e-3 relative from it the worst is 3.8e-16 at 0.6 and 1.1e-15
+at 1.6.  Beyond, the asymptotic form
 
     C(t) = 1/2 + f(t) sin u - g(t) cos u
     S(t) = 1/2 - f(t) cos u - g(t) sin u
@@ -41,13 +41,14 @@ offset c at once.  A curve's square rows, every k = 1 evaluation and
 
 import math
 
+from .errors import _finite_float
+
 __all__ = ["fresnel"]
 
 _SERIES_CUTOFF = 1.6
-# The series sums _CS_SS_SMALL up to the first |t|, _CS_SS_UNIT up to the
-# second and _CS_SS up to _SERIES_CUTOFF.
+# The series sums _CS_SS_SMALL up to this |t| and _CS_SS above it, up to
+# _SERIES_CUTOFF.
 _SMALL_CUTOFF = 0.6
-_UNIT_CUTOFF = 1.0
 # The two-double phase (pi/2) t^2 overflows for |t| > ~1.16e150; past
 # this both integrals are 1/2 within 1/(pi t) < 1e-150.
 _PHASE_LIMIT = 1e150
@@ -59,7 +60,7 @@ _PIO2_HI = 1.5707963267948966
 _PIO2_LO = 6.123233995736766e-17
 
 # (C(t)/t, S(t)/(t u)) coefficient pairs in w, highest degree first, built
-# for |t| <= 1.6 and summed for 1 < |t| <= 1.6.
+# for |t| <= 1.6 and summed for 0.6 < |t| <= 1.6.
 _CS_SS = (
     (-1.681514647447558e-23, -7.088120135058062e-25),
     (9.902944020469536e-21, 4.504529953380202e-22),
@@ -73,17 +74,6 @@ _CS_SS = (
     (0.004629629629629572, 0.0007575757575757553),
     (-0.09999999999999998, -0.023809523809523808),
     (1.0, 0.3333333333333333),
-)
-# The same pairs built for |t| <= 1, degree 7, summed for 0.6 < |t| <= 1.
-_CS_SS_UNIT = (
-    (-3.8149007919097956e-13, -2.388754324285278e-14),
-    (8.345099849550286e-11, 5.944679465674861e-12),
-    (-1.3122416304077948e-08, -1.089215617096117e-09),
-    (1.4589167653741635e-06, 1.4503851473956256e-07),
-    (-0.00010683760675307352, -1.3227513222811758e-05),
-    (0.004629629629603572, 0.0007575757575743082),
-    (-0.09999999999999694, -0.023809523809523638),
-    (0.9999999999999999, 0.3333333333333333),
 )
 # The same pairs for |t| <= 0.6, degree 5.
 _CS_SS_SMALL = (
@@ -133,8 +123,6 @@ _GD = (
 # exactly, so the sums start from u plus the next coefficient.
 ((_C11, _S11), (_C10, _S10), (_C9, _S9), (_C8, _S8), (_C7, _S7), (_C6, _S6),
  (_C5, _S5), (_C4, _S4), (_C3, _S3), (_C2, _S2), (_C1, _S1), (_C0, _S0)) = _CS_SS
-((_UC7, _US7), (_UC6, _US6), (_UC5, _US5), (_UC4, _US4),
- (_UC3, _US3), (_UC2, _US2), (_UC1, _US1), (_UC0, _US0)) = _CS_SS_UNIT
 ((_SC5, _SS5), (_SC4, _SS4), (_SC3, _SS3),
  (_SC2, _SS2), (_SC1, _SS1), (_SC0, _SS0)) = _CS_SS_SMALL
 _FN9, _FN8, _FN7, _FN6, _FN5, _FN4, _FN3, _FN2, _FN1, _FN0 = _FN
@@ -190,11 +178,6 @@ def _fresnel_core(t, phase=False):
         if x <= _SMALL_CUTOFF:
             cc = (_SC0 + w * (_SC1 + w * (_SC2 + w * (_SC3 + w * (_SC4 + w * _SC5))))) * x
             sv = (_SS0 + w * (_SS1 + w * (_SS2 + w * (_SS3 + w * (_SS4 + w * _SS5))))) * (x * u)
-        elif x <= _UNIT_CUTOFF:
-            cc = (_UC0 + w * (_UC1 + w * (_UC2 + w * (_UC3 + w * (
-                _UC4 + w * (_UC5 + w * (_UC6 + w * _UC7))))))) * x
-            sv = (_US0 + w * (_US1 + w * (_US2 + w * (_US3 + w * (
-                _US4 + w * (_US5 + w * (_US6 + w * _US7))))))) * (x * u)
         else:
             cc = (_C0 + w * (_C1 + w * (_C2 + w * (_C3 + w * (_C4 + w * (_C5 + w * (
                 _C6 + w * (_C7 + w * (_C8 + w * (_C9 + w * (_C10 + w * _C11))))))))))) * x
@@ -234,7 +217,8 @@ def fresnel(t: float):
     Parameters
     ----------
     t : float
-        Finite argument, any sign (both integrals are odd).
+        Finite argument, any sign (both integrals are odd): a float, int or
+        Fraction, evaluated as its float.
 
     Returns
     -------
@@ -244,8 +228,14 @@ def fresnel(t: float):
         amplitude 1/(pi t).  The asymptotic form tracks it up to |t| =
         1e150; past that the phase overflows and 1/2 itself is returned,
         within 1e-150.
+
+    Raises
+    ------
+    ValueError
+        "fresnel: t must be finite" (an int or Fraction past the float
+        range too) or "fresnel: t must be a float, int or Fraction" (a
+        Decimal, or a numpy.float32 in which the kernel would run), by the
+        rule of `HermiteData`'s fields.
     """
-    if not math.isfinite(t):
-        raise ValueError("fresnel: argument must be finite, got %r" % (t,))
-    return _fresnel_core(t)[:2]
+    return _fresnel_core(_finite_float(t, "fresnel", "t"))[:2]
 

@@ -3,6 +3,7 @@ import gc
 import math
 import re
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -844,6 +845,47 @@ def test_unchecked_non_finite_poses_never_fit():
             pose = SimpleNamespace(**dict(_fields(data), **{field: value}))
             with pytest.raises((ValueError, FitError)):
                 build_clothoid(pose)
+
+
+def _extreme_poses(rng, n):
+    """n poses whose six fields are each, at random, a signed zero, a
+    magnitude log-uniform in [1e-320, 1e308], a multiple of pi/2 up to
+    4 pi or its neighbour at relative 1e-16 or 1e-12, or a value uniform
+    in [-10, 10]."""
+    shape = (n, 6)
+    sign = rng.choice([-1.0, 1.0], shape)
+    quarter = rng.integers(-8, 9, shape) * (np.pi / 2.0)
+    kinds = (sign * 0.0,
+             sign * 10.0 ** rng.uniform(-320.0, 308.0, shape),
+             quarter + quarter * rng.choice([0.0, 1e-16, -1e-16, 1e-12, -1e-12], shape),
+             rng.uniform(-10.0, 10.0, shape))
+    return np.choose(rng.integers(0, 4, shape), kinds).tolist()
+
+
+def test_extreme_poses_end_in_a_fit_or_a_typed_error():
+    # every pose of finite floats ends in a fit with finite fields and
+    # L > 0, or in a FitError or ValueError: no other exception and no
+    # warning escapes (about 1 s; 200 000 poses of this mix at seed 3802
+    # read 76% fits, 24% DegenerateInputError, 0.23% ExcludedAngleError)
+    rng = np.random.default_rng(3801)
+    ends = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pose in _extreme_poses(rng, 40000):
+            try:
+                result = build_clothoid(HermiteData(*pose))
+            except (FitError, ValueError) as exc:
+                ends[type(exc)] = ends.get(type(exc), 0) + 1
+                continue
+            assert isinstance(result, FitResult), pose
+            values = [result.A, result.B, result.residual_g, result.endpoint_error]
+            curve = result.curve
+            values += [curve.x0, curve.y0, curve.theta0, curve.kappa, curve.kappa_prime, curve.L]
+            assert all(math.isfinite(value) for value in values), (pose, result)
+            assert curve.L > 0.0, pose
+            ends[FitResult] = ends.get(FitResult, 0) + 1
+    # the mix reaches the fit and both input errors
+    assert {FitResult, DegenerateInputError, ExcludedAngleError} <= set(ends), ends
 
 
 # ------------------------------------------------------------ symmetry

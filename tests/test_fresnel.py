@@ -1,6 +1,8 @@
 import importlib
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,9 +51,18 @@ def test_limits_at_infinity():
 
 
 def test_non_finite_rejected():
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
+    # the rule of HermiteData's fields: an int or Fraction past the float
+    # range is not finite; a Decimal, or a numpy.float32 in which the
+    # kernel would run, is not a float, int or Fraction
+    for bad in (math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
+        with pytest.raises(ValueError, match="^fresnel: t must be finite$"):
             fresnel(bad)
+    for bad in (Decimal("0.5"), np.float32(0.7), np.float16(0.5)):
+        with pytest.raises(ValueError, match="^fresnel: t must be a float, int or Fraction$"):
+            fresnel(bad)
+    # what adds to a float is evaluated as that float
+    for good in (1, Fraction(7, 10), np.float64(0.7), np.int64(1)):
+        assert fresnel(good) == fresnel(float(good))
 
 
 def test_accuracy_against_scipy():
@@ -59,8 +70,8 @@ def test_accuracy_against_scipy():
     # an independent implementation, so agreement pins both.
     ts = np.concatenate([
         np.linspace(1e-3, 10.0, 797),
-        [0.6, 0.6000000001, 0.5999999999],   # switches between the series pieces
-        [1.0, 1.0000000001, 0.9999999999],
+        [0.6, 0.6000000001, 0.5999999999],   # switch between the series pieces
+        [1.0, 1.0000000001, 0.9999999999],   # inside the degree-11 piece
         [1.6, 1.6000000001, 1.5999999999],   # series/asymptotic switch
     ])
     for t in ts:
@@ -72,8 +83,8 @@ def test_accuracy_against_scipy():
 
 def test_accuracy_against_mpmath():
     # 30-digit oracle at kernel precision, weighted to both sides of the
-    # switches between the series pieces at 0.6 and 1 and of the
-    # series/asymptotic switch at 1.6
+    # switch between the series pieces at 0.6 and of the series/asymptotic
+    # switch at 1.6, and to t = 1 inside the degree-11 piece
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     rng = np.random.default_rng(1305)
@@ -115,8 +126,9 @@ def test_kernel_phase_against_mpmath():
 def test_phase_request_leaves_c_and_s_alone():
     # sin u and cos u are computed on the series branch only when asked
     # for, and are None there otherwise; C and S are the same bits either
-    # way, through all three switches, on the asymptotic branch and past
-    # the phase limit, for both signs
+    # way, through both series switches and at t = 1 inside the degree-11
+    # piece, on the asymptotic branch and past the phase limit, for both
+    # signs
     core = importlib.import_module("clothofit.fresnel")._fresnel_core
     rng = np.random.default_rng(3701)
     ts = [0.0, 0.6, 1.0, 1.6, 1e150, 1e200]
@@ -137,8 +149,7 @@ def test_phase_request_leaves_c_and_s_alone():
 
 # the series pieces: each table, the number of its Chebyshev nodes and the
 # |t| range it serves
-SERIES_PIECES = (("_CS_SS_SMALL", 6, 0.0, "0.6"), ("_CS_SS_UNIT", 8, 0.6, "1"),
-                 ("_CS_SS", 12, 1.0, "1.6"))
+SERIES_PIECES = (("_CS_SS_SMALL", 6, 0.0, "0.6"), ("_CS_SS", 12, 0.6, "1.6"))
 
 
 def _check_series_table(mpmath, table, n, t_max):
@@ -163,7 +174,7 @@ def _check_series_table(mpmath, table, n, t_max):
 
 
 def test_series_tables_regenerate_from_mpmath():
-    # all three pieces: 6 nodes up to t = 0.6, 8 up to t = 1, 12 up to t = 1.6
+    # both pieces: 6 nodes up to t = 0.6, 12 up to t = 1.6
     mpmath = pytest.importorskip("mpmath")
     kernel = importlib.import_module("clothofit.fresnel")
     for name, n, _, t_max in SERIES_PIECES:
@@ -182,9 +193,10 @@ def test_series_branch_dense_against_mpmath():
 
 
 def test_continuity_across_the_series_switch():
-    # the step from t to the next double across each switch, less the
-    # integrals' own change cos u dt and sin u dt over it: at t = 1, where
-    # S' = 1, that change alone is 4 ulp of S
+    # the step from t to the next double across each switch, 0.6 and 1.6,
+    # and at t = 1 inside the degree-11 piece, less the integrals' own
+    # change cos u dt and sin u dt over it: at t = 1, where S' = 1, that
+    # change alone is 4 ulp of S
     for t in (0.6, 1.0, 1.6):
         dt = math.nextafter(t, 2.0) - t
         u = 0.5 * math.pi * t * t
